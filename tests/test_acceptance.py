@@ -10,8 +10,12 @@ validation model, mirroring the qualitative regime the toolkit targets.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
@@ -19,6 +23,7 @@ import numpy as np
 import pytest
 
 import forecast_stability as fs
+from forecast_stability.cli import cli_main
 from forecast_stability.ensemble import component_seed, make_validation_windows
 from forecast_stability.metrics import postprocess, rmse
 
@@ -239,11 +244,80 @@ def test_c7_rmse_hand_checks():
         assert rmse(base, base) == 0.0
 
 
+_C8_LINEAR_AR = {
+    "kind": "linear_ar",
+    "params": {"lags": 4, "epochs": 3, "learning_rate": 0.05, "batch_size": 16},
+}
+C8_SYNTH = {
+    "n_series": 12,
+    "length": 120,
+    "level_range": [40, 110],
+    "season_period": 7,
+    "season_amplitude": 12,
+    "noise_std": 4,
+    "intermittency": 0.05,
+    "seed": 9,
+}
+C8_EXPERIMENT = {
+    "split": {"train_length": 113, "horizon": 7},
+    "models": [
+        {
+            "label": "seasonal_naive",
+            "kind": {"kind": "seasonal_naive", "params": {"period": 7}},
+        },
+        {"label": "linear_ar", "kind": _C8_LINEAR_AR},
+        {
+            "label": "ensemble",
+            "ensemble": {
+                "components": [
+                    {"kind": "seasonal_naive", "params": {"period": 7}},
+                    {"kind": "global_mean", "params": {}},
+                    _C8_LINEAR_AR,
+                ],
+                "n_windows": 2,
+            },
+        },
+    ],
+    "run_count": 3,
+    "master_seed": 12,
+}
+C8_RUN_OUTPUTS = (
+    "runs.csv",
+    "actuals.csv",
+    "cv.csv",
+    "rmse.csv",
+    "table.csv",
+    "report.json",
+    "cv_hist_seasonal_naive.svg",
+    "cv_hist_linear_ar.svg",
+    "cv_hist_ensemble.svg",
+    "rmse_distribution.svg",
+)
+
+
+def run_c8_pipeline(base, run_cli):
+    """Run generate -> run -> metrics -> report on the C8 config under ``base``.
+
+    Returns the bytes of data.csv and of every contract output in the runs
+    directory (manifest.json carries a timestamp and is left out).
+    """
+    synth_path = base / "synth.json"
+    synth_path.write_text(json.dumps(C8_SYNTH))
+    data_path = base / "data.csv"
+    run_cli("generate", "--config", str(synth_path), "--out", str(data_path))
+    cfg_path = base / "experiment.json"
+    cfg_path.write_text(json.dumps({"dataset": {"csv": str(data_path)}, **C8_EXPERIMENT}))
+    runs_dir = base / "runs"
+    run_cli("run", "--config", str(cfg_path), "--out", str(runs_dir))
+    run_cli("metrics", "--runs", str(runs_dir))
+    run_cli("report", "--runs", str(runs_dir))
+    outputs = {name: (runs_dir / name).read_bytes() for name in C8_RUN_OUTPUTS}
+    outputs["data.csv"] = data_path.read_bytes()
+    return outputs
+
+
 def test_c8_cli_pipeline_is_byte_deterministic(tmp_path):
     with criterion(8, "full CLI pipeline twice yields byte-identical outputs"):
-        import json
-        import subprocess
-        import sys
 
         def run_cli(*argv):
             proc = subprocess.run(
@@ -254,91 +328,39 @@ def test_c8_cli_pipeline_is_byte_deterministic(tmp_path):
             assert proc.returncode == 0, proc.stderr
             return proc
 
-        synth = {
-            "n_series": 12,
-            "length": 120,
-            "level_range": [40, 110],
-            "season_period": 7,
-            "season_amplitude": 12,
-            "noise_std": 4,
-            "intermittency": 0.05,
-            "seed": 9,
-        }
-        experiment = {
-            "dataset": {"csv": None},  # patched per pass below
-            "split": {"train_length": 113, "horizon": 7},
-            "models": [
-                {
-                    "label": "seasonal_naive",
-                    "kind": {"kind": "seasonal_naive", "params": {"period": 7}},
-                },
-                {
-                    "label": "linear_ar",
-                    "kind": {
-                        "kind": "linear_ar",
-                        "params": {
-                            "lags": 4,
-                            "epochs": 3,
-                            "learning_rate": 0.05,
-                            "batch_size": 16,
-                        },
-                    },
-                },
-                {
-                    "label": "ensemble",
-                    "ensemble": {
-                        "components": [
-                            {"kind": "seasonal_naive", "params": {"period": 7}},
-                            {"kind": "global_mean", "params": {}},
-                            {
-                                "kind": "linear_ar",
-                                "params": {
-                                    "lags": 4,
-                                    "epochs": 3,
-                                    "learning_rate": 0.05,
-                                    "batch_size": 16,
-                                },
-                            },
-                        ],
-                        "n_windows": 2,
-                    },
-                },
-            ],
-            "run_count": 3,
-            "master_seed": 12,
-        }
-
         outputs = {}
         for attempt in ("first", "second"):
             base = tmp_path / attempt
             base.mkdir()
-            synth_path = base / "synth.json"
-            synth_path.write_text(json.dumps(synth))
-            data_path = base / "data.csv"
-            run_cli("generate", "--config", str(synth_path), "--out", str(data_path))
-            experiment["dataset"] = {"csv": str(data_path)}
-            cfg_path = base / "experiment.json"
-            cfg_path.write_text(json.dumps(experiment))
-            runs_dir = base / "runs"
-            run_cli("run", "--config", str(cfg_path), "--out", str(runs_dir))
-            run_cli("metrics", "--runs", str(runs_dir))
-            run_cli("report", "--runs", str(runs_dir))
-            outputs[attempt] = {
-                name: (runs_dir / name).read_bytes()
-                for name in (
-                    "runs.csv",
-                    "cv.csv",
-                    "rmse.csv",
-                    "table.csv",
-                    "cv_hist_seasonal_naive.svg",
-                    "cv_hist_linear_ar.svg",
-                    "cv_hist_ensemble.svg",
-                    "rmse_distribution.svg",
-                )
-            }
-            outputs[attempt]["data.csv"] = data_path.read_bytes()
+            outputs[attempt] = run_c8_pipeline(base, run_cli)
         for name, payload in outputs["first"].items():
             assert payload == outputs["second"][name], f"{name} differs between runs"
+
+
+# sha256 of every contract output of the C8 pipeline. These pin the bytes
+# the CLI writes; a change to any of them is a change of behaviour.
+C8_GOLDEN_SHA256 = {
+    "actuals.csv": "f751dd7eceae566e9bbb100b828bfeadae1f577928c8abc75dafe8a3858a003f",
+    "cv.csv": "15d57145c417b137a27319df701202bb99253cc054eaf29ffc2f5e873660eaaf",
+    "cv_hist_ensemble.svg": "846034ad6b45564a06ea0990c9d235692ac3b6de5a928357444de2b282655876",
+    "cv_hist_linear_ar.svg": "b620ef51830ff6e8a3c3253ccd546b372492e9de8715234ad96c14629253c878",
+    "cv_hist_seasonal_naive.svg": "24ce30e653870bff2bdb5662b7122d472a99f9a3bceeb3623c28c84b12ad010b",
+    "data.csv": "104fcef9cdd5faf76055f41f66e9bb0e09c65316407a8d0d18beeba91ea533d5",
+    "report.json": "b1ea0ce959a5c7705854ff330d9d05fce7656bef2d504ddfbfa057e69dd89f5f",
+    "rmse.csv": "64130545b6a31cdd80d5a06bb0be4501fab324f5468e93f2749cbceffaf3b8ed",
+    "rmse_distribution.svg": "8561ed29ea7d3f0a0408409ffc9ad46627b9e4c5b714f7fefa0dc7de5c0b4ea8",
+    "runs.csv": "e5d5de3fe2bd50b7747df6cdfa084d63c5348b32aeb3f622f1700727b696afd1",
+    "table.csv": "6e3577424e980e43e01f377215f201f4d1a20cf2aab897066394e87efe40f548",
+}
+
+
+def test_c8_outputs_match_golden_digests(tmp_path, capsys):
+    def run_cli(*argv):
+        assert cli_main(list(argv)) == 0, capsys.readouterr().err
+
+    outputs = run_c8_pipeline(tmp_path, run_cli)
+    digests = {name: hashlib.sha256(payload).hexdigest() for name, payload in outputs.items()}
+    assert digests == C8_GOLDEN_SHA256
 
 
 def test_c9_quantile_table_fidelity():
