@@ -25,12 +25,10 @@ from .forecasters import (
     FittedForecaster,
     ForecasterKind,
     GlobalMean,
-    HyperGrid,
     LinearAR,
     SeasonalNaive,
     TinyMLP,
     fit,
-    grid_search,
     predict,
 )
 from .harness import (
@@ -75,7 +73,6 @@ __all__ = [
     "ForecasterKind",
     "GlobalMean",
     "Histogram",
-    "HyperGrid",
     "LinearAR",
     "ModelEntry",
     "ReportBundle",
@@ -95,7 +92,6 @@ __all__ = [
     "fit",
     "fit_ensemble",
     "fnv1a64",
-    "grid_search",
     "histogram",
     "load_long_csv",
     "load_runs",

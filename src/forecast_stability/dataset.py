@@ -9,17 +9,15 @@ noise, and intermittency.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import tabular
 from .errors import ForecastStabilityError
 from .seeding import Rng
-
-REQUIRED_COLUMNS = ("item_id", "date", "demand")
 
 # Fixed start date for synthetic panels; the generator has no calendar knob.
 _SYNTH_START = dt.date(2020, 1, 1)
@@ -47,6 +45,11 @@ class EmptyFile(DatasetError):
 
 class SplitOutOfRange(DatasetError):
     pass
+
+
+_CSV_ERRORS = tabular.Errors(
+    MissingColumn, DatasetError, EmptyFile, DuplicateCell, NonDailyGap
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,13 +91,6 @@ class TimeSeriesDataset:
     @property
     def length(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def frequency(self) -> str:
-        return "daily"
-
-    def dates(self) -> list[dt.date]:
-        return [self.start_date + dt.timedelta(days=t) for t in range(self.length)]
 
 
 @dataclass(frozen=True)
@@ -156,58 +152,10 @@ def load_long_csv(path: str | Path, fill_missing: bool = False) -> TimeSeriesDat
     is true, in which case it becomes 0.0 (retail exports commonly omit
     zero-demand rows).
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyFile(f"{path}: file is empty")
-        if tuple(header) != REQUIRED_COLUMNS:
-            raise MissingColumn(
-                f"{path}: expected columns {','.join(REQUIRED_COLUMNS)}, "
-                f"got {','.join(header)}"
-            )
-        cells: dict[tuple[str, dt.date], float] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise MissingColumn(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            item, date_text, demand_text = row
-            try:
-                date = dt.date.fromisoformat(date_text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad date {date_text!r}") from exc
-            try:
-                demand = float(demand_text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad demand {demand_text!r}") from exc
-            key = (item, date)
-            if key in cells:
-                raise DuplicateCell(f"{path}:{lineno}: duplicate cell {item},{date}")
-            cells[key] = demand
-
-    if not cells:
-        raise EmptyFile(f"{path}: no data rows")
-
-    ids = sorted({item for item, _ in cells})
-    first = min(date for _, date in cells)
-    last = max(date for _, date in cells)
-    length = (last - first).days + 1
-    values = np.zeros((len(ids), length), dtype=np.float64)
-    for i, item in enumerate(ids):
-        for t in range(length):
-            date = first + dt.timedelta(days=t)
-            try:
-                values[i, t] = cells[(item, date)]
-            except KeyError:
-                if not fill_missing:
-                    raise NonDailyGap(
-                        f"{path}: {item} has no row for {date} "
-                        "(pass fill_missing=True to zero-fill)"
-                    ) from None
-                values[i, t] = 0.0
-    return TimeSeriesDataset(tuple(ids), first, values)
+    (ids, dates), (demand,) = tabular.read_csv(
+        path, tabular.DATASET, _CSV_ERRORS, fill_missing
+    )
+    return TimeSeriesDataset(ids, dt.date.fromordinal(dates.start), demand)
 
 
 def write_long_csv(ds: TimeSeriesDataset, path: str | Path) -> None:
@@ -216,23 +164,8 @@ def write_long_csv(ds: TimeSeriesDataset, path: str | Path) -> None:
     Demand values are emitted with round-trip precision so that
     ``load_long_csv(write_long_csv(ds))`` reproduces the panel exactly.
     """
-    path = Path(path)
-    order = sorted(range(ds.n_series), key=lambda i: ds.series_ids[i])
-    dates = ds.dates()
-    lines = [",".join(REQUIRED_COLUMNS)]
-    for i in order:
-        item = ds.series_ids[i]
-        for t, date in enumerate(dates):
-            lines.append(f"{item},{date.isoformat()},{format_demand(ds.values[i, t])}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def format_demand(value: float) -> str:
-    """Decimal literal for a demand value: integer form when integral."""
-    value = float(value)
-    if value.is_integer():
-        return str(int(value))
-    return repr(value)
+    dates = range(ds.start_date.toordinal(), ds.start_date.toordinal() + ds.length)
+    tabular.write_csv(path, tabular.DATASET, (ds.series_ids, dates), (ds.values,))
 
 
 def split(ds: TimeSeriesDataset, spec: SplitSpec) -> tuple[TimeSeriesDataset, np.ndarray]:

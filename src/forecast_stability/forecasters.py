@@ -15,15 +15,13 @@ recursive: each predicted value feeds the lag window for the next step.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .dataset import SplitSpec, TimeSeriesDataset, split
+from .dataset import TimeSeriesDataset
 from .errors import ForecastStabilityError
-from .metrics import postprocess, rmse
 from .seeding import Rng
 
 
@@ -32,10 +30,6 @@ class ForecasterError(ForecastStabilityError):
 
 
 class InsufficientHistory(ForecasterError):
-    pass
-
-
-class EmptyGrid(ForecasterError):
     pass
 
 
@@ -111,12 +105,6 @@ def kind_from_json(obj: Mapping) -> ForecasterKind:
     except KeyError as exc:
         raise ValueError(f"unknown forecaster kind in {obj!r}") from exc
     return cls(**obj.get("params", {}))
-
-
-def make_kind(family: str, params: Mapping) -> ForecasterKind:
-    if family not in _KIND_TYPES:
-        raise ValueError(f"unknown forecaster family {family!r}")
-    return _KIND_TYPES[family](**params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,62 +260,3 @@ def _predict_recursive(
         steps.append(step)
         window = np.concatenate([window[:, 1:], step[:, None]], axis=1)
     return np.stack(steps, axis=1) * state["scales"][:, None]
-
-
-@dataclass(frozen=True, eq=False)
-class HyperGrid:
-    """Candidate hyperparameter values for one forecaster family.
-
-    ``params`` maps hyperparameter names to candidate lists; candidates are
-    enumerated in lexicographic order over the declared key order, which
-    also fixes tie-breaking in :func:`grid_search`.
-    """
-
-    family: str
-    params: dict[str, tuple]
-
-    def __post_init__(self):
-        if self.family not in _KIND_TYPES:
-            raise ValueError(f"unknown forecaster family {self.family!r}")
-        normalized = {name: tuple(vals) for name, vals in self.params.items()}
-        if any(len(vals) == 0 for vals in normalized.values()):
-            raise EmptyGrid(f"empty candidate list in grid for {self.family}")
-        object.__setattr__(self, "params", normalized)
-
-    def candidates(self) -> Iterator[ForecasterKind]:
-        names = list(self.params)
-        for combo in itertools.product(*(self.params[n] for n in names)):
-            yield make_kind(self.family, dict(zip(names, combo)))
-
-    def __len__(self) -> int:
-        size = 1
-        for vals in self.params.values():
-            size *= len(vals)
-        return size
-
-
-def grid_search(
-    grid: HyperGrid,
-    train: TimeSeriesDataset,
-    val_spec: SplitSpec,
-    seed: int,
-) -> ForecasterKind:
-    """Pick the grid point with the lowest validation RMSE.
-
-    Each candidate is fit on the leading ``val_spec.train_length`` columns
-    with the given seed and scored on the following validation window,
-    after post-processing. Ties keep the earliest candidate in enumeration
-    order.
-    """
-    inner_train, validation = split(train, val_spec)
-    best_kind = None
-    best_score = None
-    for kind in grid.candidates():
-        fitted = fit(kind, inner_train, seed)
-        forecast = postprocess(predict(fitted, val_spec.horizon))
-        score = rmse(forecast, validation)
-        if best_score is None or score < best_score:
-            best_kind, best_score = kind, score
-    if best_kind is None:
-        raise EmptyGrid(f"grid for {grid.family} has no candidates")
-    return best_kind

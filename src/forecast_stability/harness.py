@@ -13,16 +13,17 @@ Persistence is plain CSV plus a JSON manifest; see ``persist_runs``.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import json
 import time
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
+from . import tabular
 from .dataset import (
     SplitSpec,
     SynthConfig,
@@ -64,6 +65,11 @@ class SchemaMismatch(HarnessError):
 
 class RaggedRuns(HarnessError):
     pass
+
+
+_CSV_ERRORS = tabular.Errors(
+    SchemaMismatch, SchemaMismatch, EmptyExperiment, SchemaMismatch, RaggedRuns
+)
 
 
 @dataclass(frozen=True)
@@ -225,25 +231,15 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
     """
     if not result.records:
         raise EmptyExperiment("refusing to persist an experiment with no runs")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    ids = result.series_ids
-    run_lines = ["model,run_id,item_id,h,value"]
-    for record in sorted(result.records, key=lambda r: (r.model_label, r.run_id)):
-        order = sorted(range(len(ids)), key=lambda i: ids[i])
-        for i in order:
-            for t in range(record.forecast.shape[1]):
-                run_lines.append(
-                    f"{record.model_label},{record.run_id},{ids[i]},{t + 1},"
-                    f"{record.forecast[i, t]}"
-                )
-
-    actual_lines = ["item_id,h,value"]
-    order = sorted(range(len(ids)), key=lambda i: ids[i])
-    for i in order:
-        for t in range(result.actuals.shape[1]):
-            actual_lines.append(f"{ids[i]},{t + 1},{_format_value(result.actuals[i, t])}")
+    records = sorted(result.records, key=lambda r: (r.model_label, r.run_id))
+    labels = sorted({record.model_label for record in records})
+    run_ids = range(len(records) // len(labels))
+    if [(r.model_label, r.run_id) for r in records] != list(product(labels, run_ids)):
+        raise RaggedRuns("every model needs exactly one run of each id 0..R-1")
+    forecasts = np.stack([record.forecast for record in records]).reshape(
+        len(labels), len(run_ids), *result.actuals.shape
+    )
+    steps = range(1, result.actuals.shape[1] + 1)
 
     seeds: dict[str, list[int]] = {}
     for record in result.records:
@@ -254,20 +250,23 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
         "created_at": dt.datetime.now(dt.timezone.utc).isoformat(),
     }
 
-    (out_dir / RUNS_FILE).write_text("\n".join(run_lines) + "\n", encoding="utf-8")
-    (out_dir / ACTUALS_FILE).write_text(
-        "\n".join(actual_lines) + "\n", encoding="utf-8"
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tabular.write_csv(
+        out_dir / RUNS_FILE,
+        tabular.RUNS,
+        (labels, run_ids, result.series_ids, steps),
+        (forecasts,),
+    )
+    tabular.write_csv(
+        out_dir / ACTUALS_FILE,
+        tabular.ACTUALS,
+        (result.series_ids, steps),
+        (result.actuals,),
     )
     (out_dir / MANIFEST_FILE).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def _format_value(value: float) -> str:
-    value = float(value)
-    if value.is_integer():
-        return str(int(value))
-    return repr(value)
 
 
 def load_runs(path: str | Path) -> tuple[dict[str, ForecastSet], np.ndarray]:
@@ -276,79 +275,20 @@ def load_runs(path: str | Path) -> tuple[dict[str, ForecastSet], np.ndarray]:
     Validates that every run of a model covers the same full (item, step)
     grid and that actuals align with the forecasts.
     """
-    path = Path(path)
-    runs_path = path / RUNS_FILE
-    actuals_path = path / ACTUALS_FILE
-    if not runs_path.exists():
-        raise FileNotFoundError(f"{runs_path} not found")
-    if not actuals_path.exists():
-        raise FileNotFoundError(f"{actuals_path} not found")
-
-    cells: dict[str, dict[int, dict[tuple[str, int], float]]] = {}
-    with runs_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["model", "run_id", "item_id", "h", "value"]:
-            raise SchemaMismatch(f"{runs_path}: unexpected header {header}")
-        for row in reader:
-            if not row:
-                continue
-            model, run_text, item, h_text, value_text = row
-            run_id, step = int(run_text), int(h_text)
-            grid = cells.setdefault(model, {}).setdefault(run_id, {})
-            if (item, step) in grid:
-                raise SchemaMismatch(
-                    f"{runs_path}: duplicate row for {model} run {run_id} "
-                    f"{item} h={step}"
-                )
-            grid[(item, step)] = float(value_text)
-    if not cells:
-        raise EmptyExperiment(f"{runs_path}: no forecast rows")
-
-    actual_cells: dict[tuple[str, int], float] = {}
-    with actuals_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["item_id", "h", "value"]:
-            raise SchemaMismatch(f"{actuals_path}: unexpected header {header}")
-        for row in reader:
-            if not row:
-                continue
-            item, h_text, value_text = row
-            key = (item, int(h_text))
-            if key in actual_cells:
-                raise SchemaMismatch(f"{actuals_path}: duplicate row for {key}")
-            actual_cells[key] = float(value_text)
-    if not actual_cells:
-        raise EmptyExperiment(f"{actuals_path}: no rows")
-
-    ids = sorted({item for item, _ in actual_cells})
-    horizon = max(step for _, step in actual_cells)
-    expected = {(item, step) for item in ids for step in range(1, horizon + 1)}
-    if set(actual_cells) != expected:
-        raise RaggedRuns(f"{actuals_path}: incomplete (item, h) grid")
-    actuals = np.array(
-        [[actual_cells[(item, step)] for step in range(1, horizon + 1)] for item in ids]
+    runs_path = Path(path) / RUNS_FILE
+    actuals_path = Path(path) / ACTUALS_FILE
+    (models, _, ids, steps), (forecasts,) = tabular.read_csv(
+        runs_path, tabular.RUNS, _CSV_ERRORS
     )
-
-    sets: dict[str, ForecastSet] = {}
-    for model in sorted(cells):
-        by_run = cells[model]
-        run_ids = sorted(by_run)
-        if run_ids != list(range(len(run_ids))):
-            raise RaggedRuns(f"{runs_path}: {model} run ids are not contiguous")
-        grids = []
-        for run_id in run_ids:
-            grid = by_run[run_id]
-            if set(grid) != expected:
-                raise RaggedRuns(
-                    f"{runs_path}: {model} run {run_id} does not cover the "
-                    "(item, h) grid of the actuals"
-                )
-            grids.append(
-                [[grid[(item, step)] for step in range(1, horizon + 1)] for item in ids]
-            )
-        sets[model] = ForecastSet(series_ids=tuple(ids), values=np.array(grids))
+    axes, (actuals,) = tabular.read_csv(actuals_path, tabular.ACTUALS, _CSV_ERRORS)
+    if (ids, steps) != axes:
+        raise RaggedRuns(
+            f"{runs_path}: the (item, h) grid does not match that of {actuals_path}"
+        )
+    sets = {
+        model: ForecastSet(series_ids=ids, values=forecasts[m])
+        for m, model in enumerate(models)
+    }
     return sets, actuals
 
 

@@ -289,31 +289,3 @@ def histogram(
         for i in range(bin_count)
     )
     return Histogram(bins=bins, excluded=excluded)
-
-
-def cv_grid_to_csv(grid: CvGrid, series_ids: Sequence[str]) -> str:
-    """Serialize one CV grid as ``item_id,h,cv,mean,std`` rows.
-
-    Floats are written with round-trip precision so downstream consumers
-    recover the exact values.
-    """
-    m, h = grid.shape
-    if len(series_ids) != m:
-        raise ShapeMismatch(f"{len(series_ids)} ids for {m} grid rows")
-    lines = ["item_id,h,cv,mean,std"]
-    for i in range(m):
-        for t in range(h):
-            lines.append(
-                f"{series_ids[i]},{t + 1},{float(grid.cv[i, t])!r},"
-                f"{float(grid.mean[i, t])!r},{float(grid.std[i, t])!r}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def accuracy_reports_to_csv(reports: Sequence[AccuracyReport]) -> str:
-    """Serialize accuracy reports as ``model,run_id,rmse``, sorted by model."""
-    lines = ["model,run_id,rmse"]
-    for report in sorted(reports, key=lambda r: r.model_label):
-        for run_id, value in enumerate(report.rmse_per_run):
-            lines.append(f"{report.model_label},{run_id},{value!r}")
-    return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ distributions concentrate near zero with long sparse tails.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
@@ -20,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import tabular
 from .errors import ForecastStabilityError
 from .metrics import (
     AccuracyReport,
@@ -42,6 +42,9 @@ REPORT_FILE = "report.json"
 
 class ReportError(ForecastStabilityError):
     pass
+
+
+_CSV_ERRORS = tabular.Errors(*(ReportError,) * 5)
 
 
 @dataclass(frozen=True)
@@ -128,12 +131,10 @@ def emit_quantile_table(
     if not grids:
         raise EmptyInput("no models to tabulate")
     sorted_probs = tuple(sorted(probs))
-    header = "model," + ",".join(_prob_column(p) for p in sorted_probs)
-    lines = [header]
-    for label in sorted(grids):
-        values = quantiles(grids[label].cv.reshape(-1), sorted_probs)
-        lines.append(label + "," + ",".join(f"{v:.3f}" for v in values))
-    return "\n".join(lines) + "\n"
+    table = [quantiles(grid.cv.reshape(-1), sorted_probs) for grid in grids.values()]
+    columns = tuple(_prob_column(p) for p in sorted_probs)
+    schema = tabular.Schema((tabular.MODEL,), columns, "{:.3f}".format)
+    return tabular.csv_text(schema, (list(grids),), tuple(np.array(table).T))
 
 
 def _prob_column(p: float) -> str:
@@ -150,26 +151,26 @@ def write_metrics_files(
     cv.csv is ``model,item_id,h,cv,mean,std`` (the per-grid schema keyed by
     model); rmse.csv is ``model,run_id,rmse``. Floats carry round-trip
     precision so reports rebuilt from these files match in-memory results
-    exactly.
+    exactly. All models share one (item, h) grid and one run count.
     """
+    if not grids or not accuracy:
+        raise EmptyInput("no models to write")
+    labels = list(grids)
+    ids = tuple(grids[labels[0]][1])
+    if any(tuple(grid_ids) != ids for _, grid_ids in grids.values()):
+        raise ReportError("every model's cv grid must cover the same items")
+    stats = [
+        np.stack([getattr(grids[label][0], stat) for label in labels])
+        for stat in tabular.CV.values
+    ]
+    rmse = np.array([report.rmse_per_run for report in accuracy.values()])
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cv_lines = ["model,item_id,h,cv,mean,std"]
-    for label in sorted(grids):
-        grid, ids = grids[label]
-        m, h = grid.shape
-        for i in range(m):
-            for t in range(h):
-                cv_lines.append(
-                    f"{label},{ids[i]},{t + 1},{float(grid.cv[i, t])!r},"
-                    f"{float(grid.mean[i, t])!r},{float(grid.std[i, t])!r}"
-                )
-    rmse_lines = ["model,run_id,rmse"]
-    for label in sorted(accuracy):
-        for run_id, value in enumerate(accuracy[label].rmse_per_run):
-            rmse_lines.append(f"{label},{run_id},{value!r}")
-    (out_dir / CV_FILE).write_text("\n".join(cv_lines) + "\n", encoding="utf-8")
-    (out_dir / RMSE_FILE).write_text("\n".join(rmse_lines) + "\n", encoding="utf-8")
+    steps = range(1, stats[0].shape[2] + 1)
+    tabular.write_csv(out_dir / CV_FILE, tabular.CV, (labels, ids, steps), stats)
+    rmse_axes = (list(accuracy), range(rmse.shape[1]))
+    tabular.write_csv(out_dir / RMSE_FILE, tabular.RMSE, rmse_axes, (rmse,))
 
 
 def load_metrics_files(
@@ -177,63 +178,19 @@ def load_metrics_files(
 ) -> tuple[dict[str, tuple[CvGrid, tuple[str, ...]]], dict[str, AccuracyReport]]:
     """Rebuild per-model CV grids and accuracy reports from metrics files."""
     metrics_dir = Path(metrics_dir)
-    cv_path = metrics_dir / CV_FILE
-    rmse_path = metrics_dir / RMSE_FILE
-    if not cv_path.exists():
-        raise FileNotFoundError(f"{cv_path} not found")
-    if not rmse_path.exists():
-        raise FileNotFoundError(f"{rmse_path} not found")
-
-    cells: dict[str, dict[tuple[str, int], tuple[float, float, float]]] = {}
-    with cv_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["model", "item_id", "h", "cv", "mean", "std"]:
-            raise ReportError(f"{cv_path}: unexpected header {header}")
-        for row in reader:
-            if not row:
-                continue
-            model, item, h_text, cv_text, mean_text, std_text = row
-            cells.setdefault(model, {})[(item, int(h_text))] = (
-                float(cv_text),
-                float(mean_text),
-                float(std_text),
-            )
-    if not cells:
-        raise ReportError(f"{cv_path}: no rows")
-
-    grids: dict[str, tuple[CvGrid, tuple[str, ...]]] = {}
-    for model, grid_cells in cells.items():
-        ids = sorted({item for item, _ in grid_cells})
-        horizon = max(step for _, step in grid_cells)
-        if set(grid_cells) != {(i, s) for i in ids for s in range(1, horizon + 1)}:
-            raise ReportError(f"{cv_path}: {model} grid is incomplete")
-        shape = (len(ids), horizon)
-        cv = np.zeros(shape)
-        mean = np.zeros(shape)
-        std = np.zeros(shape)
-        for i, item in enumerate(ids):
-            for t in range(horizon):
-                cv[i, t], mean[i, t], std[i, t] = grid_cells[(item, t + 1)]
-        grids[model] = (CvGrid(cv=cv, mean=mean, std=std), tuple(ids))
-
-    rmse_rows: dict[str, list[tuple[int, float]]] = {}
-    with rmse_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["model", "run_id", "rmse"]:
-            raise ReportError(f"{rmse_path}: unexpected header {header}")
-        for row in reader:
-            if not row:
-                continue
-            model, run_text, value_text = row
-            rmse_rows.setdefault(model, []).append((int(run_text), float(value_text)))
+    (models, ids, _), (cv, mean, std) = tabular.read_csv(
+        metrics_dir / CV_FILE, tabular.CV, _CSV_ERRORS
+    )
+    (rmse_models, _), (rmse,) = tabular.read_csv(
+        metrics_dir / RMSE_FILE, tabular.RMSE, _CSV_ERRORS
+    )
+    grids = {
+        model: (CvGrid(cv=cv[m], mean=mean[m], std=std[m]), ids)
+        for m, model in enumerate(models)
+    }
     accuracy = {
-        model: AccuracyReport(
-            model_label=model,
-            rmse_per_run=tuple(v for _, v in sorted(rows)),
-        )
-        for model, rows in rmse_rows.items()
+        model: AccuracyReport(model_label=model, rmse_per_run=tuple(rmse[m].tolist()))
+        for m, model in enumerate(rmse_models)
     }
     return grids, accuracy
 

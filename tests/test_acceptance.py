@@ -14,10 +14,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,11 +321,16 @@ def run_c8_pipeline(base, run_cli):
 def test_c8_cli_pipeline_is_byte_deterministic(tmp_path):
     with criterion(8, "full CLI pipeline twice yields byte-identical outputs"):
 
+        # pytest puts src/ on sys.path, but a child process needs it on PYTHONPATH.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
         def run_cli(*argv):
             proc = subprocess.run(
                 [sys.executable, "-m", "forecast_stability.cli", *argv],
                 capture_output=True,
                 text=True,
+                env={**os.environ, "PYTHONPATH": pythonpath},
             )
             assert proc.returncode == 0, proc.stderr
             return proc

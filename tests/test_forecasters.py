@@ -6,26 +6,20 @@ import pytest
 
 from forecast_stability import (
     GlobalMean,
-    HyperGrid,
     LinearAR,
     SeasonalNaive,
-    SplitSpec,
     SynthConfig,
     TinyMLP,
     fit,
-    grid_search,
     predict,
-    split,
     synth_generate,
 )
 from forecast_stability.forecasters import (
-    EmptyGrid,
     FittedForecaster,
     InsufficientHistory,
     kind_from_json,
     kind_to_json,
 )
-from forecast_stability.metrics import postprocess, rmse
 from conftest import make_panel
 
 STOCHASTIC_KINDS = (
@@ -159,68 +153,6 @@ def test_predict_rejects_bad_horizon():
     fitted = fit(GlobalMean(), panel, seed=0)
     with pytest.raises(ValueError):
         predict(fitted, 0)
-
-
-# ------------------------------------------------------------- grid search
-
-def test_grid_single_point_returned():
-    panel = noisy_panel()
-    grid = HyperGrid(family="seasonal_naive", params={"period": (7,)})
-    best = grid_search(grid, panel, SplitSpec(train_length=43, horizon=7), seed=0)
-    assert best == SeasonalNaive(period=7)
-
-
-def test_grid_search_picks_strictly_better_candidate():
-    # period-3 pattern: one lag cannot represent a 3-cycle, three lags can
-    vals = np.array([[2.0, 9.0, 4.0] * 10, [3.0, 10.0, 5.0] * 10])
-    panel = make_panel(vals)
-    val_spec = SplitSpec(train_length=24, horizon=6)
-    grid = HyperGrid(
-        family="linear_ar",
-        params={
-            "lags": (1, 3),
-            "epochs": (40,),
-            "learning_rate": (0.1,),
-            "batch_size": (4,),
-        },
-    )
-    # independent oracle: evaluate each candidate explicitly
-    inner, val = split(panel, val_spec)
-    scores = []
-    for kind in grid.candidates():
-        forecast = postprocess(predict(fit(kind, inner, seed=5), val_spec.horizon))
-        scores.append(rmse(forecast, val))
-    assert scores[1] < scores[0]  # lags=3 strictly better
-    best = grid_search(grid, panel, val_spec, seed=5)
-    assert best.lags == 3
-
-
-def test_grid_search_tie_breaks_to_first_candidate():
-    panel = make_panel(np.full(20, 6.0))
-    grid = HyperGrid(family="seasonal_naive", params={"period": (1, 2)})
-    # constant series: both candidates forecast 6 everywhere, scores tie
-    best = grid_search(grid, panel, SplitSpec(train_length=15, horizon=5), seed=0)
-    assert best == SeasonalNaive(period=1)
-
-
-def test_grid_enumeration_order_is_lexicographic():
-    grid = HyperGrid(
-        family="linear_ar",
-        params={"lags": (1, 2), "epochs": (3, 4)},
-    )
-    combos = [(k.lags, k.epochs) for k in grid.candidates()]
-    assert combos == [(1, 3), (1, 4), (2, 3), (2, 4)]
-    assert len(grid) == 4
-
-
-def test_empty_grid_rejected():
-    with pytest.raises(EmptyGrid):
-        HyperGrid(family="linear_ar", params={"lags": ()})
-
-
-def test_no_param_grid_yields_single_candidate():
-    grid = HyperGrid(family="global_mean", params={})
-    assert list(grid.candidates()) == [GlobalMean()]
 
 
 # ------------------------------------------------------------------- json

@@ -26,7 +26,6 @@ from forecast_stability.metrics import (
     ProbOutOfRange,
     ShapeMismatch,
     accuracy_report,
-    cv_grid_to_csv,
 )
 
 
@@ -322,21 +321,6 @@ def test_histogram_errors():
         histogram([0.1], 0, 1.0)
     with pytest.raises(ValueError):
         histogram([0.1], 3, 0.0)
-
-
-# ------------------------------------------------------------ serialization
-
-def test_cv_grid_csv_round_trip_precision():
-    grid = CvGrid(
-        cv=np.array([[0.5, 1 / 3]]),
-        mean=np.array([[2.0, 3.0]]),
-        std=np.array([[1.0, 1.0]]),
-    )
-    text = cv_grid_to_csv(grid, ["itemA"])
-    lines = text.strip().splitlines()
-    assert lines[0] == "item_id,h,cv,mean,std"
-    _, _, cv_text, _, _ = lines[2].split(",")
-    assert float(cv_text) == 1 / 3
 
 
 def test_accuracy_report_validation():
