@@ -297,25 +297,29 @@ C8_RUN_OUTPUTS = (
 )
 
 
-def run_c8_pipeline(base, run_cli):
-    """Run generate -> run -> metrics -> report on the C8 config under ``base``.
+def run_pipeline(base, run_cli, synth, experiment, run_outputs):
+    """Run generate -> run -> metrics -> report on one config under ``base``.
 
     Returns the bytes of data.csv and of every contract output in the runs
     directory (manifest.json carries a timestamp and is left out).
     """
     synth_path = base / "synth.json"
-    synth_path.write_text(json.dumps(C8_SYNTH))
+    synth_path.write_text(json.dumps(synth))
     data_path = base / "data.csv"
     run_cli("generate", "--config", str(synth_path), "--out", str(data_path))
     cfg_path = base / "experiment.json"
-    cfg_path.write_text(json.dumps({"dataset": {"csv": str(data_path)}, **C8_EXPERIMENT}))
+    cfg_path.write_text(json.dumps({"dataset": {"csv": str(data_path)}, **experiment}))
     runs_dir = base / "runs"
     run_cli("run", "--config", str(cfg_path), "--out", str(runs_dir))
     run_cli("metrics", "--runs", str(runs_dir))
     run_cli("report", "--runs", str(runs_dir))
-    outputs = {name: (runs_dir / name).read_bytes() for name in C8_RUN_OUTPUTS}
+    outputs = {name: (runs_dir / name).read_bytes() for name in run_outputs}
     outputs["data.csv"] = data_path.read_bytes()
     return outputs
+
+
+def run_c8_pipeline(base, run_cli):
+    return run_pipeline(base, run_cli, C8_SYNTH, C8_EXPERIMENT, C8_RUN_OUTPUTS)
 
 
 def test_c8_cli_pipeline_is_byte_deterministic(tmp_path):
@@ -368,6 +372,87 @@ def test_c8_outputs_match_golden_digests(tmp_path, capsys):
     outputs = run_c8_pipeline(tmp_path, run_cli)
     digests = {name: hashlib.sha256(payload).hexdigest() for name, payload in outputs.items()}
     assert digests == C8_GOLDEN_SHA256
+
+
+# A config whose bytes depend on every SGD code path: tiny_mlp, a linear_ar
+# whose 790 training rows are not a multiple of its batch size (a short last
+# batch each epoch), and an ensemble holding both SGD kinds, so validation
+# fits on shorter panels and the greedy selection are pinned too. At this
+# master seed the three ensemble runs pick a 2:1 mix, linear_ar alone and
+# tiny_mlp alone.
+_SGD_LINEAR_AR = {
+    "kind": "linear_ar",
+    "params": {"lags": 4, "epochs": 3, "learning_rate": 0.05, "batch_size": 16},
+}
+_SGD_TINY_MLP = {
+    "kind": "tiny_mlp",
+    "params": {"lags": 3, "hidden_dim": 4, "epochs": 3, "learning_rate": 0.05, "batch_size": 12},
+}
+SGD_SYNTH = {
+    "n_series": 10,
+    "length": 90,
+    "level_range": [30, 120],
+    "season_period": 7,
+    "season_amplitude": 10,
+    "noise_std": 5,
+    "intermittency": 0.1,
+    "seed": 21,
+}
+SGD_EXPERIMENT = {
+    "split": {"train_length": 83, "horizon": 7},
+    "models": [
+        {"label": "tiny_mlp", "kind": _SGD_TINY_MLP},
+        {"label": "linear_ar", "kind": _SGD_LINEAR_AR},
+        {
+            "label": "ensemble",
+            "ensemble": {
+                "components": [
+                    {"kind": "seasonal_naive", "params": {"period": 7}},
+                    _SGD_LINEAR_AR,
+                    _SGD_TINY_MLP,
+                ],
+                "n_windows": 2,
+            },
+        },
+    ],
+    "run_count": 3,
+    "master_seed": 2,
+}
+SGD_RUN_OUTPUTS = (
+    "runs.csv",
+    "actuals.csv",
+    "cv.csv",
+    "rmse.csv",
+    "table.csv",
+    "report.json",
+    "cv_hist_tiny_mlp.svg",
+    "cv_hist_linear_ar.svg",
+    "cv_hist_ensemble.svg",
+    "rmse_distribution.svg",
+)
+# sha256 of every contract output of the SGD pipeline, pinned like C8's.
+SGD_GOLDEN_SHA256 = {
+    "actuals.csv": "2b2607cba1ce9ca42d174ddf8768ed5c51338e81e726bf5a7aebd233baf340d3",
+    "cv.csv": "321c0ecbf1dbe72b214476b5606f82414a58ab3abac82032671e5bdd2196423f",
+    "cv_hist_ensemble.svg": "aefa659487f64cc37f24df86bfa13fd987d6111a6cbc42eaa1c7e494f5ec1aac",
+    "cv_hist_linear_ar.svg": "21e6f105e6b4d5f05b9ee1c045488732a82fd64c652b6c1152f10280187c7384",
+    "cv_hist_tiny_mlp.svg": "6a57fa6106b6446db327f8e449e4703a9a4f23ba31e851ba11f7c66de7bb3c25",
+    "data.csv": "d25fb5f8cc072283e66a81e04cf07927a25f3fd86681967e05852dc47211b349",
+    "report.json": "1c0358f5511a2ffe63e402f1e377805e5f62f4f8b00f114afa52e4252e90f442",
+    "rmse.csv": "d8b0d2402e6e907b074ce63f2a71ade5049f071da7be51519441b82e6a626669",
+    "rmse_distribution.svg": "c33823f407ca9a0ddf0da6777448b1b2a2cec66906f5ddc976facb114a9566ba",
+    "runs.csv": "31092a44e0458b95e33c9a576ef92151654f22240950fca0d748debf44941f38",
+    "table.csv": "d16542456f93ab1755262472156e6d4e38e10cd0eb8f011f78b013cc180ac242",
+}
+
+
+def test_sgd_outputs_match_golden_digests(tmp_path, capsys):
+    def run_cli(*argv):
+        assert cli_main(list(argv)) == 0, capsys.readouterr().err
+
+    outputs = run_pipeline(tmp_path, run_cli, SGD_SYNTH, SGD_EXPERIMENT, SGD_RUN_OUTPUTS)
+    digests = {name: hashlib.sha256(payload).hexdigest() for name, payload in outputs.items()}
+    assert digests == SGD_GOLDEN_SHA256
 
 
 def test_c9_quantile_table_fidelity():
