@@ -43,12 +43,16 @@ linear = LinearAR(lags=2, epochs=2, learning_rate=0.1, batch_size=32)
 mlp = TinyMLP(lags=2, hidden_dim=8, epochs=4, learning_rate=0.05, batch_size=32)
 components = (SeasonalNaive(period=7), GlobalMean(), linear, mlp)
 
-# What do the learned weights look like for one fit?
+# What do the learned weights look like? One call fits three seeds at once,
+# with the same weights each seed would get on its own.
 train, _ = split(synth_generate(panel_cfg), split_spec)
-spec = fit_ensemble(components, train, split_spec.horizon, n_windows=2, seed=0)
-print("one ensemble fit, learned convex weights:")
-for kind, weight in zip(spec.components, spec.weights):
-    print(f"  {type(kind).__name__:<14} {weight:.3f}")
+seeds = (0, 1, 2)
+specs = fit_ensemble(components, train, split_spec.horizon, n_windows=2, seeds=seeds)
+print("learned convex weights, one column per seed:")
+print(f"  {'':<14} " + " ".join(f"seed {seed:<2}" for seed in seeds))
+for index, kind in enumerate(components):
+    weights = " ".join(f"{spec.weights[index]:>7.3f}" for spec in specs)
+    print(f"  {type(kind).__name__:<14} {weights}")
 
 # Now the stability comparison: every model refit 10 times, seeds varying.
 cfg = ExperimentConfig(

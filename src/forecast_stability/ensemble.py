@@ -24,6 +24,7 @@ import numpy as np
 from .dataset import TimeSeriesDataset
 from .errors import ForecastStabilityError
 from .forecasters import (
+    Diverged,
     FittedForecaster,
     ForecasterKind,
     InsufficientHistory,
@@ -32,7 +33,7 @@ from .forecasters import (
     kind_to_json,
     predict,
 )
-from .metrics import postprocess, rmse
+from .metrics import MetricsError, postprocess, rmse
 from .seeding import derive_seed
 
 DEFAULT_WINDOWS = 2
@@ -48,6 +49,10 @@ class EnsembleError(ForecastStabilityError):
 
 class LengthMismatch(EnsembleError):
     pass
+
+
+class DominanceViolation(EnsembleError):
+    """The greedy selection scored worse than its best single component."""
 
 
 @dataclass(frozen=True)
@@ -133,41 +138,71 @@ def fit_ensemble(
     train: TimeSeriesDataset,
     horizon: int,
     n_windows: int = DEFAULT_WINDOWS,
-    seed: int = 0,
+    seeds: tuple[int, ...] = (0,),
     iterations: int = DEFAULT_ITERATIONS,
-) -> EnsembleSpec:
+) -> tuple[EnsembleSpec, ...]:
     """Learn convex weights by greedy forward selection with replacement.
 
-    Each component is fit once per validation window (seed derived per
-    component from ``seed``) and its raw forecasts are stacked across
-    windows. Selection scores a candidate multiset by post-processing the
-    average of its raw forecasts and taking RMSE against the held-out
-    blocks, pooled over all windows. Greedy rounds stop as soon as no
-    addition strictly improves the score, so at most ``iterations`` rounds
-    run and the result never scores worse than the best single component.
+    Returns one spec per seed, in seed order. Run ``r`` fits component
+    ``j`` with seed ``component_seed(seeds[r], j)`` on each validation
+    window; each (component, window) pair is fit once for all runs, and
+    the specs equal those of fitting each seed alone. Selection scores a
+    candidate multiset by post-processing the average of its raw forecasts
+    and taking RMSE against the held-out blocks, pooled over all windows.
+    Greedy rounds stop as soon as no addition strictly improves the score,
+    so at most ``iterations`` rounds run and the result never scores worse
+    than the best single component.
     """
     components = tuple(components)
+    seeds = tuple(seeds)
     if not components:
         raise ValueError("ensemble needs at least one component")
+    if not seeds:
+        raise ValueError("fit_ensemble needs at least one seed")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     windows = make_validation_windows(train, horizon, n_windows)
     actual = np.stack([held_out for _, held_out in windows])
 
-    forecasts = []
+    # forecasts[r][j]: component j's raw forecasts of run r, stacked over
+    # windows. Runs that share fitted state (deterministic kinds) share one.
+    forecasts: list[list[np.ndarray]] = [[] for _ in seeds]
     for index, kind in enumerate(components):
-        seed_j = component_seed(seed, index)
-        per_window = [
-            predict(fit(kind, inner, seed_j), horizon) for inner, _ in windows
-        ]
-        forecasts.append(np.stack(per_window))
+        component_seeds = tuple(component_seed(seed, index) for seed in seeds)
+        fitted = [fit(kind, inner, component_seeds) for inner, _ in windows]
+        by_state: dict[tuple[int, ...], np.ndarray] = {}
+        for run, models in enumerate(zip(*fitted)):
+            key = tuple(id(model.state) for model in models)
+            if key not in by_state:
+                by_state[key] = np.stack([predict(model, horizon) for model in models])
+            forecasts[run].append(by_state[key])
+
+    specs = []
+    for run, run_forecasts in enumerate(forecasts):
+        try:
+            counts = _select(run_forecasts, actual, iterations)
+        except MetricsError as exc:
+            raise Diverged(f"validation forecasts cannot be scored: {exc}", (run,)) from exc
+        total = sum(counts)
+        specs.append(
+            EnsembleSpec(
+                components=components,
+                weights=tuple(c / total for c in counts),
+                n_validation_windows=n_windows,
+            )
+        )
+    return tuple(specs)
+
+
+def _select(forecasts: list[np.ndarray], actual: np.ndarray, iterations: int) -> list[int]:
+    """Greedy forward selection with replacement; returns selection counts."""
 
     def score(forecast_sum: np.ndarray, count: int) -> float:
         return rmse(postprocess(forecast_sum / count), actual)
 
     single_scores = [score(fc, 1) for fc in forecasts]
     best_single = int(np.argmin(single_scores))
-    counts = [0] * len(components)
+    counts = [0] * len(forecasts)
     counts[best_single] = 1
     total = 1
     running_sum = forecasts[best_single].copy()
@@ -185,13 +220,12 @@ def fit_ensemble(
         running_sum += forecasts[best]
         current = candidate_scores[best]
 
-    assert current <= min(single_scores) + _DOMINANCE_TOL, (
-        "greedy selection scored worse than the best single component"
-    )
-    weights = tuple(c / total for c in counts)
-    return EnsembleSpec(
-        components=components, weights=weights, n_validation_windows=n_windows
-    )
+    if not current <= min(single_scores) + _DOMINANCE_TOL:
+        raise DominanceViolation(
+            f"greedy selection scored {current!r}, worse than the best single "
+            f"component's {min(single_scores)!r}"
+        )
+    return counts
 
 
 def predict_ensemble(

@@ -7,6 +7,10 @@ seed-driven shuffling each epoch, so they reproduce the mechanism by which
 large neural forecasters emit different outputs on identical inputs. Same
 (kind, data, seed) always gives bit-identical parameters.
 
+``fit`` takes a tuple of seeds and fits them all in one pass: one SGD loop
+with a leading run axis, whose per-run results are bit-identical to
+fitting each seed alone.
+
 Learned models pool training windows across series after per-series mean
 scaling, so series of different magnitudes share one set of weights;
 predictions are scaled back per series. Multi-step prediction is
@@ -31,6 +35,18 @@ class ForecasterError(ForecastStabilityError):
 
 class InsufficientHistory(ForecasterError):
     pass
+
+
+class Diverged(ForecasterError):
+    """A learned model's parameters or forecasts blew up.
+
+    ``runs`` holds the positions, in the seeds tuple of the failing call,
+    of the runs that diverged.
+    """
+
+    def __init__(self, message: str, runs: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.runs = tuple(runs)
 
 
 def _require_positive(obj, *names: str) -> None:
@@ -123,34 +139,48 @@ class FittedForecaster:
             arr.flags.writeable = False
 
 
-def fit(kind: ForecasterKind, train: TimeSeriesDataset, seed: int) -> FittedForecaster:
-    """Fit a forecaster on a panel; the seed is the only stochastic input.
+def fit(
+    kind: ForecasterKind, train: TimeSeriesDataset, seeds: tuple[int, ...]
+) -> tuple[FittedForecaster, ...]:
+    """Fit one forecaster per seed on a panel; the seed is the only stochastic input.
 
-    Deterministic kinds ignore the seed. Learned kinds initialize weights
-    from it and shuffle batches with it; refitting with an equal seed gives
-    bit-identical parameters.
+    Returns one :class:`FittedForecaster` per seed, in seed order.
+    Deterministic kinds ignore the seed: they fit once, and every returned
+    forecaster shares that read-only state. Learned kinds fit all seeds in
+    one batched SGD pass; run ``r`` initializes its weights from
+    ``Rng(seeds[r])`` and shuffles each epoch with the same stream, so its
+    parameters are bit-identical to those of ``fit(kind, train,
+    (seeds[r],))[0]``. Raises :class:`Diverged` naming every seed whose
+    final parameters are not finite.
     """
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("fit needs at least one seed")
     values = train.values
     if isinstance(kind, SeasonalNaive):
         if train.length < kind.period:
             raise InsufficientHistory(
                 f"need at least {kind.period} observations, have {train.length}"
             )
-        state = {"season": values[:, -kind.period :].copy()}
+        states = [{"season": values[:, -kind.period :].copy()}] * len(seeds)
     elif isinstance(kind, GlobalMean):
-        state = {"means": values.mean(axis=1)}
+        states = [{"means": values.mean(axis=1)}] * len(seeds)
     elif isinstance(kind, (LinearAR, TinyMLP)):
-        state = _fit_sgd(kind, values, seed)
+        states = _fit_sgd(kind, values, seeds)
     else:
         raise TypeError(f"not a forecaster kind: {kind!r}")
-    return FittedForecaster(kind=kind, fit_seed=seed, state=state)
+    return tuple(
+        FittedForecaster(kind=kind, fit_seed=seed, state=state)
+        for seed, state in zip(seeds, states)
+    )
 
 
 def predict(fitted: FittedForecaster, horizon: int) -> np.ndarray:
     """Forecast ``horizon`` steps ahead; returns a raw (M, horizon) matrix.
 
-    Outputs are unconstrained reals (negatives possible); post-processing
-    happens in the metrics layer.
+    Outputs are unconstrained reals (negatives possible, and inf or NaN
+    from a model whose finite weights are huge); post-processing happens
+    in the metrics layer, which rejects what it cannot deliver.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -174,76 +204,112 @@ def _scale_factors(values: np.ndarray) -> np.ndarray:
     return scales
 
 
-def _lag_matrix(scaled: np.ndarray, lags: int) -> tuple[np.ndarray, np.ndarray]:
-    # Pooled (window -> next value) pairs in canonical series-major,
-    # time-ascending order; window column 0 is the oldest lag.
-    windows = np.lib.stride_tricks.sliding_window_view(scaled, lags, axis=1)
-    x = windows[:, :-1, :].reshape(-1, lags).copy()
-    y = scaled[:, lags:].reshape(-1).copy()
-    return x, y
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # Per-run (m, n) @ (n,): numpy makes the same BLAS call for each run's
+    # slab as for the unstacked product, so every run's bits match.
+    return np.matmul(a, v[:, :, None])[:, :, 0]
+
+
+def _linear_ar_init(kind: LinearAR, rng: Rng) -> tuple:
+    return rng.normals(kind.lags) * (0.1 / np.sqrt(kind.lags)), 0.0
+
+
+def _linear_ar_step(kind: LinearAR, params: tuple, xb: np.ndarray, yb: np.ndarray):
+    w, b = params
+    err = _matvec(xb, w) + b[:, None] - yb
+    scale = 2.0 * kind.learning_rate / xb.shape[1]
+    return w - scale * _matvec(xb.transpose(0, 2, 1), err), b - scale * err.sum(axis=1)
+
+
+def _tiny_mlp_init(kind: TinyMLP, rng: Rng) -> tuple:
+    w1 = rng.normals(kind.lags * kind.hidden_dim).reshape(
+        kind.lags, kind.hidden_dim
+    ) * np.sqrt(1.0 / kind.lags)
+    w2 = rng.normals(kind.hidden_dim) * np.sqrt(1.0 / kind.hidden_dim)
+    return w1, np.zeros(kind.hidden_dim), w2, 0.0
+
+
+def _tiny_mlp_step(kind: TinyMLP, params: tuple, xb: np.ndarray, yb: np.ndarray):
+    w1, b1, w2, b2 = params
+    hidden = np.tanh(np.matmul(xb, w1) + b1[:, None, :])
+    err = _matvec(hidden, w2) + b2[:, None] - yb
+    d_out = (2.0 / xb.shape[1]) * err
+    d_hidden = (d_out[:, :, None] * w2[:, None, :]) * (1.0 - hidden * hidden)
+    lr = kind.learning_rate
+    return (
+        w1 - lr * np.matmul(xb.transpose(0, 2, 1), d_hidden),
+        b1 - lr * d_hidden.sum(axis=1),
+        w2 - lr * _matvec(hidden.transpose(0, 2, 1), d_out),
+        b2 - lr * d_out.sum(axis=1),
+    )
+
+
+# Per learned kind: state names of its parameters, initializer, SGD step.
+_SGD = {
+    LinearAR: (("weights", "bias"), _linear_ar_init, _linear_ar_step),
+    TinyMLP: (("w1", "b1", "w2", "b2"), _tiny_mlp_init, _tiny_mlp_step),
+}
 
 
 def _fit_sgd(
-    kind: LinearAR | TinyMLP, values: np.ndarray, seed: int
-) -> dict[str, np.ndarray]:
-    length = values.shape[1]
+    kind: LinearAR | TinyMLP, values: np.ndarray, seeds: tuple[int, ...]
+) -> list[dict[str, np.ndarray]]:
+    """Mini-batch SGD of every seed's run at once, over a leading run axis.
+
+    Training rows are the pooled (window -> next value) pairs in
+    series-major, time-ascending order. Each step gathers every run's
+    batch of windows straight from a sliding view of the scaled panel.
+    All runs share the row count, so their batches line up.
+    """
+    n_series, length = values.shape
     if length <= kind.lags:
         raise InsufficientHistory(
             f"need more than {kind.lags} observations, have {length}"
         )
+    names, init, step = _SGD[type(kind)]
     scales = _scale_factors(values)
     scaled = values / scales[:, None]
-    x, y = _lag_matrix(scaled, kind.lags)
-    n = x.shape[0]
-    rng = Rng(seed)
+    flat = scaled.reshape(-1)
+    windows = np.lib.stride_tricks.sliding_window_view(flat, kind.lags)
+    targets = flat[kind.lags :]
+    per_series = length - kind.lags
+    n = n_series * per_series
 
-    if isinstance(kind, LinearAR):
-        w = rng.normals(kind.lags) * (0.1 / np.sqrt(kind.lags))
-        b = 0.0
+    rngs = [Rng(seed) for seed in seeds]
+    params = tuple(np.array(p) for p in zip(*(init(kind, rng) for rng in rngs)))
+    # starts[r, i]: offset in ``flat`` of run r's i-th window this epoch.
+    index_type = np.int32 if flat.size <= np.iinfo(np.int32).max else np.intp
+    starts = np.empty((len(seeds), n), dtype=index_type)
+    # A diverging run overflows to inf/NaN quietly; it is reported once, below.
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(kind.epochs):
-            perm = rng.permutation(n)
-            for start in range(0, n, kind.batch_size):
-                idx = perm[start : start + kind.batch_size]
-                xb, yb = x[idx], y[idx]
-                err = xb @ w + b - yb
-                scale = 2.0 * kind.learning_rate / idx.size
-                w = w - scale * (xb.T @ err)
-                b = b - scale * err.sum()
-        return {
-            "weights": w,
-            "bias": np.array(b, dtype=np.float64),
-            "scales": scales,
-            "window": scaled[:, -kind.lags :].copy(),
-        }
+            for row, rng in zip(starts, rngs):
+                perm = rng.permutation(n)
+                # Row k is window k % per_series of series k // per_series.
+                np.add(perm, perm // per_series * kind.lags, out=row, casting="unsafe")
+            for first in range(0, n, kind.batch_size):
+                index = starts[:, first : first + kind.batch_size]
+                params = step(kind, params, windows[index], targets[index])
 
-    w1 = rng.normals(kind.lags * kind.hidden_dim).reshape(
-        kind.lags, kind.hidden_dim
-    ) * np.sqrt(1.0 / kind.lags)
-    b1 = np.zeros(kind.hidden_dim)
-    w2 = rng.normals(kind.hidden_dim) * np.sqrt(1.0 / kind.hidden_dim)
-    b2 = 0.0
-    for _ in range(kind.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, kind.batch_size):
-            idx = perm[start : start + kind.batch_size]
-            xb, yb = x[idx], y[idx]
-            hidden = np.tanh(xb @ w1 + b1)
-            err = hidden @ w2 + b2 - yb
-            d_out = (2.0 / idx.size) * err
-            d_hidden = np.outer(d_out, w2) * (1.0 - hidden * hidden)
-            lr = kind.learning_rate
-            w2 = w2 - lr * (hidden.T @ d_out)
-            b2 = b2 - lr * d_out.sum()
-            w1 = w1 - lr * (xb.T @ d_hidden)
-            b1 = b1 - lr * d_hidden.sum(axis=0)
-    return {
-        "w1": w1,
-        "b1": b1,
-        "w2": w2,
-        "b2": np.array(b2, dtype=np.float64),
-        "scales": scales,
-        "window": scaled[:, -kind.lags :].copy(),
-    }
+    finite = np.ones(len(seeds), dtype=bool)
+    for p in params:
+        finite &= np.isfinite(p.reshape(len(seeds), -1)).all(axis=1)
+    if not finite.all():
+        runs = tuple(int(r) for r in np.flatnonzero(~finite))
+        named = ", ".join(str(seeds[r]) for r in runs)
+        raise Diverged(
+            f"{_KIND_NAMES[type(kind)]} diverged: non-finite parameters for seeds {named}",
+            runs,
+        )
+    window = scaled[:, -kind.lags :].copy()
+    return [
+        {
+            **{name: np.array(p[r]) for name, p in zip(names, params)},
+            "scales": scales,
+            "window": window,
+        }
+        for r in range(len(seeds))
+    ]
 
 
 def _predict_recursive(
@@ -251,12 +317,14 @@ def _predict_recursive(
 ) -> np.ndarray:
     window = state["window"].copy()
     steps = []
-    for _ in range(horizon):
-        if isinstance(kind, LinearAR):
-            step = window @ state["weights"] + float(state["bias"])
-        else:
-            hidden = np.tanh(window @ state["w1"] + state["b1"])
-            step = hidden @ state["w2"] + float(state["b2"])
-        steps.append(step)
-        window = np.concatenate([window[:, 1:], step[:, None]], axis=1)
-    return np.stack(steps, axis=1) * state["scales"][:, None]
+    # Huge finite weights overflow quietly; postprocess rejects the result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(horizon):
+            if isinstance(kind, LinearAR):
+                step = window @ state["weights"] + float(state["bias"])
+            else:
+                hidden = np.tanh(window @ state["w1"] + state["b1"])
+                step = hidden @ state["w2"] + float(state["b2"])
+            steps.append(step)
+            window = np.concatenate([window[:, 1:], step[:, None]], axis=1)
+        return np.stack(steps, axis=1) * state["scales"][:, None]

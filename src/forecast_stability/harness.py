@@ -4,7 +4,8 @@ An experiment fixes a dataset, a train/test split, and a roster of models,
 then fits every model R times varying nothing but the seed. Per-run seeds
 are ``derive_seed(master_seed, fnv1a64(label) XOR run_id)``, so each
 model's seed stream is independent of roster order and the whole
-experiment is a pure function of its config. Forecasts are post-processed
+experiment is a pure function of its config. The R runs of an entry are
+fit in one batched call per model. Forecasts are post-processed
 (clipped, rounded) before they are recorded: stability and accuracy both
 describe the numbers a planner would actually receive.
 
@@ -40,8 +41,15 @@ from .ensemble import (
     predict_ensemble,
 )
 from .errors import ForecastStabilityError
-from .forecasters import ForecasterKind, fit, kind_from_json, kind_to_json, predict
-from .metrics import ForecastSet, postprocess
+from .forecasters import (
+    Diverged,
+    ForecasterKind,
+    fit,
+    kind_from_json,
+    kind_to_json,
+    predict,
+)
+from .metrics import ForecastSet, MetricsError, postprocess
 from .seeding import derive_seed, fnv1a64
 
 DEFAULT_RUN_COUNT = 10
@@ -133,7 +141,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
-    """One seeded fit+predict cycle: post-processed forecasts and timing."""
+    """One seeded fit+predict cycle: post-processed forecasts and timing.
+
+    The R runs of an entry are fit together, so ``duration_s`` is the
+    entry's wall time divided by R.
+    """
 
     model_label: str
     run_id: int
@@ -175,44 +187,65 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute every (model, run) cell of the experiment grid.
 
     Training data, split, and hyperparameters are identical across the R
-    runs of a label; only the seed changes. Raises on the first failure
-    without emitting partial results.
+    runs of a label; only the seed changes. All R runs of an entry are fit
+    in one call per model (per component for an ensemble), with results
+    bit-identical to fitting each seed alone; each record's ``duration_s``
+    is the entry's wall time divided by R. Raises on the first failure
+    without emitting partial results; a :class:`Diverged` error names the
+    label, run ids and seeds of the runs that blew up.
     """
     panel = load_panel(cfg.dataset)
     train, actuals = split(panel, cfg.split)
     horizon = cfg.split.horizon
     records = []
     for entry in cfg.models:
-        for run_id in range(cfg.run_count):
-            seed = run_seed(cfg.master_seed, entry.label, run_id)
-            started = time.perf_counter()
+        seeds = tuple(
+            run_seed(cfg.master_seed, entry.label, run_id)
+            for run_id in range(cfg.run_count)
+        )
+        started = time.perf_counter()
+        try:
             if entry.forecaster is not None:
-                raw = predict(fit(entry.forecaster, train, seed), horizon)
+                fitted = fit(entry.forecaster, train, seeds)
+                raws = [predict(model, horizon) for model in fitted]
             else:
                 request = entry.ensemble
-                spec = fit_ensemble(
+                specs = fit_ensemble(
                     request.components,
                     train,
                     horizon,
-                    n_windows=request.n_windows,
-                    seed=seed,
-                    iterations=cfg.ensemble_iterations,
+                    request.n_windows,
+                    seeds,
+                    cfg.ensemble_iterations,
                 )
-                fitted = [
-                    fit(kind, train, component_seed(seed, index))
-                    for index, kind in enumerate(spec.components)
+                by_component = [
+                    fit(kind, train, tuple(component_seed(seed, index) for seed in seeds))
+                    for index, kind in enumerate(request.components)
                 ]
-                raw = predict_ensemble(spec, fitted, horizon)
-            forecast = postprocess(raw)
-            records.append(
-                RunRecord(
-                    model_label=entry.label,
-                    run_id=run_id,
-                    seed=seed,
-                    forecast=forecast,
-                    duration_s=time.perf_counter() - started,
-                )
+                raws = [
+                    predict_ensemble(spec, models, horizon)
+                    for spec, models in zip(specs, zip(*by_component))
+                ]
+            forecasts = []
+            for run_id, raw in enumerate(raws):
+                try:
+                    forecasts.append(postprocess(raw))
+                except MetricsError as exc:
+                    raise Diverged(f"forecast cannot be delivered: {exc}", (run_id,)) from exc
+        except Diverged as exc:
+            runs = ", ".join(f"run {r} (seed {seeds[r]})" for r in exc.runs)
+            raise Diverged(f"model {entry.label!r}, {runs}: {exc}", exc.runs) from exc
+        duration = (time.perf_counter() - started) / len(seeds)
+        records.extend(
+            RunRecord(
+                model_label=entry.label,
+                run_id=run_id,
+                seed=seed,
+                forecast=forecast,
+                duration_s=duration,
             )
+            for run_id, (seed, forecast) in enumerate(zip(seeds, forecasts))
+        )
     return ExperimentResult(
         records=tuple(records),
         actuals=actuals,

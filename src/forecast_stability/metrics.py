@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ForecastStabilityError
 
 DEFAULT_QUANTILES = (0.25, 0.50, 0.75, 0.90)
+_INT64_LIMIT = 2.0**63
 
 
 class MetricsError(ForecastStabilityError):
@@ -34,6 +35,10 @@ class MetricsError(ForecastStabilityError):
 
 
 class NonFiniteInput(MetricsError):
+    pass
+
+
+class OutOfRange(MetricsError):
     pass
 
 
@@ -158,11 +163,17 @@ def postprocess(raw: np.ndarray) -> np.ndarray:
 
     Halves round away from zero (clipping first makes that plain half-up).
     Returns an int64 array of the same shape; raises
-    :class:`NonFiniteInput` on NaN or infinity.
+    :class:`NonFiniteInput` on NaN or infinity and :class:`OutOfRange` on
+    a value of 2**63 or more, which int64 cannot hold.
     """
     arr = np.asarray(raw, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("forecasts must be finite before post-processing")
+    # Below 2**63 a float64 is at most 2**63 - 1024, so rounding stays in range.
+    if arr.size and arr.max() >= _INT64_LIMIT:
+        raise OutOfRange(
+            f"forecast {arr.max()!r} is beyond the int64 range of delivered forecasts"
+        )
     return np.floor(np.maximum(arr, 0.0) + 0.5).astype(np.int64)
 
 

@@ -113,6 +113,11 @@ class Rng:
                 return draw % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Deterministic permutation of range(n): argsort of raw draws."""
+        """Deterministic permutation of range(n): argsort of ``n`` raw draws.
+
+        The draws are always distinct: their states differ by distinct
+        multiples of the odd golden constant, and the finalizer is a
+        bijection. So any sort, stable or not, gives the same order.
+        """
         keys = self.u64_array(n)
-        return np.argsort(keys, kind="stable")
+        return np.argsort(keys)

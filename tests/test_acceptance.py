@@ -161,8 +161,8 @@ def test_c4_ensemble_validation_dominance():
         horizon, n_windows = 14, 2
         for seed in (0, 1, 2, 3, 4):
             spec = fs.fit_ensemble(
-                list(BENCH_COMPONENTS), panel, horizon, n_windows=n_windows, seed=seed
-            )
+                list(BENCH_COMPONENTS), panel, horizon, n_windows=n_windows, seeds=(seed,)
+            )[0]
             # independent recomputation through the public fit/predict API
             windows = make_validation_windows(panel, horizon, n_windows)
             actual = np.stack([held for _, held in windows])
@@ -171,7 +171,7 @@ def test_c4_ensemble_validation_dominance():
                 seed_j = component_seed(seed, j)
                 raw.append(
                     np.stack(
-                        [fs.predict(fs.fit(kind, inner, seed_j), horizon) for inner, _ in windows]
+                        [fs.predict(fs.fit(kind, inner, (seed_j,))[0], horizon) for inner, _ in windows]
                     )
                 )
             singles = [rmse(postprocess(fc), actual) for fc in raw]

@@ -17,7 +17,8 @@ from forecast_stability import (
     predict_ensemble,
     synth_generate,
 )
-from forecast_stability.ensemble import LengthMismatch, component_seed
+import forecast_stability.ensemble as ensemble
+from forecast_stability.ensemble import DominanceViolation, LengthMismatch, component_seed
 from forecast_stability.forecasters import InsufficientHistory
 from forecast_stability.metrics import postprocess, rmse
 from conftest import make_panel
@@ -59,7 +60,7 @@ def test_insufficient_history_for_windows():
 
 def test_single_component_gets_weight_one():
     panel = make_panel(np.arange(1, 31, dtype=float))
-    spec = fit_ensemble([GlobalMean()], panel, horizon=5, n_windows=2, seed=0)
+    spec = fit_ensemble([GlobalMean()], panel, horizon=5, n_windows=2, seeds=(0,))[0]
     assert spec.weights == (1.0,)
 
 
@@ -67,8 +68,8 @@ def test_perfect_component_dominates():
     # seasonal naive reproduces a pure period-2 cycle exactly; the mean does not
     panel = make_panel(np.array([4.0, 10.0] * 12))
     spec = fit_ensemble(
-        [SeasonalNaive(period=2), GlobalMean()], panel, horizon=2, n_windows=2, seed=0
-    )
+        [SeasonalNaive(period=2), GlobalMean()], panel, horizon=2, n_windows=2, seeds=(0,)
+    )[0]
     assert spec.weights == (1.0, 0.0)
 
 
@@ -77,7 +78,7 @@ def test_greedy_weights_match_brute_force_grid():
     # exactly [10, 0] (seasonal naive) and [5, 5] (mean), actuals [7, 3]
     panel = make_panel(np.array([10.0, 0.0, 7.0, 3.0]))
     components = [SeasonalNaive(period=2), GlobalMean()]
-    spec = fit_ensemble(components, panel, horizon=2, n_windows=1, seed=0)
+    spec = fit_ensemble(components, panel, horizon=2, n_windows=1, seeds=(0,))[0]
 
     forecast_a = np.array([[10.0, 0.0]])
     forecast_b = np.array([[5.0, 5.0]])
@@ -100,7 +101,7 @@ def _pooled_validation_scores(components, panel, horizon, n_windows, seed, spec)
     for j, kind in enumerate(components):
         seed_j = component_seed(seed, j)
         raw.append(
-            np.stack([predict(fit(kind, inner, seed_j), horizon) for inner, _ in windows])
+            np.stack([predict(fit(kind, inner, (seed_j,))[0], horizon) for inner, _ in windows])
         )
     singles = [rmse(postprocess(fc), actual) for fc in raw]
     combined = sum(w * fc for w, fc in zip(spec.weights, raw))
@@ -127,7 +128,7 @@ def test_simplex_and_dominance_on_random_panels(seed):
         LinearAR(lags=4, epochs=5, learning_rate=0.05, batch_size=8),
         TinyMLP(lags=4, hidden_dim=4, epochs=5, learning_rate=0.05, batch_size=8),
     ]
-    spec = fit_ensemble(components, panel, horizon=7, n_windows=2, seed=seed)
+    spec = fit_ensemble(components, panel, horizon=7, n_windows=2, seeds=(seed,))[0]
     assert all(w >= 0 for w in spec.weights)
     assert abs(sum(spec.weights) - 1.0) <= 1e-12
     ensemble_score, single_scores = _pooled_validation_scores(
@@ -136,12 +137,41 @@ def test_simplex_and_dominance_on_random_panels(seed):
     assert ensemble_score <= min(single_scores) + 1e-9
 
 
+def test_batched_specs_equal_fitting_each_seed_alone():
+    panel = synth_generate(
+        SynthConfig(n_series=5, length=60, noise_std=6.0, season_amplitude=10.0, seed=104)
+    )
+    components = [
+        SeasonalNaive(period=7),
+        GlobalMean(),
+        LinearAR(lags=4, epochs=3, learning_rate=0.05, batch_size=8),
+        TinyMLP(lags=4, hidden_dim=4, epochs=3, learning_rate=0.05, batch_size=8),
+    ]
+    seeds = (0, 1, 2, 3, 4)
+    specs = fit_ensemble(components, panel, horizon=7, n_windows=2, seeds=seeds)
+    assert specs == tuple(
+        fit_ensemble(components, panel, horizon=7, n_windows=2, seeds=(seed,))[0]
+        for seed in seeds
+    )
+
+
+def test_dominance_violation_is_a_typed_error(monkeypatch):
+    # a scorer that never ranks anything: the greedy result cannot be shown
+    # to match the best single component, so selection must refuse it
+    monkeypatch.setattr(ensemble, "rmse", lambda forecast, actual: float("nan"))
+    panel = make_panel(np.arange(1, 31, dtype=float))
+    with pytest.raises(DominanceViolation):
+        fit_ensemble(
+            [GlobalMean(), SeasonalNaive(period=7)], panel, horizon=5, iterations=3
+        )
+
+
 # --------------------------------------------------------------- predicting
 
 def test_weight_one_recovers_component():
     fitted = [
-        fit(GlobalMean(), constant_panel(2), seed=0),
-        fit(GlobalMean(), constant_panel(4), seed=0),
+        fit(GlobalMean(), constant_panel(2), (0,))[0],
+        fit(GlobalMean(), constant_panel(4), (0,))[0],
     ]
     spec = EnsembleSpec(
         components=(GlobalMean(), GlobalMean()), weights=(1.0, 0.0)
@@ -152,8 +182,8 @@ def test_weight_one_recovers_component():
 
 def test_even_weights_average():
     fitted = [
-        fit(GlobalMean(), constant_panel(2), seed=0),
-        fit(GlobalMean(), constant_panel(4), seed=0),
+        fit(GlobalMean(), constant_panel(2), (0,))[0],
+        fit(GlobalMean(), constant_panel(4), (0,))[0],
     ]
     spec = EnsembleSpec(components=(GlobalMean(), GlobalMean()), weights=(0.5, 0.5))
     assert predict_ensemble(spec, fitted, 1).tolist() == [[3.0]]
@@ -161,8 +191,8 @@ def test_even_weights_average():
 
 def test_uneven_weights_arithmetic():
     fitted = [
-        fit(GlobalMean(), constant_panel(0), seed=0),
-        fit(GlobalMean(), constant_panel(8), seed=0),
+        fit(GlobalMean(), constant_panel(0), (0,))[0],
+        fit(GlobalMean(), constant_panel(8), (0,))[0],
     ]
     spec = EnsembleSpec(components=(GlobalMean(), GlobalMean()), weights=(0.25, 0.75))
     assert predict_ensemble(spec, fitted, 1).tolist() == [[6.0]]
@@ -177,9 +207,9 @@ def test_convexity_bound_on_cells():
         GlobalMean(),
         LinearAR(lags=3, epochs=4, learning_rate=0.05, batch_size=8),
     )
-    spec = fit_ensemble(list(components), panel, horizon=5, n_windows=2, seed=3)
+    spec = fit_ensemble(list(components), panel, horizon=5, n_windows=2, seeds=(3,))[0]
     fitted = [
-        fit(kind, panel, component_seed(3, j)) for j, kind in enumerate(components)
+        fit(kind, panel, (component_seed(3, j),))[0] for j, kind in enumerate(components)
     ]
     stacked = np.stack([predict(f, 5) for f in fitted])
     out = predict_ensemble(spec, fitted, 5)
@@ -188,13 +218,13 @@ def test_convexity_bound_on_cells():
 
 
 def test_misaligned_fitted_models_rejected():
-    fitted = [fit(GlobalMean(), constant_panel(2), seed=0)]
+    fitted = [fit(GlobalMean(), constant_panel(2), (0,))[0]]
     spec = EnsembleSpec(components=(GlobalMean(), GlobalMean()), weights=(0.5, 0.5))
     with pytest.raises(LengthMismatch):
         predict_ensemble(spec, fitted, 2)
     wrong_kind = [
-        fit(SeasonalNaive(period=2), constant_panel(2), seed=0),
-        fit(GlobalMean(), constant_panel(2), seed=0),
+        fit(SeasonalNaive(period=2), constant_panel(2), (0,))[0],
+        fit(GlobalMean(), constant_panel(2), (0,))[0],
     ]
     with pytest.raises(LengthMismatch):
         predict_ensemble(spec, wrong_kind, 2)

@@ -15,6 +15,7 @@ from forecast_stability import (
     synth_generate,
 )
 from forecast_stability.forecasters import (
+    Diverged,
     FittedForecaster,
     InsufficientHistory,
     kind_from_json,
@@ -48,16 +49,16 @@ def noisy_panel(seed=1):
 def test_deterministic_kinds_ignore_the_seed():
     panel = noisy_panel()
     for kind in (SeasonalNaive(period=7), GlobalMean()):
-        a = predict(fit(kind, panel, seed=7), 10)
-        b = predict(fit(kind, panel, seed=99), 10)
+        a = predict(fit(kind, panel, (7,))[0], 10)
+        b = predict(fit(kind, panel, (99,))[0], 10)
         assert np.array_equal(a, b)
 
 
 def test_stochastic_fit_is_bitwise_reproducible():
     panel = noisy_panel()
     for kind in STOCHASTIC_KINDS:
-        first = fit(kind, panel, seed=7)
-        second = fit(kind, panel, seed=7)
+        first = fit(kind, panel, (7,))[0]
+        second = fit(kind, panel, (7,))[0]
         for key in first.state:
             assert np.array_equal(first.state[key], second.state[key]), key
         assert np.array_equal(predict(first, 8), predict(second, 8))
@@ -68,17 +69,73 @@ def test_stochastic_kinds_vary_across_seeds():
     for kind in STOCHASTIC_KINDS:
         differs = []
         for seed_a, seed_b in ((0, 1), (2, 3), (4, 5)):
-            a = predict(fit(kind, panel, seed_a), 8)
-            b = predict(fit(kind, panel, seed_b), 8)
+            a = predict(fit(kind, panel, (seed_a,))[0], 8)
+            b = predict(fit(kind, panel, (seed_b,))[0], 8)
             differs.append(not np.array_equal(a, b))
         assert any(differs), f"{kind} produced identical forecasts on all seed pairs"
+
+
+# ---------------------------------------------------------- batched runs
+
+# noisy_panel has 6 x (50 - 4) = 276 training rows: batches of 8 leave a
+# short last batch of 4, and batches of 1 take the scalar BLAS paths.
+BATCHED_SGD_KINDS = (
+    LinearAR(lags=4, epochs=3, learning_rate=0.05, batch_size=8),
+    LinearAR(lags=4, epochs=2, learning_rate=0.05, batch_size=1),
+    TinyMLP(lags=4, hidden_dim=5, epochs=3, learning_rate=0.05, batch_size=8),
+    TinyMLP(lags=4, hidden_dim=5, epochs=2, learning_rate=0.05, batch_size=1),
+)
+
+
+@pytest.mark.parametrize("seeds", [(11,), (11, 2**64 - 1, 0)])
+@pytest.mark.parametrize("kind", BATCHED_SGD_KINDS)
+def test_batched_fit_equals_fitting_each_seed_alone(kind, seeds):
+    panel = noisy_panel()
+    batched = fit(kind, panel, seeds)
+    assert [model.fit_seed for model in batched] == list(seeds)
+    for seed, model in zip(seeds, batched):
+        alone = fit(kind, panel, (seed,))[0]
+        assert model.state.keys() == alone.state.keys()
+        for key in alone.state:
+            assert np.array_equal(model.state[key], alone.state[key]), key
+
+
+def test_deterministic_kinds_share_one_state_across_seeds():
+    panel = noisy_panel()
+    for kind in (SeasonalNaive(period=7), GlobalMean()):
+        fitted = fit(kind, panel, (1, 2, 3))
+        assert [model.fit_seed for model in fitted] == [1, 2, 3]
+        assert all(model.state is fitted[0].state for model in fitted)
+
+
+def test_fit_takes_a_nonempty_tuple_of_seeds():
+    panel = noisy_panel()
+    with pytest.raises(TypeError):
+        fit(GlobalMean(), panel, 7)
+    with pytest.raises(ValueError):
+        fit(GlobalMean(), panel, ())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_runs_are_named_by_seed():
+    # at this rate seeds 2, 5, 6 and 7 of 0..7 blow up and the rest do not
+    kind = TinyMLP(lags=4, hidden_dim=5, epochs=6, learning_rate=0.55, batch_size=8)
+    panel = noisy_panel()
+    with pytest.raises(Diverged, match="^tiny_mlp diverged: .* seeds 2, 5, 6, 7$") as info:
+        fit(kind, panel, tuple(range(8)))
+    assert info.value.runs == (2, 5, 6, 7)
+    for seed in (0, 1, 3, 4):
+        fit(kind, panel, (seed,))
+    with pytest.raises(Diverged) as info:
+        fit(kind, panel, (5,))
+    assert info.value.runs == (0,)
 
 
 # ------------------------------------------------------------- baselines
 
 def test_seasonal_naive_repeats_last_season():
     panel = make_panel([1.0, 2.0, 3.0, 4.0])
-    fitted = fit(SeasonalNaive(period=2), panel, seed=0)
+    fitted = fit(SeasonalNaive(period=2), panel, (0,))[0]
     assert predict(fitted, 2).tolist() == [[3.0, 4.0]]
     assert predict(fitted, 4).tolist() == [[3.0, 4.0, 3.0, 4.0]]
 
@@ -87,23 +144,23 @@ def test_seasonal_naive_index_formula():
     # y[T+h] = x[T + h - period * (floor((h-1)/period) + 1)], hand-applied
     series = [5.0, 1.0, 8.0, 2.0, 9.0, 3.0]
     panel = make_panel(series)
-    fitted = fit(SeasonalNaive(period=3), panel, seed=0)
+    fitted = fit(SeasonalNaive(period=3), panel, (0,))[0]
     out = predict(fitted, 7)[0].tolist()
     assert out == [2.0, 9.0, 3.0, 2.0, 9.0, 3.0, 2.0]
 
 
 def test_global_mean_is_constant_across_horizon():
     panel = make_panel([2.0, 4.0, 6.0])
-    fitted = fit(GlobalMean(), panel, seed=0)
+    fitted = fit(GlobalMean(), panel, (0,))[0]
     assert predict(fitted, 3).tolist() == [[4.0, 4.0, 4.0]]
 
 
 def test_insufficient_history_errors():
     panel = make_panel([1.0, 2.0, 3.0])
     with pytest.raises(InsufficientHistory):
-        fit(SeasonalNaive(period=4), panel, seed=0)
+        fit(SeasonalNaive(period=4), panel, (0,))
     with pytest.raises(InsufficientHistory):
-        fit(LinearAR(lags=3, epochs=1, learning_rate=0.1, batch_size=1), panel, seed=0)
+        fit(LinearAR(lags=3, epochs=1, learning_rate=0.1, batch_size=1), panel, (0,))
 
 
 # ---------------------------------------------------------- learned models
@@ -111,7 +168,7 @@ def test_insufficient_history_errors():
 def test_linear_ar_converges_on_constant_series():
     panel = make_panel(np.full(30, 5.0))
     kind = LinearAR(lags=3, epochs=60, learning_rate=0.1, batch_size=8)
-    one_step = predict(fit(kind, panel, seed=7), 1)[0, 0]
+    one_step = predict(fit(kind, panel, (7,))[0], 1)[0, 0]
     # exact least-squares oracle for the same pooled regression
     scaled = panel.values[0] / panel.values[0].mean()
     x = np.stack([scaled[i : i + 3] for i in range(27)])
@@ -141,7 +198,7 @@ def test_recursive_prediction_fixed_point_is_exact():
 def test_all_zero_series_stay_zero():
     panel = make_panel(np.zeros(20))
     for kind in STOCHASTIC_KINDS:
-        fitted = fit(kind, panel, seed=3)
+        fitted = fit(kind, panel, (3,))[0]
         out = predict(fitted, 5)
         assert np.all(np.isfinite(out))
         # zero-scale guard: predictions collapse to the zero level scale-free
@@ -150,7 +207,7 @@ def test_all_zero_series_stay_zero():
 
 def test_predict_rejects_bad_horizon():
     panel = make_panel([1.0, 2.0, 3.0, 4.0])
-    fitted = fit(GlobalMean(), panel, seed=0)
+    fitted = fit(GlobalMean(), panel, (0,))[0]
     with pytest.raises(ValueError):
         predict(fitted, 0)
 

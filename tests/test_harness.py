@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import forecast_stability.ensemble as ensemble
 import forecast_stability.harness as harness
 from forecast_stability import (
     CsvSource,
@@ -17,6 +18,7 @@ from forecast_stability import (
     SeasonalNaive,
     SplitSpec,
     SynthConfig,
+    TinyMLP,
     cv_grid,
     derive_seed,
     fnv1a64,
@@ -26,6 +28,7 @@ from forecast_stability import (
     synth_generate,
     write_long_csv,
 )
+from forecast_stability.forecasters import Diverged
 from forecast_stability.harness import (
     EmptyExperiment,
     ExperimentResult,
@@ -133,17 +136,92 @@ def test_stochastic_model_shows_variance_across_runs():
 
 def test_fixed_input_contract_across_runs(monkeypatch):
     digests = []
+    fitted_seeds = {}
     real_fit = harness.fit
 
-    def recording_fit(kind, train, seed):
+    def recording_fit(kind, train, seeds):
         digests.append(hashlib.sha256(train.values.tobytes()).hexdigest())
-        return real_fit(kind, train, seed)
+        fitted_seeds.setdefault(type(kind), []).extend(seeds)
+        return real_fit(kind, train, seeds)
 
     monkeypatch.setattr(harness, "fit", recording_fit)
-    cfg = small_config([ModelEntry(label="sn", forecaster=SeasonalNaive(period=7))])
+    cfg = small_config(
+        [
+            ModelEntry(label="sn", forecaster=SeasonalNaive(period=7)),
+            ModelEntry(
+                label="lar",
+                forecaster=LinearAR(lags=4, epochs=2, learning_rate=0.05, batch_size=8),
+            ),
+        ]
+    )
     run_experiment(cfg)
-    assert len(digests) == 3
+    # each run's seed is fitted exactly once, and every fit sees the same bytes
+    for kind, label in ((SeasonalNaive, "sn"), (LinearAR, "lar")):
+        assert fitted_seeds[kind] == [run_seed(5, label, r) for r in range(3)]
+    assert len(digests) == 2
     assert len(set(digests)) == 1
+
+
+def test_run_experiment_fits_once_per_entry_and_component(monkeypatch):
+    calls = []
+
+    def counting(module):
+        real_fit = module.fit
+
+        def counting_fit(kind, train, seeds):
+            calls.append((module.__name__, type(kind).__name__, train.length, len(seeds)))
+            return real_fit(kind, train, seeds)
+
+        monkeypatch.setattr(module, "fit", counting_fit)
+
+    counting(harness)
+    counting(ensemble)
+    lar = LinearAR(lags=4, epochs=2, learning_rate=0.05, batch_size=8)
+    cfg = small_config(
+        [
+            ModelEntry(label="sn", forecaster=SeasonalNaive(period=7)),
+            ModelEntry(label="lar", forecaster=lar),
+            ModelEntry(
+                label="ens",
+                ensemble=EnsembleRequest(
+                    components=(SeasonalNaive(period=7), GlobalMean(), lar), n_windows=2
+                ),
+            ),
+        ]
+    )
+    run_experiment(cfg)
+    run_fits = [c for c in calls if c[0] == harness.__name__]
+    window_fits = [c for c in calls if c[0] == ensemble.__name__]
+    # train is 33 days; the two validation windows leave 19 and 26
+    assert sorted(run_fits) == sorted(
+        (harness.__name__, name, 33, 3)
+        for name in ("SeasonalNaive", "LinearAR", "SeasonalNaive", "GlobalMean", "LinearAR")
+    )
+    assert sorted(window_fits) == sorted(
+        (ensemble.__name__, name, length, 3)
+        for name in ("SeasonalNaive", "GlobalMean", "LinearAR")
+        for length in (19, 26)
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_model_names_label_run_and_seed():
+    # finite but huge weights: predict overflows and postprocess rejects it
+    cfg = small_config([ModelEntry(label="lar", forecaster=LinearAR(learning_rate=50))])
+    seeds = [run_seed(5, "lar", r) for r in range(3)]
+    with pytest.raises(Diverged, match=rf"^model 'lar', run 0 \(seed {seeds[0]}\): ") as info:
+        run_experiment(cfg)
+    assert info.value.runs == (0,)
+    # non-finite weights: the batched fit names every run
+    cfg = small_config(
+        [ModelEntry(label="mlp", forecaster=TinyMLP(learning_rate=50, batch_size=8))]
+    )
+    seeds = [run_seed(5, "mlp", r) for r in range(3)]
+    with pytest.raises(Diverged) as info:
+        run_experiment(cfg)
+    assert info.value.runs == (0, 1, 2)
+    runs = ", ".join(f"run {r} (seed {seed})" for r, seed in enumerate(seeds))
+    assert str(info.value).startswith(f"model 'mlp', {runs}: tiny_mlp diverged")
 
 
 def test_seed_isolation_under_model_reordering():

@@ -23,6 +23,7 @@ from forecast_stability.metrics import (
     EmptyInput,
     EmptySample,
     NonFiniteInput,
+    OutOfRange,
     ProbOutOfRange,
     ShapeMismatch,
     accuracy_report,
@@ -66,6 +67,16 @@ def test_postprocess_rejects_non_finite():
         postprocess(np.array([1.0, float("nan")]))
     with pytest.raises(NonFiniteInput):
         postprocess(np.array([float("inf")]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_postprocess_rejects_values_int64_cannot_hold():
+    # 2**63 - 1024 is the largest float64 below 2**63; it still fits
+    assert postprocess(np.array([2.0**63 - 1024])).tolist() == [2**63 - 1024]
+    for value in (2.0**63, 1e300):
+        with pytest.raises(OutOfRange):
+            postprocess(np.array([1.0, value]))
+    assert postprocess(np.array([-1e300])).tolist() == [0]
 
 
 @given(

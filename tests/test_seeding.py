@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from forecast_stability.seeding import Rng, derive_seed, fnv1a64, splitmix64
 
@@ -77,6 +78,14 @@ def test_permutation_is_a_permutation():
     perm = Rng(11).permutation(100)
     assert sorted(perm.tolist()) == list(range(100))
     assert np.array_equal(perm, Rng(11).permutation(100))
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**63 + 5, 2**64 - 1])
+def test_permutation_equals_stable_argsort(seed):
+    # the raw draws never tie, so the default sort gives the stable order
+    for n in (1, 2, 31, 1000, 100_000):
+        keys = Rng(seed).u64_array(n)
+        assert np.array_equal(Rng(seed).permutation(n), np.argsort(keys, kind="stable"))
 
 
 def test_randbelow_range_and_determinism():
