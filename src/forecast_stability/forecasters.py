@@ -44,7 +44,7 @@ class Diverged(ForecasterError):
     of the runs that diverged.
     """
 
-    def __init__(self, message: str, runs: tuple[int, ...] = ()):
+    def __init__(self, message: str, runs: tuple[int, ...]):
         super().__init__(message)
         self.runs = tuple(runs)
 

@@ -172,7 +172,7 @@ def postprocess(raw: np.ndarray) -> np.ndarray:
     # Below 2**63 a float64 is at most 2**63 - 1024, so rounding stays in range.
     if arr.size and arr.max() >= _INT64_LIMIT:
         raise OutOfRange(
-            f"forecast {arr.max()!r} is beyond the int64 range of delivered forecasts"
+            f"forecast {float(arr.max())!r} is beyond the int64 range of delivered forecasts"
         )
     return np.floor(np.maximum(arr, 0.0) + 0.5).astype(np.int64)
 

@@ -21,6 +21,7 @@ from forecast_stability.forecasters import (
     kind_from_json,
     kind_to_json,
 )
+from forecast_stability.seeding import Rng
 from conftest import make_panel
 
 STOCHASTIC_KINDS = (
@@ -98,6 +99,59 @@ def test_batched_fit_equals_fitting_each_seed_alone(kind, seeds):
         assert model.state.keys() == alone.state.keys()
         for key in alone.state:
             assert np.array_equal(model.state[key], alone.state[key]), key
+
+
+def reference_sgd(kind, values, seed):
+    """One seed's SGD as a plain per-run loop over a copied lag matrix."""
+    scales = values.mean(axis=1)
+    scales[scales == 0.0] = 1.0
+    scaled = values / scales[:, None]
+    windows = np.lib.stride_tricks.sliding_window_view(scaled, kind.lags, axis=1)
+    x = windows[:, :-1, :].reshape(-1, kind.lags).copy()
+    y = scaled[:, kind.lags :].reshape(-1).copy()
+    rng = Rng(seed)
+    if isinstance(kind, LinearAR):
+        w = rng.normals(kind.lags) * (0.1 / np.sqrt(kind.lags))
+        b = 0.0
+    else:
+        w1 = rng.normals(kind.lags * kind.hidden_dim).reshape(
+            kind.lags, kind.hidden_dim
+        ) * np.sqrt(1.0 / kind.lags)
+        b1 = np.zeros(kind.hidden_dim)
+        w2 = rng.normals(kind.hidden_dim) * np.sqrt(1.0 / kind.hidden_dim)
+        b2 = 0.0
+    for _ in range(kind.epochs):
+        perm = np.argsort(rng.u64_array(len(y)), kind="stable")
+        for start in range(0, len(y), kind.batch_size):
+            idx = perm[start : start + kind.batch_size]
+            xb, yb = x[idx], y[idx]
+            if isinstance(kind, LinearAR):
+                err = xb @ w + b - yb
+                scale = 2.0 * kind.learning_rate / idx.size
+                w = w - scale * (xb.T @ err)
+                b = b - scale * err.sum()
+            else:
+                hidden = np.tanh(xb @ w1 + b1)
+                err = hidden @ w2 + b2 - yb
+                d_out = (2.0 / idx.size) * err
+                d_hidden = np.outer(d_out, w2) * (1.0 - hidden * hidden)
+                lr = kind.learning_rate
+                w2 = w2 - lr * (hidden.T @ d_out)
+                b2 = b2 - lr * d_out.sum()
+                w1 = w1 - lr * (xb.T @ d_hidden)
+                b1 = b1 - lr * d_hidden.sum(axis=0)
+    if isinstance(kind, LinearAR):
+        return {"weights": w, "bias": np.array(b)}
+    return {"w1": w1, "b1": b1, "w2": w2, "b2": np.array(b2)}
+
+
+@pytest.mark.parametrize("kind", BATCHED_SGD_KINDS)
+def test_batched_fit_equals_the_per_run_reference_loop(kind):
+    panel = noisy_panel()
+    seeds = (11, 2**64 - 1, 0)
+    for seed, model in zip(seeds, fit(kind, panel, seeds)):
+        for key, want in reference_sgd(kind, panel.values, seed).items():
+            assert np.array_equal(model.state[key], want), key
 
 
 def test_deterministic_kinds_share_one_state_across_seeds():

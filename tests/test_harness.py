@@ -222,6 +222,12 @@ def test_diverging_model_names_label_run_and_seed():
     assert info.value.runs == (0, 1, 2)
     runs = ", ".join(f"run {r} (seed {seed})" for r, seed in enumerate(seeds))
     assert str(info.value).startswith(f"model 'mlp', {runs}: tiny_mlp diverged")
+    # in an ensemble, a component's validation forecasts cannot be scored
+    request = EnsembleRequest(components=(SeasonalNaive(period=7), LinearAR(learning_rate=50)))
+    cfg = small_config([ModelEntry(label="ens", ensemble=request)])
+    seed = run_seed(5, "ens", 0)
+    with pytest.raises(Diverged, match=rf"^model 'ens', run 0 \(seed {seed}\): validation"):
+        run_experiment(cfg)
 
 
 def test_seed_isolation_under_model_reordering():
