@@ -18,6 +18,7 @@ import datetime as dt
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Mapping
@@ -118,7 +119,10 @@ class ModelEntry:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce an experiment bit-for-bit."""
+    """Everything needed to reproduce an experiment bit-for-bit.
+
+    Raises ValueError when two (label, run) cells would get the same seed.
+    """
 
     dataset: CsvSource | SynthConfig
     split: SplitSpec
@@ -137,6 +141,16 @@ class ExperimentConfig:
         if len(set(labels)) != len(labels):
             raise ValueError("model labels must be unique")
         object.__setattr__(self, "models", tuple(self.models))
+        # Two labels whose hashes differ only in low bits would share seeds.
+        cells: dict[int, tuple[str, int]] = {}
+        for label, run_id in product(labels, range(self.run_count)):
+            seed = run_seed(self.master_seed, label, run_id)
+            other = cells.setdefault(seed, (label, run_id))
+            if other != (label, run_id):
+                raise ValueError(
+                    f"model {other[0]!r} run {other[1]} and model {label!r} "
+                    f"run {run_id} share seed {seed}"
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +204,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     runs of a label; only the seed changes. All R runs of an entry are fit
     in one call per model (per component for an ensemble), with results
     bit-identical to fitting each seed alone; each record's ``duration_s``
-    is the entry's wall time divided by R. Raises on the first failure
+    is the entry's wall time divided by R. Runs that share fitted state, as
+    a deterministic kind's do, are predicted and post-processed once; so
+    are an ensemble's runs that share weights and component states. Raises
+    on the first failure
     without emitting partial results; a :class:`Diverged` error names the
     label, run ids and seeds of the runs that blew up.
     """
@@ -205,9 +222,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
         started = time.perf_counter()
         try:
+            # Per run, a key equal for runs that share fitted state, and the
+            # call that forecasts it: each key is forecast once.
             if entry.forecaster is not None:
                 fitted = fit(entry.forecaster, train, seeds)
-                raws = [predict(model, horizon) for model in fitted]
+                jobs = [(id(model.state), partial(predict, model, horizon)) for model in fitted]
             else:
                 request = entry.ensemble
                 specs = fit_ensemble(
@@ -222,16 +241,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     fit(kind, train, tuple(component_seed(seed, index) for seed in seeds))
                     for index, kind in enumerate(request.components)
                 ]
-                raws = [
-                    predict_ensemble(spec, models, horizon)
+                jobs = [
+                    (
+                        (spec, tuple(id(model.state) for model in models)),
+                        partial(predict_ensemble, spec, models, horizon),
+                    )
                     for spec, models in zip(specs, zip(*by_component))
                 ]
-            forecasts = []
-            for run_id, raw in enumerate(raws):
-                try:
-                    forecasts.append(postprocess(raw))
-                except MetricsError as exc:
-                    raise Diverged(f"forecast cannot be delivered: {exc}", (run_id,)) from exc
+            delivered: dict = {}
+            for run_id, (key, forecast) in enumerate(jobs):
+                if key not in delivered:
+                    try:
+                        delivered[key] = postprocess(forecast())
+                    except MetricsError as exc:
+                        raise Diverged(
+                            f"forecast cannot be delivered: {exc}", (run_id,)
+                        ) from exc
+            forecasts = [delivered[key] for key, _ in jobs]
         except Diverged as exc:
             runs = ", ".join(f"run {r} (seed {seeds[r]})" for r in exc.runs)
             raise Diverged(f"model {entry.label!r}, {runs}: {exc}", exc.runs) from exc

@@ -28,6 +28,7 @@ from forecast_stability import (
     synth_generate,
     write_long_csv,
 )
+from forecast_stability.cli import cli_main
 from forecast_stability.forecasters import Diverged
 from forecast_stability.harness import (
     EmptyExperiment,
@@ -202,6 +203,70 @@ def test_run_experiment_fits_once_per_entry_and_component(monkeypatch):
         for name in ("SeasonalNaive", "GlobalMean", "LinearAR")
         for length in (19, 26)
     )
+
+
+def test_run_experiment_predicts_once_per_distinct_state(monkeypatch):
+    calls = {"predict": [], "postprocess": 0, "predict_ensemble": 0}
+    real_predict, real_postprocess = harness.predict, harness.postprocess
+    real_predict_ensemble = harness.predict_ensemble
+
+    def counting_predict(model, horizon):
+        calls["predict"].append(type(model.kind).__name__)
+        return real_predict(model, horizon)
+
+    def counting_postprocess(raw):
+        calls["postprocess"] += 1
+        return real_postprocess(raw)
+
+    def counting_predict_ensemble(spec, fitted, horizon):
+        calls["predict_ensemble"] += 1
+        return real_predict_ensemble(spec, fitted, horizon)
+
+    monkeypatch.setattr(harness, "predict", counting_predict)
+    monkeypatch.setattr(harness, "postprocess", counting_postprocess)
+    monkeypatch.setattr(harness, "predict_ensemble", counting_predict_ensemble)
+    lar = LinearAR(lags=4, epochs=2, learning_rate=0.05, batch_size=8)
+    deterministic = EnsembleRequest(components=(SeasonalNaive(period=7), GlobalMean()))
+    mixed = EnsembleRequest(components=(SeasonalNaive(period=7), lar))
+    cfg = small_config(
+        [
+            ModelEntry(label="sn", forecaster=SeasonalNaive(period=7)),
+            ModelEntry(label="lar", forecaster=lar),
+            ModelEntry(label="det", ensemble=deterministic),
+            ModelEntry(label="mix", ensemble=mixed),
+        ]
+    )
+    result = run_experiment(cfg)
+    # sn shares one state across its 3 runs; lar has 3; det's runs share
+    # weights and states; mix's runs differ in their LinearAR component.
+    assert sorted(calls["predict"]) == ["LinearAR"] * 3 + ["SeasonalNaive"]
+    assert calls["predict_ensemble"] == 1 + 3
+    assert calls["postprocess"] == 1 + 3 + 1 + 3
+    # every run's forecast is that of its own fitted model
+    panel = synth_generate(SYNTH)
+    train = harness.split(panel, cfg.split)[0]
+    got = forecasts_by_label(result)
+    for label, kind in (("sn", SeasonalNaive(period=7)), ("lar", lar)):
+        seeds = tuple(run_seed(5, label, r) for r in range(3))
+        for run, model in enumerate(harness.fit(kind, train, seeds)):
+            expected = real_postprocess(real_predict(model, 7))
+            assert np.array_equal(got[label][run], expected)
+
+
+def test_seed_collisions_are_rejected(monkeypatch, tmp_path, capsys):
+    # Hashes 0 and 1 differ in the lowest bit: run 1 of "a" is run 0 of "b".
+    monkeypatch.setattr(harness, "fnv1a64", {"a": 0, "b": 1}.__getitem__)
+    models = [ModelEntry(label, forecaster=GlobalMean()) for label in ("a", "b")]
+    seed = derive_seed(5, 1)
+    with pytest.raises(ValueError, match=rf"^model 'a' run 1 and model 'b' run 0 share seed {seed}$"):
+        small_config(models)
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(config_to_json(small_config(models[:1]))))
+    obj = json.loads(config.read_text())
+    obj["models"].append({"label": "b", "kind": obj["models"][0]["kind"]})
+    config.write_text(json.dumps(obj))
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    assert "model 'a' run 1 and model 'b' run 0 share seed" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
