@@ -207,9 +207,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     is the entry's wall time divided by R. Runs that share fitted state, as
     a deterministic kind's do, are predicted and post-processed once; so
     are an ensemble's runs that share weights and component states. Raises
-    on the first failure
-    without emitting partial results; a :class:`Diverged` error names the
-    label, run ids and seeds of the runs that blew up.
+    on the first failure without emitting partial results; a
+    :class:`Diverged` error names the label, run ids and seeds of the runs
+    that blew up.
     """
     panel = load_panel(cfg.dataset)
     train, actuals = split(panel, cfg.split)
