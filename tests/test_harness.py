@@ -258,7 +258,8 @@ def test_seed_collisions_are_rejected(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(harness, "fnv1a64", {"a": 0, "b": 1}.__getitem__)
     models = [ModelEntry(label, forecaster=GlobalMean()) for label in ("a", "b")]
     seed = derive_seed(5, 1)
-    with pytest.raises(ValueError, match=rf"^model 'a' run 1 and model 'b' run 0 share seed {seed}$"):
+    message = rf"^model 'a' run 1 and model 'b' run 0 share seed {seed}$"
+    with pytest.raises(ValueError, match=message):
         small_config(models)
     config = tmp_path / "experiment.json"
     config.write_text(json.dumps(config_to_json(small_config(models[:1]))))
