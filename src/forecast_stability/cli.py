@@ -187,7 +187,7 @@ def _train_length_from_manifest(runs_dir: Path) -> int | None:
         return None
     try:
         obj = json.loads(manifest.read_text(encoding="utf-8"))
-        return int(obj["config"]["split"]["train_length"])
+        return config_from_json(obj["config"]).split.train_length
     except (ValueError, KeyError, TypeError):
         return None
 

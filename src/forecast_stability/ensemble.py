@@ -17,7 +17,7 @@ the quantity that is actually reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .forecasters import (
     ForecasterKind,
     InsufficientHistory,
     fit,
-    kind_from_json,
-    kind_to_json,
     predict,
 )
 from .metrics import MetricsError, postprocess, rmse
@@ -80,21 +78,6 @@ class EnsembleSpec:
             raise ValueError("n_validation_windows must be >= 1")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "weights", weights)
-
-    def to_json(self) -> dict:
-        return {
-            "components": [kind_to_json(k) for k in self.components],
-            "weights": list(self.weights),
-            "n_validation_windows": self.n_validation_windows,
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "EnsembleSpec":
-        return cls(
-            components=tuple(kind_from_json(k) for k in obj["components"]),
-            weights=tuple(obj["weights"]),
-            n_validation_windows=int(obj.get("n_validation_windows", DEFAULT_WINDOWS)),
-        )
 
 
 def component_seed(master: int, index: int) -> int:

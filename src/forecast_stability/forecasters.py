@@ -24,6 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import codec
 from .dataset import TimeSeriesDataset
 from .errors import ForecastStabilityError
 from .seeding import Rng
@@ -115,12 +116,13 @@ def kind_to_json(kind: ForecasterKind) -> dict:
     return {"kind": _KIND_NAMES[type(kind)], "params": asdict(kind)}
 
 
-def kind_from_json(obj: Mapping) -> ForecasterKind:
-    try:
-        cls = _KIND_TYPES[obj["kind"]]
-    except KeyError as exc:
-        raise ValueError(f"unknown forecaster kind in {obj!r}") from exc
-    return cls(**obj.get("params", {}))
+def kind_from_json(obj: Mapping, where: str = "kind") -> ForecasterKind:
+    """Read ``{"kind": name, "params": {...}}``; raises ValueError naming the key path."""
+    (name, params), _ = codec.take(obj, where, "kind", "params", only=True)
+    cls = _KIND_TYPES.get(codec.read(str, name, f"{where}.kind"))
+    if cls is None:
+        raise codec.fault(f"{where}.kind", f"unknown forecaster kind {name!r}")
+    return codec.from_json(cls, {} if params is codec.MISSING else params, f"{where}.params")
 
 
 @dataclass(frozen=True, eq=False)

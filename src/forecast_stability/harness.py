@@ -17,7 +17,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import tabular
+from . import codec, tabular
 from .dataset import (
     SplitSpec,
     SynthConfig,
@@ -352,122 +352,63 @@ def load_runs(path: str | Path) -> tuple[dict[str, ForecastSet], np.ndarray]:
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
+    """JSON object form of an experiment config; unset optional fields are left out."""
+    out = asdict(cfg)
     if isinstance(cfg.dataset, SynthConfig):
-        dataset = {
-            "synth": {
-                "n_series": cfg.dataset.n_series,
-                "length": cfg.dataset.length,
-                "level_range": list(cfg.dataset.level_range),
-                "season_period": cfg.dataset.season_period,
-                "season_amplitude": cfg.dataset.season_amplitude,
-                "noise_std": cfg.dataset.noise_std,
-                "intermittency": cfg.dataset.intermittency,
-                "seed": cfg.dataset.seed,
-            }
-        }
+        out["dataset"] = {"synth": out["dataset"]}
     else:
-        dataset = {"csv": cfg.dataset.path, "fill_missing": cfg.dataset.fill_missing}
-    models = []
-    for entry in cfg.models:
-        if entry.forecaster is not None:
-            models.append({"label": entry.label, "kind": kind_to_json(entry.forecaster)})
-        else:
-            models.append(
-                {
-                    "label": entry.label,
-                    "ensemble": {
-                        "components": [
-                            kind_to_json(k) for k in entry.ensemble.components
-                        ],
-                        "n_windows": entry.ensemble.n_windows,
-                    },
-                }
-            )
-    out = {
-        "dataset": dataset,
-        "split": {
-            "train_length": cfg.split.train_length,
-            "horizon": cfg.split.horizon,
-        },
-        "models": models,
-        "run_count": cfg.run_count,
-        "master_seed": cfg.master_seed,
-        "ensemble_iterations": cfg.ensemble_iterations,
-    }
-    if cfg.output_dir is not None:
-        out["output_dir"] = cfg.output_dir
-    return out
+        out["dataset"] = {"csv": out["dataset"].pop("path"), **out["dataset"]}
+    out["models"] = [_model_to_json(entry) for entry in cfg.models]
+    return {key: value for key, value in out.items() if value is not None}
 
 
-def synth_from_json(obj: Mapping) -> SynthConfig:
-    """Parse a synthetic-panel recipe from its JSON object form."""
-    try:
-        return SynthConfig(
-            n_series=int(obj["n_series"]),
-            length=int(obj["length"]),
-            level_range=tuple(obj.get("level_range", (50.0, 150.0))),
-            season_period=int(obj.get("season_period", 7)),
-            season_amplitude=float(obj.get("season_amplitude", 0.0)),
-            noise_std=float(obj.get("noise_std", 0.0)),
-            intermittency=float(obj.get("intermittency", 0.0)),
-            seed=int(obj.get("seed", 0)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad synthetic panel config: {exc}") from exc
+def _model_to_json(entry: ModelEntry) -> dict:
+    if entry.forecaster is not None:
+        return {"label": entry.label, "kind": kind_to_json(entry.forecaster)}
+    ensemble = asdict(entry.ensemble)
+    ensemble["components"] = [kind_to_json(kind) for kind in entry.ensemble.components]
+    return {"label": entry.label, "ensemble": ensemble}
+
+
+def synth_from_json(obj: Mapping, where: str = "") -> SynthConfig:
+    """Parse a synthetic-panel recipe; raises ValueError naming the key path."""
+    return codec.from_json(SynthConfig, obj, where)
 
 
 def config_from_json(obj: Mapping) -> ExperimentConfig:
     """Parse an experiment config from its JSON object form.
 
-    Raises ValueError on schema problems so the CLI reports them as data
-    errors rather than crashes.
+    Raises ValueError naming the key path of an unknown key, a missing key
+    or a wrong value, which the CLI reports as a data error.
     """
-    try:
-        dataset_obj = obj["dataset"]
-        if "synth" in dataset_obj:
-            dataset: CsvSource | SynthConfig = synth_from_json(dataset_obj["synth"])
-        elif "csv" in dataset_obj:
-            dataset = CsvSource(
-                path=str(dataset_obj["csv"]),
-                fill_missing=bool(dataset_obj.get("fill_missing", False)),
-            )
-        else:
-            raise ValueError("dataset must specify either 'csv' or 'synth'")
-        models = []
-        for entry in obj["models"]:
-            label = str(entry["label"])
-            if "kind" in entry:
-                models.append(
-                    ModelEntry(label=label, forecaster=kind_from_json(entry["kind"]))
-                )
-            elif "ensemble" in entry:
-                ens = entry["ensemble"]
-                models.append(
-                    ModelEntry(
-                        label=label,
-                        ensemble=EnsembleRequest(
-                            components=tuple(
-                                kind_from_json(k) for k in ens["components"]
-                            ),
-                            n_windows=int(ens.get("n_windows", DEFAULT_WINDOWS)),
-                        ),
-                    )
-                )
-            else:
-                raise ValueError(f"model {label!r} must specify 'kind' or 'ensemble'")
-        return ExperimentConfig(
-            dataset=dataset,
-            split=SplitSpec(
-                train_length=int(obj["split"]["train_length"]),
-                horizon=int(obj["split"]["horizon"]),
-            ),
-            models=tuple(models),
-            run_count=int(obj.get("run_count", DEFAULT_RUN_COUNT)),
-            master_seed=int(obj.get("master_seed", 0)),
-            ensemble_iterations=int(
-                obj.get("ensemble_iterations", DEFAULT_ITERATIONS)
-            ),
-            output_dir=obj.get("output_dir"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad experiment config: {exc}") from exc
+    (dataset, models), rest = codec.take(obj, "", "dataset", "models")
+    dataset = _dataset_from_json(dataset, "dataset")
+    models = tuple(_model_from_json(entry, at) for at, entry in codec.items(models, "models"))
+    return codec.from_json(ExperimentConfig, rest, "", dataset=dataset, models=models)
+
+
+def _dataset_from_json(obj: object, where: str) -> CsvSource | SynthConfig:
+    # {"csv": path, "fill_missing": flag} or {"synth": {...}}
+    tag, value, rest = codec.tagged(obj, where, "csv", "synth")
+    if tag == "csv":
+        path = codec.read(str, value, f"{where}.csv")
+        return codec.from_json(CsvSource, rest, where, path=path)
+    codec.take(rest, where, only=True)
+    return synth_from_json(value, f"{where}.synth")
+
+
+def _model_from_json(obj: object, where: str) -> ModelEntry:
+    # {"label": ..., "kind": {...}} or {"label": ..., "ensemble": {...}}
+    tag, value, rest = codec.tagged(obj, where, "kind", "ensemble")
+    if tag == "kind":
+        kind = kind_from_json(value, f"{where}.kind")
+        return codec.from_json(ModelEntry, rest, where, forecaster=kind, ensemble=None)
+    ensemble = _ensemble_from_json(value, f"{where}.ensemble")
+    return codec.from_json(ModelEntry, rest, where, forecaster=None, ensemble=ensemble)
+
+
+def _ensemble_from_json(obj: object, where: str) -> EnsembleRequest:
+    (components,), rest = codec.take(obj, where, "components")
+    paths = codec.items(components, f"{where}.components")
+    kinds = tuple(kind_from_json(kind, path) for path, kind in paths)
+    return codec.from_json(EnsembleRequest, rest, where, components=kinds)

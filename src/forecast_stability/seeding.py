@@ -62,32 +62,23 @@ def _mix_array(states: np.ndarray) -> np.ndarray:
 
 
 class Rng:
-    """Sequential splitmix64 stream with scalar and batched draws.
+    """Sequential splitmix64 stream drawn in batches.
 
-    A batch of ``n`` raw draws consumes exactly the same ``n`` states as
-    ``n`` scalar calls, so mixing scalar and batched access stays
-    reproducible. Derived draws (uniforms, normals, permutations) consume a
-    fixed, documented number of raw draws per call.
+    A batch of ``n`` raw draws consumes the next ``n`` states, so
+    consecutive batches continue one stream: ``u64_array(a)`` then
+    ``u64_array(b)`` draws what ``u64_array(a + b)`` would. Derived draws
+    (uniforms, normals, permutations) consume a fixed, documented number of
+    raw draws per call.
     """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = ((self._state ^ (self._state >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
 
     def u64_array(self, n: int) -> np.ndarray:
         steps = np.arange(1, n + 1, dtype=np.uint64)
         states = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return _mix_array(states)
-
-    def uniform(self) -> float:
-        """One float in [0, 1) with 53-bit resolution."""
-        return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
         return (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -98,19 +89,6 @@ class Rng:
         u2 = self.uniforms(n)
         radius = np.sqrt(-2.0 * np.log1p(-u1))
         return radius * np.cos(2.0 * np.pi * u2)
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
-
-    def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection; unbiased."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            draw = self.next_u64()
-            if draw < limit:
-                return draw % n
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n): argsort of ``n`` raw draws.

@@ -259,7 +259,7 @@ def _read_rows(path: Path, schema: Schema, errors: Errors):
     codes = [array("q") for _ in keys]
     numbers = [array("d") for _ in schema.values]
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = _reader(fh)
+        reader = csv.reader(fh)
         first = next(reader, None)
         if first is None:
             raise errors.empty(f"{path}: file is empty")
@@ -461,10 +461,6 @@ def _numbers(data: np.ndarray, left: np.ndarray, width: np.ndarray) -> np.ndarra
     return numbers
 
 
-def _reader(fh: TextIO):
-    return csv.reader(fh)
-
-
 def _first_rejected(parse: Callable[[str], object], texts: Sequence[str]) -> int:
     """Index of the first text that ``parse`` rejects with ValueError."""
     for index, text in enumerate(texts):
@@ -478,7 +474,7 @@ def _first_rejected(parse: Callable[[str], object], texts: Sequence[str]) -> int
 def _fault(error: type[Exception], path: Path, row: int, what: str) -> Exception:
     """``error`` naming the line of data row ``row``, counted from 0."""
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = _reader(fh)
+        reader = csv.reader(fh)
         # The header is the first non-blank row, so data row ``row`` is at row + 1.
         next(itertools.islice(filter(None, reader), row + 1, None))
         return error(f"{path}:{reader.line_num}: {what}")

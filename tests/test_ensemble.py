@@ -241,14 +241,3 @@ def test_spec_validation():
         )
     with pytest.raises(LengthMismatch):
         EnsembleSpec(components=(GlobalMean(),), weights=(0.5, 0.5))
-
-
-def test_spec_json_round_trip():
-    spec = EnsembleSpec(
-        components=(SeasonalNaive(period=7), GlobalMean()),
-        weights=(0.75, 0.25),
-        n_validation_windows=2,
-    )
-    obj = spec.to_json()
-    assert set(obj) == {"components", "weights", "n_validation_windows"}
-    assert EnsembleSpec.from_json(obj) == spec

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import forecast_stability.ensemble as ensemble
 import forecast_stability.harness as harness
@@ -452,6 +457,7 @@ def test_manifest_contents(tmp_path):
     assert set(manifest) == {"config", "seeds", "created_at"}
     assert manifest["seeds"]["sn"] == [run_seed(5, "sn", r) for r in range(3)]
     assert manifest["config"]["run_count"] == 3
+    assert config_from_json(manifest["config"]) == cfg
 
 
 # ------------------------------------------------------------------ config
@@ -475,6 +481,38 @@ def test_config_json_round_trip():
         output_dir="runs",
     )
     assert config_from_json(config_to_json(cfg)) == cfg
+    assert json.loads(json.dumps(config_to_json(cfg))) == {
+        "dataset": {
+            "synth": {
+                "n_series": 3,
+                "length": 40,
+                "level_range": [20.0, 60.0],
+                "season_period": 7,
+                "season_amplitude": 5.0,
+                "noise_std": 3.0,
+                "intermittency": 0.0,
+                "seed": 17,
+            }
+        },
+        "split": {"train_length": 33, "horizon": 7},
+        "models": [
+            {"label": "sn", "kind": {"kind": "seasonal_naive", "params": {"period": 7}}},
+            {
+                "label": "ens",
+                "ensemble": {
+                    "components": [
+                        {"kind": "seasonal_naive", "params": {"period": 7}},
+                        {"kind": "global_mean", "params": {}},
+                    ],
+                    "n_windows": 2,
+                },
+            },
+        ],
+        "run_count": 4,
+        "master_seed": 11,
+        "ensemble_iterations": 40,
+        "output_dir": "runs",
+    }
 
 
 def test_config_json_round_trip_csv_source():
@@ -485,6 +523,14 @@ def test_config_json_round_trip_csv_source():
         run_count=2,
     )
     assert config_from_json(config_to_json(cfg)) == cfg
+    assert json.loads(json.dumps(config_to_json(cfg))) == {
+        "dataset": {"csv": "panel.csv", "fill_missing": True},
+        "split": {"train_length": 10, "horizon": 2},
+        "models": [{"label": "gm", "kind": {"kind": "global_mean", "params": {}}}],
+        "run_count": 2,
+        "master_seed": 0,
+        "ensemble_iterations": 100,
+    }
 
 
 def test_config_validation():
@@ -503,3 +549,235 @@ def test_config_validation():
         )
     with pytest.raises(ValueError):
         config_from_json({"dataset": {}, "split": {}, "models": []})
+
+
+# A config every fault case below breaks in one place; it reads as is.
+VALID_JSON = {
+    "dataset": {"synth": {"n_series": 3, "length": 40, "seed": 17}},
+    "split": {"train_length": 33, "horizon": 7},
+    "models": [
+        {"label": "sn", "kind": {"kind": "seasonal_naive", "params": {"period": 7}}},
+        {"label": "lar", "kind": {"kind": "linear_ar", "params": {"lags": 4, "epochs": 2}}},
+        {
+            "label": "ens",
+            "ensemble": {"components": [{"kind": "global_mean"}], "n_windows": 2},
+        },
+    ],
+    "run_count": 2,
+}
+CSV_DATASET = {"csv": "data.csv", "fill_missing": False}
+
+
+def _set(*path, value):
+    def fault(obj):
+        *parents, last = path
+        inner = obj
+        for key in parents:
+            inner = inner[key]
+        inner[last] = value
+        return obj
+
+    return fault
+
+
+def _with_csv(fault):
+    return lambda obj: fault({**obj, "dataset": copy.deepcopy(CSV_DATASET)})
+
+
+CONFIG_FAULTS = {
+    "unknown-top": (_set("run_cont", value=3), "run_cont: unknown key"),
+    "unknown-split": (_set("split", "horizn", value=7), "split.horizn: unknown key"),
+    "unknown-csv": (
+        _with_csv(_set("dataset", "fill_mising", value=True)),
+        "dataset.fill_mising: unknown key",
+    ),
+    "unknown-synth": (
+        _set("dataset", "synth", "intermitency", value=0.5),
+        "dataset.synth.intermitency: unknown key",
+    ),
+    "unknown-beside-synth": (
+        _set("dataset", "fill_missing", value=False),
+        "dataset.fill_missing: unknown key",
+    ),
+    "unknown-entry": (_set("models", 0, "lable", value="x"), "models[0].lable: unknown key"),
+    "field-name-as-key": (
+        _set("models", 0, "forecaster", value=None),
+        "models[0].forecaster: unknown key",
+    ),
+    "unknown-ensemble": (
+        _set("models", 2, "ensemble", "n_window", value=2),
+        "models[2].ensemble.n_window: unknown key",
+    ),
+    "unknown-kind": (
+        _set("models", 1, "kind", "param", value={}),
+        "models[1].kind.param: unknown key",
+    ),
+    "unknown-params": (
+        _set("models", 1, "kind", "params", "lag", value=4),
+        "models[1].kind.params.lag: unknown key",
+    ),
+    "fractional-run-count": (
+        _set("run_count", value=3.9),
+        "run_count: expected int, got 3.9",
+    ),
+    "fractional-n-series": (
+        _set("dataset", "synth", "n_series", value=200.7),
+        "dataset.synth.n_series: expected int, got 200.7",
+    ),
+    "bool-seed": (
+        _set("dataset", "synth", "seed", value=True),
+        "dataset.synth.seed: expected int, got True",
+    ),
+    "string-flag": (
+        _with_csv(_set("dataset", "fill_missing", value="false")),
+        "dataset.fill_missing: expected bool, got 'false'",
+    ),
+    "fractional-lags": (
+        _set("models", 1, "kind", "params", "lags", value=7.5),
+        "models[1].kind.params.lags: expected int, got 7.5",
+    ),
+    "int-label": (_set("models", 0, "label", value=5), "models[0].label: expected str, got 5"),
+    "kind-and-ensemble": (
+        _set("models", 0, "ensemble", value=VALID_JSON["models"][2]["ensemble"]),
+        "models[0]: expected exactly one of 'kind' and 'ensemble'",
+    ),
+    "missing-split": (
+        lambda obj: {key: value for key, value in obj.items() if key != "split"},
+        "split: missing",
+    ),
+    "not-an-object": (lambda obj: [obj], "config: expected an object, got [{"),
+}
+
+
+def test_valid_config_json_reads():
+    cfg = config_from_json(copy.deepcopy(VALID_JSON))
+    assert cfg.dataset == SynthConfig(n_series=3, length=40, seed=17)
+    assert cfg.models[1].forecaster == LinearAR(lags=4, epochs=2)
+    assert cfg.models[2].ensemble == EnsembleRequest(components=(GlobalMean(),), n_windows=2)
+    assert config_from_json(_with_csv(dict)(VALID_JSON)).dataset == CsvSource("data.csv")
+
+
+@pytest.mark.parametrize(("fault", "message"), CONFIG_FAULTS.values(), ids=CONFIG_FAULTS)
+def test_config_faults_name_their_key_path(fault, message):
+    obj = fault(copy.deepcopy(VALID_JSON))
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        config_from_json(obj)
+
+
+def test_ints_read_as_floats_and_bools_as_nothing_else():
+    synth = {"n_series": 2, "length": 5, "noise_std": 5, "level_range": [40, 110]}
+    cfg = harness.synth_from_json(synth)
+    assert cfg.noise_std == 5.0 and type(cfg.noise_std) is float
+    assert cfg.level_range == (40.0, 110.0)
+    for key, value, message in [
+        ("noise_std", True, "expected float, got True"),
+        ("noise_std", "5", "expected float, got '5'"),
+        ("noise_std", 10**400, "expected float, got 1000"),
+        ("level_range", [40], "expected 2 items, got 1"),
+        ("level_range", {"lo": 40}, "expected an array, got {"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{key}: " + re.escape(message)):
+            harness.synth_from_json({**synth, key: value})
+
+
+@pytest.mark.parametrize(
+    ("fault", "message"),
+    [
+        CONFIG_FAULTS["fractional-lags"],
+        CONFIG_FAULTS["unknown-top"],
+        (_set("run_count", value=1), "config: run_count must be >= 2"),
+    ],
+    ids=["lags", "top-key", "run-count"],
+)
+def test_cli_run_rejects_bad_config(tmp_path, capsys, fault, message):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(fault(copy.deepcopy(VALID_JSON))))
+    out = tmp_path / "runs"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_generate_rejects_bad_config(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_series": 200.7, "length": 40}))
+    out = tmp_path / "data.csv"
+    assert cli_main(["generate", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: n_series: expected int, got 200.7\n"
+    assert not out.exists()
+
+
+def test_readme_experiment_config_reads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"`experiment.json`\):\n\n```json\n(.*?)```", readme, re.S)
+    cfg = config_from_json(json.loads(block.group(1)))
+    assert [entry.label for entry in cfg.models] == ["seasonal_naive", "linear_ar", "ensemble"]
+    assert config_from_json(json.loads(json.dumps(config_to_json(cfg)))) == cfg
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+POSITIVE = st.integers(1, 2**40)
+RATES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+KINDS = st.one_of(
+    st.builds(SeasonalNaive, period=POSITIVE),
+    st.builds(GlobalMean),
+    st.builds(
+        LinearAR, lags=POSITIVE, epochs=POSITIVE, learning_rate=RATES, batch_size=POSITIVE
+    ),
+    st.builds(
+        TinyMLP,
+        lags=POSITIVE,
+        hidden_dim=POSITIVE,
+        epochs=POSITIVE,
+        learning_rate=RATES,
+        batch_size=POSITIVE,
+    ),
+)
+
+
+@st.composite
+def synth_configs(draw):
+    size = st.floats(min_value=0.0, max_value=1e12)
+    low = draw(size)
+    return SynthConfig(
+        n_series=draw(POSITIVE),
+        length=draw(POSITIVE),
+        level_range=(low, low + draw(size)),
+        season_period=draw(POSITIVE),
+        season_amplitude=draw(size),
+        noise_std=draw(size),
+        intermittency=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@st.composite
+def experiment_configs(draw):
+    labels = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    ensembles = st.builds(
+        EnsembleRequest, components=st.lists(KINDS, min_size=1, max_size=4), n_windows=POSITIVE
+    )
+    models = [
+        ModelEntry(label, ensemble=draw(ensembles))
+        if draw(st.booleans())
+        else ModelEntry(label, forecaster=draw(KINDS))
+        for label in labels
+    ]
+    csv_sources = st.builds(CsvSource, path=TEXT, fill_missing=st.booleans())
+    return ExperimentConfig(
+        dataset=draw(synth_configs() | csv_sources),
+        split=SplitSpec(train_length=draw(POSITIVE), horizon=draw(POSITIVE)),
+        models=tuple(models),
+        run_count=draw(st.integers(2, 5)),
+        master_seed=draw(st.integers(-(2**63), 2**64 - 1)),
+        ensemble_iterations=draw(st.integers(0, 10**6)),
+        output_dir=draw(st.none() | TEXT),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(experiment_configs())
+def test_config_json_text_round_trip(cfg):
+    assert config_from_json(json.loads(json.dumps(config_to_json(cfg)))) == cfg
