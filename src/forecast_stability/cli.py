@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from . import codec
 from .dataset import write_long_csv
 from .errors import ForecastStabilityError
 from .harness import (
@@ -97,7 +98,7 @@ def main() -> None:
     sys.exit(cli_main())
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str | Path) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -186,10 +187,10 @@ def _train_length_from_manifest(runs_dir: Path) -> int | None:
     if not manifest.exists():
         return None
     try:
-        obj = json.loads(manifest.read_text(encoding="utf-8"))
-        return config_from_json(obj["config"]).split.train_length
-    except (ValueError, KeyError, TypeError):
-        return None
+        (config,), _ = codec.take(_read_json(manifest), "", "config")
+        return config_from_json(config).split.train_length
+    except ValueError as exc:  # JSONDecodeError is one
+        raise ValueError(f"{manifest}: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -5,13 +5,14 @@ itself, so each is stated once; only tagged shapes are read by hand. An
 unknown key, a missing required key or a value of the wrong type raises
 ValueError naming its key path, as in ``models[1].kind.params.lags:
 expected int, got 7.5``. An int reads as a float where a float is
-expected; a bool is never a number.
+expected; a bool is never a number, and a float must be finite.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import typing
 from types import NoneType, UnionType
 
@@ -75,6 +76,8 @@ def read(tp, value: object, where: str):
             value = float(value)
     if type(value) is not tp:
         raise _wrong(tp.__name__, value, where)
+    if tp is float and not math.isfinite(value):
+        raise _wrong("a finite float", value, where)
     return value
 
 

@@ -59,7 +59,6 @@ class EnsembleSpec:
 
     components: tuple[ForecasterKind, ...]
     weights: tuple[float, ...]
-    n_validation_windows: int = DEFAULT_WINDOWS
 
     def __post_init__(self):
         components = tuple(self.components)
@@ -74,8 +73,6 @@ class EnsembleSpec:
             raise ValueError("weights must be nonnegative")
         if abs(sum(weights) - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"weights sum to {sum(weights)!r}, expected 1")
-        if self.n_validation_windows < 1:
-            raise ValueError("n_validation_windows must be >= 1")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "weights", weights)
 
@@ -148,17 +145,16 @@ def fit_ensemble(
     actual = np.stack([held_out for _, held_out in windows])
 
     # forecasts[r][j]: component j's raw forecasts of run r, stacked over
-    # windows. Runs that share fitted state (deterministic kinds) share one.
+    # windows. Runs that share fitted models (deterministic kinds) share one.
     forecasts: list[list[np.ndarray]] = [[] for _ in seeds]
     for index, kind in enumerate(components):
         component_seeds = tuple(component_seed(seed, index) for seed in seeds)
         fitted = [fit(kind, inner, component_seeds) for inner, _ in windows]
-        by_state: dict[tuple[int, ...], np.ndarray] = {}
+        stacked: dict[tuple[FittedForecaster, ...], np.ndarray] = {}
         for run, models in enumerate(zip(*fitted)):
-            key = tuple(id(model.state) for model in models)
-            if key not in by_state:
-                by_state[key] = np.stack([predict(model, horizon) for model in models])
-            forecasts[run].append(by_state[key])
+            if models not in stacked:
+                stacked[models] = np.stack([predict(model, horizon) for model in models])
+            forecasts[run].append(stacked[models])
 
     specs = []
     for run, run_forecasts in enumerate(forecasts):
@@ -168,11 +164,7 @@ def fit_ensemble(
             raise Diverged(f"validation forecasts cannot be scored: {exc}", (run,)) from exc
         total = sum(counts)
         specs.append(
-            EnsembleSpec(
-                components=components,
-                weights=tuple(c / total for c in counts),
-                n_validation_windows=n_windows,
-            )
+            EnsembleSpec(components=components, weights=tuple(c / total for c in counts))
         )
     return tuple(specs)
 
@@ -212,20 +204,28 @@ def _select(forecasts: list[np.ndarray], actual: np.ndarray, iterations: int) ->
 
 
 def predict_ensemble(
-    spec: EnsembleSpec, fitted: Sequence[FittedForecaster], horizon: int
-) -> np.ndarray:
-    """Elementwise weighted sum of component predictions (raw)."""
-    if len(fitted) != len(spec.components):
-        raise LengthMismatch(
-            f"{len(spec.components)} components but {len(fitted)} fitted models"
-        )
-    for model, kind in zip(fitted, spec.components):
-        if model.kind != kind:
-            raise LengthMismatch(
-                f"fitted model kind {model.kind!r} does not match spec {kind!r}"
-            )
-    combined = None
-    for weight, model in zip(spec.weights, fitted):
-        term = weight * predict(model, horizon)
-        combined = term if combined is None else combined + term
-    return combined
+    specs: Sequence[EnsembleSpec],
+    fitted: Sequence[Sequence[FittedForecaster]],
+    horizon: int,
+) -> tuple[np.ndarray, ...]:
+    """One raw forecast per run: the weighted sum of its component predictions.
+
+    ``fitted[r]`` holds run ``r``'s fitted components in the order of
+    ``specs[r].components``. A model shared by several runs is predicted once.
+    """
+    if len(fitted) != len(specs):
+        raise LengthMismatch(f"{len(specs)} specs but fitted models for {len(fitted)} runs")
+    predicted: dict[FittedForecaster, np.ndarray] = {}
+    combined = []
+    for spec, models in zip(specs, fitted):
+        kinds = tuple(model.kind for model in models)
+        if kinds != spec.components:
+            raise LengthMismatch(f"fitted kinds {kinds!r} do not match {spec.components!r}")
+        total = None
+        for weight, model in zip(spec.weights, models):
+            if model not in predicted:
+                predicted[model] = predict(model, horizon)
+            term = weight * predicted[model]
+            total = term if total is None else total + term
+        combined.append(total)
+    return tuple(combined)

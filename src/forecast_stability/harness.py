@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import time
 from dataclasses import asdict, dataclass
-from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Mapping
@@ -44,6 +42,7 @@ from .ensemble import (
 from .errors import ForecastStabilityError
 from .forecasters import (
     Diverged,
+    FittedForecaster,
     ForecasterKind,
     fit,
     kind_from_json,
@@ -155,17 +154,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
-    """One seeded fit+predict cycle: post-processed forecasts and timing.
-
-    The R runs of an entry are fit together, so ``duration_s`` is the
-    entry's wall time divided by R.
-    """
+    """One seeded fit+predict cycle: its post-processed forecasts."""
 
     model_label: str
     run_id: int
     seed: int
     forecast: np.ndarray
-    duration_s: float
 
     def __post_init__(self):
         forecast = np.asarray(self.forecast)
@@ -203,30 +197,37 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Training data, split, and hyperparameters are identical across the R
     runs of a label; only the seed changes. All R runs of an entry are fit
     in one call per model (per component for an ensemble), with results
-    bit-identical to fitting each seed alone; each record's ``duration_s``
-    is the entry's wall time divided by R. Runs that share fitted state, as
-    a deterministic kind's do, are predicted and post-processed once; so
-    are an ensemble's runs that share weights and component states. Raises
-    on the first failure without emitting partial results; a
+    bit-identical to fitting each seed alone. Fits on train are memoized by
+    (kind, seed), with no seed for a deterministic kind. An entry predicts
+    each distinct model once and post-processes each distinct forecast
+    once. Raises on the first failure without emitting partial results; a
     :class:`Diverged` error names the label, run ids and seeds of the runs
     that blew up.
     """
     panel = load_panel(cfg.dataset)
     train, actuals = split(panel, cfg.split)
     horizon = cfg.split.horizon
+    fits: dict[tuple, FittedForecaster] = {}
+
+    def fit_on_train(kind: ForecasterKind, seeds: tuple[int, ...]) -> tuple:
+        keys = [(kind, seed if kind.seeded else None) for seed in seeds]
+        if not all(key in fits for key in keys):
+            # All the caller's seeds, so that Diverged.runs indexes its runs.
+            fits.update(zip(keys, fit(kind, train, seeds)))
+        return tuple(fits[key] for key in keys)
+
     records = []
     for entry in cfg.models:
         seeds = tuple(
             run_seed(cfg.master_seed, entry.label, run_id)
             for run_id in range(cfg.run_count)
         )
-        started = time.perf_counter()
         try:
-            # Per run, a key equal for runs that share fitted state, and the
-            # call that forecasts it: each key is forecast once.
+            # keys[r] is equal for runs with the same forecast; raw maps each
+            # key to its raw forecast.
             if entry.forecaster is not None:
-                fitted = fit(entry.forecaster, train, seeds)
-                jobs = [(id(model.state), partial(predict, model, horizon)) for model in fitted]
+                keys = fit_on_train(entry.forecaster, seeds)
+                raw = {model: predict(model, horizon) for model in dict.fromkeys(keys)}
             else:
                 request = entry.ensemble
                 specs = fit_ensemble(
@@ -238,39 +239,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     cfg.ensemble_iterations,
                 )
                 by_component = [
-                    fit(kind, train, tuple(component_seed(seed, index) for seed in seeds))
+                    fit_on_train(kind, tuple(component_seed(seed, index) for seed in seeds))
                     for index, kind in enumerate(request.components)
                 ]
-                jobs = [
-                    (
-                        (spec, tuple(id(model.state) for model in models)),
-                        partial(predict_ensemble, spec, models, horizon),
-                    )
-                    for spec, models in zip(specs, zip(*by_component))
-                ]
+                fitted = list(zip(*by_component))
+                keys = list(zip(specs, fitted))
+                raw = dict(zip(keys, predict_ensemble(specs, fitted, horizon)))
             delivered: dict = {}
-            for run_id, (key, forecast) in enumerate(jobs):
+            for run_id, key in enumerate(keys):
                 if key not in delivered:
                     try:
-                        delivered[key] = postprocess(forecast())
+                        delivered[key] = postprocess(raw[key])
                     except MetricsError as exc:
                         raise Diverged(
                             f"forecast cannot be delivered: {exc}", (run_id,)
                         ) from exc
-            forecasts = [delivered[key] for key, _ in jobs]
         except Diverged as exc:
             runs = ", ".join(f"run {r} (seed {seeds[r]})" for r in exc.runs)
             raise Diverged(f"model {entry.label!r}, {runs}: {exc}", exc.runs) from exc
-        duration = (time.perf_counter() - started) / len(seeds)
         records.extend(
-            RunRecord(
-                model_label=entry.label,
-                run_id=run_id,
-                seed=seed,
-                forecast=forecast,
-                duration_s=duration,
-            )
-            for run_id, (seed, forecast) in enumerate(zip(seeds, forecasts))
+            RunRecord(entry.label, run_id, seed, delivered[key])
+            for run_id, (seed, key) in enumerate(zip(seeds, keys))
         )
     return ExperimentResult(
         records=tuple(records),
@@ -332,13 +321,24 @@ def load_runs(path: str | Path) -> tuple[dict[str, ForecastSet], np.ndarray]:
     """Reconstruct per-model forecast tensors and actuals from a directory.
 
     Validates that every run of a model covers the same full (item, step)
-    grid and that actuals align with the forecasts.
+    grid, that every forecast is a nonnegative whole number, as
+    ``persist_runs`` writes them, and that actuals align with the forecasts.
     """
     runs_path = Path(path) / RUNS_FILE
     actuals_path = Path(path) / ACTUALS_FILE
-    (models, _, ids, steps), (forecasts,) = tabular.read_csv(
+    (models, run_ids, ids, steps), (forecasts,) = tabular.read_csv(
         runs_path, tabular.RUNS, _CSV_ERRORS
     )
+    # One run at a time keeps the temporaries small.
+    for (m, model), r in product(enumerate(models), run_ids):
+        block = forecasts[m, r]
+        bad = np.argwhere((block < 0) | (block != np.floor(block)))
+        if bad.size:
+            i, t = bad[0]
+            raise SchemaMismatch(
+                f"{runs_path}: cell {model},{r},{ids[i]},{steps[t]}: "
+                f"forecast {float(block[i, t])!r} is not a nonnegative whole number"
+            )
     axes, (actuals,) = tabular.read_csv(actuals_path, tabular.ACTUALS, _CSV_ERRORS)
     if (ids, steps) != axes:
         raise RaggedRuns(

@@ -288,8 +288,8 @@ def histogram(
         raise EmptyInput("histogram of an empty sample is undefined")
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
-    if clip_upper <= 0:
-        raise ValueError("clip_upper must be positive")
+    if not 0 < clip_upper < math.inf:
+        raise ValueError(f"clip_upper must be positive and finite, got {clip_upper!r}")
     kept = data[data <= clip_upper]
     excluded = int(data.size - kept.size)
     idx = np.floor(kept * bin_count / clip_upper).astype(np.int64)

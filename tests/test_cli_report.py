@@ -260,6 +260,47 @@ def test_empty_bundle_rejected():
         emit_plots(ReportBundle(models=(), run_count=0), "unused")
 
 
+def metrics_dir(tmp_path):
+    """A run directory after ``run`` and ``metrics``, with its manifest."""
+    config, out = write_experiment_config(tmp_path), tmp_path / "runs"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert cli_main(["metrics", "--runs", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("clip", ["nan", "inf"])
+def test_report_rejects_a_clip_that_is_not_finite(tmp_path, capsys, clip):
+    runs = metrics_dir(tmp_path)
+    rep = tmp_path / "report"
+    assert cli_main(["report", "--runs", str(runs), "--out", str(rep), "--clip", clip]) == 2
+    message = f"clip_upper must be positive and finite, got {float(clip)!r}"
+    assert message in capsys.readouterr().err
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize(
+    "text", ["[1, 2]", "{}", '{"config": {"dataset"'], ids=["array", "empty", "truncated"]
+)
+def test_report_rejects_a_corrupt_manifest(tmp_path, capsys, text):
+    runs = metrics_dir(tmp_path)
+    (runs / "manifest.json").write_text(text, encoding="utf-8")
+    rep = tmp_path / "report"
+    assert cli_main(["report", "--runs", str(runs), "--out", str(rep)]) == 2
+    assert f"error: {runs / 'manifest.json'}: " in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def test_report_reads_train_length_from_an_optional_manifest(tmp_path):
+    runs = metrics_dir(tmp_path)
+    assert cli_main(["report", "--runs", str(runs), "--format", "json"]) == 0
+    report = json.loads((runs / "report.json").read_text())
+    assert report["metadata"]["train_length"] == 33
+    (runs / "manifest.json").unlink()
+    assert cli_main(["report", "--runs", str(runs), "--format", "json"]) == 0
+    report = json.loads((runs / "report.json").read_text())
+    assert report["metadata"]["train_length"] is None
+
+
 def test_report_single_format_writes_only_that_file(tmp_path):
     cfg_path = write_experiment_config(tmp_path, run_count=2)
     out = tmp_path / "runs"

@@ -122,7 +122,7 @@ def experiment_results(draw):
         run_count=runs,
     )
     records = tuple(
-        RunRecord(label, run_id, run_id, forecasts[m, run_id], duration_s=0.0)
+        RunRecord(label, run_id, run_id, forecasts[m, run_id])
         for m, label in enumerate(labels)
         for run_id in range(runs)
     )
@@ -249,6 +249,18 @@ def _load_metrics(tmp, cv, rmse=RMSE):
             id="bad-forecast",
         ),
         pytest.param(
+            lambda tmp: _load_runs(tmp, RUNS + "m,3,A,1,-7\n"),
+            SchemaMismatch,
+            "runs.csv: cell m,3,A,1: forecast -7.0",
+            id="negative-forecast",
+        ),
+        pytest.param(
+            lambda tmp: _load_runs(tmp, RUNS + "m,3,A,1,2.5\n"),
+            SchemaMismatch,
+            "runs.csv: cell m,3,A,1: forecast 2.5",
+            id="fractional-forecast",
+        ),
+        pytest.param(
             lambda tmp: _load_runs(tmp, RUNS + "a,b,0,A,1,1\n"),
             SchemaMismatch,
             "runs.csv:5:",
@@ -293,7 +305,7 @@ def test_writers_reject_grids_they_could_not_read_back(tmp_path):
         models=(ModelEntry(label="m", forecaster=GlobalMean()),),
         run_count=2,
     )
-    only_run_1 = RunRecord("m", 1, 1, np.zeros((1, 1), np.int64), duration_s=0.0)
+    only_run_1 = RunRecord("m", 1, 1, np.zeros((1, 1), np.int64))
     result = ExperimentResult((only_run_1,), np.zeros((1, 1)), ("x",), config)
     with pytest.raises(RaggedRuns):
         persist_runs(result, tmp_path)

@@ -176,7 +176,7 @@ def test_weight_one_recovers_component():
     spec = EnsembleSpec(
         components=(GlobalMean(), GlobalMean()), weights=(1.0, 0.0)
     )
-    out = predict_ensemble(spec, fitted, 3)
+    (out,) = predict_ensemble([spec], [fitted], 3)
     assert np.array_equal(out, predict(fitted[0], 3))
 
 
@@ -186,7 +186,7 @@ def test_even_weights_average():
         fit(GlobalMean(), constant_panel(4), (0,))[0],
     ]
     spec = EnsembleSpec(components=(GlobalMean(), GlobalMean()), weights=(0.5, 0.5))
-    assert predict_ensemble(spec, fitted, 1).tolist() == [[3.0]]
+    assert predict_ensemble([spec], [fitted], 1)[0].tolist() == [[3.0]]
 
 
 def test_uneven_weights_arithmetic():
@@ -195,7 +195,7 @@ def test_uneven_weights_arithmetic():
         fit(GlobalMean(), constant_panel(8), (0,))[0],
     ]
     spec = EnsembleSpec(components=(GlobalMean(), GlobalMean()), weights=(0.25, 0.75))
-    assert predict_ensemble(spec, fitted, 1).tolist() == [[6.0]]
+    assert predict_ensemble([spec], [fitted], 1)[0].tolist() == [[6.0]]
 
 
 def test_convexity_bound_on_cells():
@@ -212,7 +212,7 @@ def test_convexity_bound_on_cells():
         fit(kind, panel, (component_seed(3, j),))[0] for j, kind in enumerate(components)
     ]
     stacked = np.stack([predict(f, 5) for f in fitted])
-    out = predict_ensemble(spec, fitted, 5)
+    (out,) = predict_ensemble([spec], [fitted], 5)
     assert np.all(out >= stacked.min(axis=0) - 1e-9)
     assert np.all(out <= stacked.max(axis=0) + 1e-9)
 
@@ -221,13 +221,15 @@ def test_misaligned_fitted_models_rejected():
     fitted = [fit(GlobalMean(), constant_panel(2), (0,))[0]]
     spec = EnsembleSpec(components=(GlobalMean(), GlobalMean()), weights=(0.5, 0.5))
     with pytest.raises(LengthMismatch):
-        predict_ensemble(spec, fitted, 2)
+        predict_ensemble([spec], [fitted], 2)
+    with pytest.raises(LengthMismatch):
+        predict_ensemble([spec, spec], [fitted * 2], 2)
     wrong_kind = [
         fit(SeasonalNaive(period=2), constant_panel(2), (0,))[0],
         fit(GlobalMean(), constant_panel(2), (0,))[0],
     ]
     with pytest.raises(LengthMismatch):
-        predict_ensemble(spec, wrong_kind, 2)
+        predict_ensemble([spec], [wrong_kind], 2)
 
 
 # -------------------------------------------------------------------- spec

@@ -198,10 +198,12 @@ def test_run_experiment_fits_once_per_entry_and_component(monkeypatch):
     run_experiment(cfg)
     run_fits = [c for c in calls if c[0] == harness.__name__]
     window_fits = [c for c in calls if c[0] == ensemble.__name__]
-    # train is 33 days; the two validation windows leave 19 and 26
+    # train is 33 days; the two validation windows leave 19 and 26. The
+    # ensemble's SeasonalNaive is the plain entry's fit; its LinearAR has
+    # other seeds, so it is fit again.
     assert sorted(run_fits) == sorted(
         (harness.__name__, name, 33, 3)
-        for name in ("SeasonalNaive", "LinearAR", "SeasonalNaive", "GlobalMean", "LinearAR")
+        for name in ("SeasonalNaive", "LinearAR", "GlobalMean", "LinearAR")
     )
     assert sorted(window_fits) == sorted(
         (ensemble.__name__, name, length, 3)
@@ -211,7 +213,7 @@ def test_run_experiment_fits_once_per_entry_and_component(monkeypatch):
 
 
 def test_run_experiment_predicts_once_per_distinct_state(monkeypatch):
-    calls = {"predict": [], "postprocess": 0, "predict_ensemble": 0}
+    calls = {"predict": [], "postprocess": 0, "predict_ensemble": 0, "component": []}
     real_predict, real_postprocess = harness.predict, harness.postprocess
     real_predict_ensemble = harness.predict_ensemble
 
@@ -219,13 +221,20 @@ def test_run_experiment_predicts_once_per_distinct_state(monkeypatch):
         calls["predict"].append(type(model.kind).__name__)
         return real_predict(model, horizon)
 
+    def counting_component_predict(model, horizon):
+        calls["component"].append(type(model.kind).__name__)
+        return real_predict(model, horizon)
+
     def counting_postprocess(raw):
         calls["postprocess"] += 1
         return real_postprocess(raw)
 
-    def counting_predict_ensemble(spec, fitted, horizon):
+    def counting_predict_ensemble(specs, fitted, horizon):
         calls["predict_ensemble"] += 1
-        return real_predict_ensemble(spec, fitted, horizon)
+        # only the component predictions, not those of validation windows
+        with monkeypatch.context() as patch:
+            patch.setattr(ensemble, "predict", counting_component_predict)
+            return real_predict_ensemble(specs, fitted, horizon)
 
     monkeypatch.setattr(harness, "predict", counting_predict)
     monkeypatch.setattr(harness, "postprocess", counting_postprocess)
@@ -242,10 +251,13 @@ def test_run_experiment_predicts_once_per_distinct_state(monkeypatch):
         ]
     )
     result = run_experiment(cfg)
-    # sn shares one state across its 3 runs; lar has 3; det's runs share
-    # weights and states; mix's runs differ in their LinearAR component.
+    # sn's 3 runs share one model; lar has 3; det's runs share weights and
+    # models; mix's runs share their SeasonalNaive but not their LinearAR.
     assert sorted(calls["predict"]) == ["LinearAR"] * 3 + ["SeasonalNaive"]
-    assert calls["predict_ensemble"] == 1 + 3
+    assert calls["predict_ensemble"] == 2
+    assert sorted(calls["component"]) == sorted(
+        ["SeasonalNaive", "GlobalMean"] + ["SeasonalNaive"] + ["LinearAR"] * 3
+    )
     assert calls["postprocess"] == 1 + 3 + 1 + 3
     # every run's forecast is that of its own fitted model
     panel = synth_generate(SYNTH)
@@ -646,6 +658,21 @@ CONFIG_FAULTS = {
         "split: missing",
     ),
     "not-an-object": (lambda obj: [obj], "config: expected an object, got [{"),
+    **{
+        f"{name}-{value}": (
+            _set(*path, value=float(value)),
+            f"{where}: expected a finite float, got {float(value)!r}",
+        )
+        for name, path, where in (
+            ("noise", ("dataset", "synth", "noise_std"), "dataset.synth.noise_std"),
+            (
+                "rate",
+                ("models", 1, "kind", "params", "learning_rate"),
+                "models[1].kind.params.learning_rate",
+            ),
+        )
+        for value in ("nan", "inf", "-inf")
+    },
 }
 
 
