@@ -44,14 +44,10 @@ cfg = ExperimentConfig(
 )
 
 result = run_experiment(cfg)
-print(f"executed {len(result.records)} seeded runs on a fixed 40x186 training panel\n")
+runs = len(result.forecasts) * cfg.run_count
+print(f"executed {runs} seeded runs on a fixed 40x186 training panel\n")
 
-by_label = {}
-for record in result.records:
-    by_label.setdefault(record.model_label, []).append(record.forecast)
-
-for label, forecasts in by_label.items():
-    tensor = np.stack(forecasts).astype(float)
+for label, tensor in result.forecasts.items():
     grid = cv_grid(ForecastSet(result.series_ids, tensor))
     q25, q50, q75, q90 = quantiles(grid.cv.reshape(-1))
     cells = grid.cv.size
@@ -61,5 +57,5 @@ for label, forecasts in by_label.items():
     print(f"  cells with any seed-variance: {nonzero}/{cells}")
     # one concrete cell: the same (series, step) across the 10 runs
     i, t = np.unravel_index(np.argmax(grid.cv), grid.cv.shape)
-    sample = tensor[:, i, t].astype(int)
+    sample = tensor[:, i, t]
     print(f"  most unstable cell {result.series_ids[i]} step {t + 1}: {sample.tolist()}\n")

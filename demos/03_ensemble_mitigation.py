@@ -8,8 +8,6 @@ selected mixture damps seed-to-seed variance.
 Run: python3 demos/03_ensemble_mitigation.py
 """
 
-import numpy as np
-
 from forecast_stability import (
     EnsembleRequest,
     ExperimentConfig,
@@ -68,13 +66,8 @@ cfg = ExperimentConfig(
 )
 result = run_experiment(cfg)
 
-by_label = {}
-for record in result.records:
-    by_label.setdefault(record.model_label, []).append(record.forecast)
-
 print("\nmedian CV over 10 seeded refits (lower = more stable):")
 for label in ("linear_ar", "tiny_mlp", "ensemble"):
-    tensor = np.stack(by_label[label]).astype(float)
-    grid = cv_grid(ForecastSet(result.series_ids, tensor))
+    grid = cv_grid(ForecastSet(result.series_ids, result.forecasts[label]))
     q50 = quantiles(grid.cv.reshape(-1), [0.5])[0]
     print(f"  {label:<10} {q50:.4f}")

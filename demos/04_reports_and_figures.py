@@ -9,8 +9,6 @@ Run: python3 demos/04_reports_and_figures.py
 
 from pathlib import Path
 
-import numpy as np
-
 from forecast_stability import (
     ExperimentConfig,
     ForecastSet,
@@ -58,13 +56,9 @@ cfg = ExperimentConfig(
 )
 result = run_experiment(cfg)
 
-by_label = {}
-for record in result.records:
-    by_label.setdefault(record.model_label, []).append(record.forecast)
-
 grids, accuracy = {}, {}
-for label, forecasts in by_label.items():
-    fs_runs = ForecastSet(result.series_ids, np.stack(forecasts).astype(float))
+for label, forecasts in result.forecasts.items():
+    fs_runs = ForecastSet(result.series_ids, forecasts)
     grids[label] = cv_grid(fs_runs)
     accuracy[label] = accuracy_report(fs_runs, result.actuals, label)
 

@@ -37,7 +37,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentResult,
     ModelEntry,
-    RunRecord,
     load_runs,
     persist_runs,
     run_experiment,
@@ -76,7 +75,6 @@ __all__ = [
     "LinearAR",
     "ModelEntry",
     "ReportBundle",
-    "RunRecord",
     "SeasonalNaive",
     "SplitSpec",
     "SynthConfig",

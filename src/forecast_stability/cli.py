@@ -17,6 +17,7 @@ from . import codec
 from .dataset import write_long_csv
 from .errors import ForecastStabilityError
 from .harness import (
+    MANIFEST_FILE,
     config_from_json,
     load_runs,
     persist_runs,
@@ -89,7 +90,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (ForecastStabilityError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (ForecastStabilityError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -100,7 +101,10 @@ def main() -> None:
 
 def _read_json(path: str | Path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -121,7 +125,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_experiment(cfg)
     persist_runs(result, out_dir)
     print(
-        f"wrote {out_dir}: {len(result.records)} runs "
+        f"wrote {out_dir}: {len(cfg.models) * cfg.run_count} runs "
         f"({len(cfg.models)} models x {cfg.run_count} seeds)"
     )
     return 0
@@ -183,13 +187,14 @@ def _parse_probs(text: str) -> tuple[float, ...]:
 
 
 def _train_length_from_manifest(runs_dir: Path) -> int | None:
-    manifest = runs_dir / "manifest.json"
+    manifest = runs_dir / MANIFEST_FILE
     if not manifest.exists():
         return None
+    obj = _read_json(manifest)
     try:
-        (config,), _ = codec.take(_read_json(manifest), "", "config")
+        (config,), _ = codec.take(obj, "", "config")
         return config_from_json(config).split.train_length
-    except ValueError as exc:  # JSONDecodeError is one
+    except ValueError as exc:
         raise ValueError(f"{manifest}: {exc}") from exc
 
 

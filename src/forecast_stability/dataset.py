@@ -10,6 +10,7 @@ noise, and intermittency.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,14 +132,14 @@ class SynthConfig:
         if self.n_series < 1 or self.length < 1:
             raise ValueError("n_series and length must be >= 1")
         lo, hi = self.level_range
-        if not (0.0 <= lo <= hi):
-            raise ValueError("level_range must satisfy 0 <= min <= max")
+        if not 0.0 <= lo <= hi < math.inf:
+            raise ValueError("level_range must satisfy 0 <= min <= max < inf")
         if self.season_period < 1:
             raise ValueError("season_period must be >= 1")
-        if self.season_amplitude < 0:
-            raise ValueError("season_amplitude must be >= 0")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0 <= self.season_amplitude < math.inf:
+            raise ValueError("season_amplitude must be finite and >= 0")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be finite and >= 0")
         if not (0.0 <= self.intermittency <= 1.0):
             raise ValueError("intermittency must lie in [0, 1]")
         object.__setattr__(self, "level_range", (float(lo), float(hi)))

@@ -23,6 +23,7 @@ recursive: each predicted value feeds the lag window for the next step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import ClassVar, Mapping
 
@@ -56,8 +57,8 @@ class Diverged(ForecasterError):
 
 def _require_positive(obj, *names: str) -> None:
     for name in names:
-        if getattr(obj, name) <= 0:
-            raise ValueError(f"{type(obj).__name__}.{name} must be positive")
+        if not 0 < getattr(obj, name) < math.inf:
+            raise ValueError(f"{type(obj).__name__}.{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ model's seed stream is independent of roster order and the whole
 experiment is a pure function of its config. The R runs of an entry are
 fit in one batched call per model. Forecasts are post-processed
 (clipped, rounded) before they are recorded: stability and accuracy both
-describe the numbers a planner would actually receive.
+describe the numbers a planner would actually receive. A result holds one
+(R, M, H) grid of them per model, the shape ``load_runs`` returns.
 
 Persistence is plain CSV plus a JSON manifest; see ``persist_runs``.
 """
@@ -53,6 +54,8 @@ from .metrics import ForecastSet, MetricsError, postprocess
 from .seeding import derive_seed, fnv1a64
 
 DEFAULT_RUN_COUNT = 10
+# 1000 times the default; the seed check builds one cell per (label, run).
+MAX_RUN_COUNT = 10_000
 
 RUNS_FILE = "runs.csv"
 ACTUALS_FILE = "actuals.csv"
@@ -134,6 +137,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.run_count < 2:
             raise ValueError("run_count must be >= 2")
+        if self.run_count > MAX_RUN_COUNT:
+            raise ValueError(f"run_count must be <= {MAX_RUN_COUNT}")
         labels = [entry.label for entry in self.models]
         if not labels:
             raise ValueError("experiment needs at least one model")
@@ -153,36 +158,42 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class RunRecord:
-    """One seeded fit+predict cycle: its post-processed forecasts."""
-
-    model_label: str
-    run_id: int
-    seed: int
-    forecast: np.ndarray
-
-    def __post_init__(self):
-        forecast = np.asarray(self.forecast)
-        if forecast.dtype != np.int64 or np.any(forecast < 0):
-            raise ValueError("forecast must be post-processed nonnegative integers")
-        forecast = forecast.copy()
-        forecast.flags.writeable = False
-        object.__setattr__(self, "forecast", forecast)
-
-
-@dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    """All run records plus the held-out actuals they are judged against."""
+    """Each model's delivered forecasts plus the held-out actuals they are judged against.
 
-    records: tuple[RunRecord, ...]
+    ``forecasts`` maps each roster label, in roster order, to a read-only
+    (run_count, M, H) grid of post-processed int64 forecasts, run r at
+    index r. Raises :class:`RaggedRuns` when the grids do not fit the config.
+    """
+
+    forecasts: dict[str, np.ndarray]
     actuals: np.ndarray
     series_ids: tuple[str, ...]
     config: ExperimentConfig
+
+    def __post_init__(self):
+        labels = [entry.label for entry in self.config.models]
+        if list(self.forecasts) != labels:
+            raise RaggedRuns(f"forecasts are for models {list(self.forecasts)}, not {labels}")
+        shape = (self.config.run_count, len(self.series_ids), self.actuals.shape[1])
+        grids = {label: np.array(grid) for label, grid in self.forecasts.items()}
+        for label, grid in grids.items():
+            if grid.shape != shape or grid.dtype != np.int64 or np.any(grid < 0):
+                raise RaggedRuns(
+                    f"model {label!r}: forecasts must be a {shape} grid of nonnegative "
+                    f"int64, not a {grid.shape} grid of {grid.dtype}"
+                )
+            grid.flags.writeable = False
+        object.__setattr__(self, "forecasts", grids)
 
 
 def run_seed(master_seed: int, label: str, run_id: int) -> int:
     """Per-run seed: label hash keeps model streams apart, run id varies."""
     return derive_seed(master_seed, fnv1a64(label) ^ run_id)
+
+
+def _run_seeds(cfg: ExperimentConfig, label: str) -> tuple[int, ...]:
+    return tuple(run_seed(cfg.master_seed, label, r) for r in range(cfg.run_count))
 
 
 def load_panel(source: CsvSource | SynthConfig) -> TimeSeriesDataset:
@@ -216,12 +227,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             fits.update(zip(keys, fit(kind, train, seeds)))
         return tuple(fits[key] for key in keys)
 
-    records = []
+    forecasts = {}
     for entry in cfg.models:
-        seeds = tuple(
-            run_seed(cfg.master_seed, entry.label, run_id)
-            for run_id in range(cfg.run_count)
-        )
+        seeds = _run_seeds(cfg, entry.label)
         try:
             # keys[r] is equal for runs with the same forecast; raw maps each
             # key to its raw forecast.
@@ -257,12 +265,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         except Diverged as exc:
             runs = ", ".join(f"run {r} (seed {seeds[r]})" for r in exc.runs)
             raise Diverged(f"model {entry.label!r}, {runs}: {exc}", exc.runs) from exc
-        records.extend(
-            RunRecord(entry.label, run_id, seed, delivered[key])
-            for run_id, (seed, key) in enumerate(zip(seeds, keys))
-        )
+        forecasts[entry.label] = np.stack([delivered[key] for key in keys])
     return ExperimentResult(
-        records=tuple(records),
+        forecasts=forecasts,
         actuals=actuals,
         series_ids=train.series_ids,
         config=cfg,
@@ -275,26 +280,13 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
     runs.csv rows are ``model,run_id,item_id,h,value`` sorted by that key;
     forecast values are integer literals. actuals.csv is ``item_id,h,value``
     with round-trip precision (actual demand may be fractional). The
-    manifest echoes the config and the seed of every run.
+    manifest echoes the config and the seed of every run, derived from it.
     """
-    if not result.records:
-        raise EmptyExperiment("refusing to persist an experiment with no runs")
-    records = sorted(result.records, key=lambda r: (r.model_label, r.run_id))
-    labels = sorted({record.model_label for record in records})
-    run_ids = range(len(records) // len(labels))
-    if [(r.model_label, r.run_id) for r in records] != list(product(labels, run_ids)):
-        raise RaggedRuns("every model needs exactly one run of each id 0..R-1")
-    forecasts = np.stack([record.forecast for record in records]).reshape(
-        len(labels), len(run_ids), *result.actuals.shape
-    )
+    cfg = result.config
     steps = range(1, result.actuals.shape[1] + 1)
-
-    seeds: dict[str, list[int]] = {}
-    for record in result.records:
-        seeds.setdefault(record.model_label, []).append(record.seed)
     manifest = {
-        "config": config_to_json(result.config),
-        "seeds": seeds,
+        "config": config_to_json(cfg),
+        "seeds": {label: list(_run_seeds(cfg, label)) for label in result.forecasts},
         "created_at": dt.datetime.now(dt.timezone.utc).isoformat(),
     }
 
@@ -303,8 +295,8 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
     tabular.write_csv(
         out_dir / RUNS_FILE,
         tabular.RUNS,
-        (labels, run_ids, result.series_ids, steps),
-        (forecasts,),
+        (list(result.forecasts), range(cfg.run_count), result.series_ids, steps),
+        (np.stack(list(result.forecasts.values())),),
     )
     tabular.write_csv(
         out_dir / ACTUALS_FILE,

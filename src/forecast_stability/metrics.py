@@ -27,6 +27,9 @@ import numpy as np
 from .errors import ForecastStabilityError
 
 DEFAULT_QUANTILES = (0.25, 0.50, 0.75, 0.90)
+# The CV histogram SVG's plot area is 560 px wide (640 less its 60 and 20
+# px margins); with more bins than that, bars are narrower than a pixel.
+MAX_BINS = 560
 _INT64_LIMIT = 2.0**63
 
 
@@ -84,14 +87,6 @@ class ForecastSet:
     @property
     def run_count(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_series(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,6 +283,8 @@ def histogram(
         raise EmptyInput("histogram of an empty sample is undefined")
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
+    if bin_count > MAX_BINS:
+        raise ValueError(f"bin_count must be <= {MAX_BINS}")
     if not 0 < clip_upper < math.inf:
         raise ValueError(f"clip_upper must be positive and finite, got {clip_upper!r}")
     kept = data[data <= clip_upper]

@@ -57,14 +57,10 @@ def criterion(number: int, description: str):
 
 
 def _grids_by_label(result):
-    by_label = {}
-    for record in result.records:
-        by_label.setdefault(record.model_label, {})[record.run_id] = record.forecast
-    grids = {}
-    for label, runs in by_label.items():
-        tensor = np.stack([runs[r] for r in sorted(runs)]).astype(float)
-        grids[label] = fs.cv_grid(fs.ForecastSet(result.series_ids, tensor))
-    return grids
+    return {
+        label: fs.cv_grid(fs.ForecastSet(result.series_ids, runs))
+        for label, runs in result.forecasts.items()
+    }
 
 
 @pytest.fixture(scope="module")

@@ -278,6 +278,15 @@ def test_report_rejects_a_clip_that_is_not_finite(tmp_path, capsys, clip):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("bins", ["561", str(10**8)])
+def test_report_rejects_more_bins_than_plot_pixels(tmp_path, capsys, bins):
+    runs = metrics_dir(tmp_path)
+    rep = tmp_path / "report"
+    assert cli_main(["report", "--runs", str(runs), "--out", str(rep), "--bins", bins]) == 2
+    assert "bin_count must be <= 560" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize(
     "text", ["[1, 2]", "{}", '{"config": {"dataset"'], ids=["array", "empty", "truncated"]
 )

@@ -30,7 +30,6 @@ from forecast_stability import (
     ExperimentResult,
     GlobalMean,
     ModelEntry,
-    RunRecord,
     SplitSpec,
     SynthConfig,
     TimeSeriesDataset,
@@ -121,12 +120,8 @@ def experiment_results(draw):
         models=tuple(ModelEntry(label, forecaster=GlobalMean()) for label in labels),
         run_count=runs,
     )
-    records = tuple(
-        RunRecord(label, run_id, run_id, forecasts[m, run_id])
-        for m, label in enumerate(labels)
-        for run_id in range(runs)
-    )
-    return ExperimentResult(records, actuals, tuple(ids), config), forecasts
+    grids = dict(zip(labels, forecasts))
+    return ExperimentResult(grids, actuals, tuple(ids), config), forecasts
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,10 +300,9 @@ def test_writers_reject_grids_they_could_not_read_back(tmp_path):
         models=(ModelEntry(label="m", forecaster=GlobalMean()),),
         run_count=2,
     )
-    only_run_1 = RunRecord("m", 1, 1, np.zeros((1, 1), np.int64))
-    result = ExperimentResult((only_run_1,), np.zeros((1, 1)), ("x",), config)
+    one_run = {"m": np.zeros((1, 1, 1), np.int64)}
     with pytest.raises(RaggedRuns):
-        persist_runs(result, tmp_path)
+        persist_runs(ExperimentResult(one_run, np.zeros((1, 1)), ("x",), config), tmp_path)
     grids = {"a": (THIRD_GRID, ("x",)), "b": (THIRD_GRID, ("y",))}
     accuracy = {label: AccuracyReport(label, (1.0,)) for label in grids}
     with pytest.raises(ReportError):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from forecast_stability import (
     CsvSource,
     EnsembleRequest,
     ExperimentConfig,
+    ForecastSet,
     GlobalMean,
     LinearAR,
     ModelEntry,
@@ -67,13 +69,6 @@ def small_config(models, run_count=3, master_seed=5):
     )
 
 
-def forecasts_by_label(result):
-    out = {}
-    for record in result.records:
-        out.setdefault(record.model_label, {})[record.run_id] = record.forecast
-    return out
-
-
 def test_run_seed_is_label_hash_xor_run():
     assert run_seed(9, "deepish", 3) == derive_seed(9, fnv1a64("deepish") ^ 3)
 
@@ -81,7 +76,7 @@ def test_run_seed_is_label_hash_xor_run():
 def test_deterministic_model_runs_are_identical():
     cfg = small_config([ModelEntry(label="sn", forecaster=SeasonalNaive(period=7))])
     result = run_experiment(cfg)
-    runs = forecasts_by_label(result)["sn"]
+    runs = result.forecasts["sn"]
     assert len(runs) == 3
     assert np.array_equal(runs[0], runs[1])
     assert np.array_equal(runs[0], runs[2])
@@ -99,12 +94,10 @@ def test_experiment_is_pure_function_of_config():
     )
     first = run_experiment(cfg)
     second = run_experiment(cfg)
-    assert len(first.records) == len(second.records)
-    for a, b in zip(first.records, second.records):
-        assert a.model_label == b.model_label
-        assert a.run_id == b.run_id
-        assert a.seed == b.seed
-        assert np.array_equal(a.forecast, b.forecast)
+    assert list(first.forecasts) == list(second.forecasts) == ["sn", "lar"]
+    for label, grid in first.forecasts.items():
+        assert grid.shape == (3, 3, 7)
+        assert np.array_equal(grid, second.forecasts[label])
     assert np.array_equal(first.actuals, second.actuals)
 
 
@@ -132,11 +125,7 @@ def test_stochastic_model_shows_variance_across_runs():
         master_seed=1,
     )
     result = run_experiment(cfg)
-    runs = forecasts_by_label(result)["lar"]
-    tensor = np.stack([runs[r] for r in range(10)]).astype(float)
-    grid = cv_grid(
-        __import__("forecast_stability").ForecastSet(result.series_ids, tensor)
-    )
+    grid = cv_grid(ForecastSet(result.series_ids, result.forecasts["lar"]))
     assert np.any(grid.cv > 0)
 
 
@@ -262,7 +251,7 @@ def test_run_experiment_predicts_once_per_distinct_state(monkeypatch):
     # every run's forecast is that of its own fitted model
     panel = synth_generate(SYNTH)
     train = harness.split(panel, cfg.split)[0]
-    got = forecasts_by_label(result)
+    got = result.forecasts
     for label, kind in (("sn", SeasonalNaive(period=7)), ("lar", lar)):
         seeds = tuple(run_seed(5, label, r) for r in range(3))
         for run, model in enumerate(harness.fit(kind, train, seeds)):
@@ -319,11 +308,11 @@ def test_seed_isolation_under_model_reordering():
         label="lar",
         forecaster=LinearAR(lags=4, epochs=4, learning_rate=0.05, batch_size=8),
     )
-    forward = forecasts_by_label(run_experiment(small_config([entry_a, entry_b])))
-    reverse = forecasts_by_label(run_experiment(small_config([entry_b, entry_a])))
+    forward = run_experiment(small_config([entry_a, entry_b])).forecasts
+    reverse = run_experiment(small_config([entry_b, entry_a])).forecasts
+    assert list(forward) == ["sn", "lar"] and list(reverse) == ["lar", "sn"]
     for label in ("sn", "lar"):
-        for run_id in range(3):
-            assert np.array_equal(forward[label][run_id], reverse[label][run_id])
+        assert np.array_equal(forward[label], reverse[label])
 
 
 def test_ensemble_entry_runs_end_to_end():
@@ -344,10 +333,8 @@ def test_ensemble_entry_runs_end_to_end():
         run_count=2,
     )
     result = run_experiment(cfg)
-    assert len(result.records) == 2
-    for record in result.records:
-        assert record.forecast.shape == (3, 7)
-        assert np.all(record.forecast >= 0)
+    assert result.forecasts["ens"].shape == (2, 3, 7)
+    assert np.all(result.forecasts["ens"] >= 0)
 
 
 def test_csv_dataset_source(tmp_path):
@@ -362,7 +349,7 @@ def test_csv_dataset_source(tmp_path):
         master_seed=0,
     )
     result = run_experiment(cfg)
-    assert result.records[0].forecast.shape == (3, 7)
+    assert result.forecasts["gm"].shape == (2, 3, 7)
 
 
 # ------------------------------------------------------------- persistence
@@ -382,14 +369,10 @@ def test_persist_and_load_round_trip(tmp_path):
     sets, actuals = load_runs(tmp_path)
     assert set(sets) == {"sn", "lar"}
     assert np.array_equal(actuals, result.actuals)
-    in_memory = forecasts_by_label(result)
     for label, fs in sets.items():
         assert fs.run_count == 3
         assert fs.series_ids == result.series_ids  # synth ids are already sorted
-        for run_id in range(3):
-            assert np.array_equal(
-                fs.values[run_id], in_memory[label][run_id].astype(float)
-            )
+        assert np.array_equal(fs.values, result.forecasts[label].astype(float))
 
 
 def test_runs_csv_row_count(tmp_path):
@@ -430,11 +413,39 @@ def test_runs_csv_is_sorted(tmp_path):
 def test_persist_empty_experiment_rejected(tmp_path):
     cfg = small_config([ModelEntry(label="sn", forecaster=SeasonalNaive(period=7))])
     result = run_experiment(cfg)
-    empty = ExperimentResult(
-        records=(), actuals=result.actuals, series_ids=result.series_ids, config=cfg
-    )
+    with pytest.raises(RaggedRuns):
+        ExperimentResult({}, result.actuals, result.series_ids, cfg)
+    # nor does a runs.csv with no rows read back
+    persist_runs(result, tmp_path)
+    (tmp_path / "runs.csv").write_text("model,run_id,item_id,h,value\n")
     with pytest.raises(EmptyExperiment):
-        persist_runs(empty, tmp_path)
+        load_runs(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda grids: {"b": grids["b"], "a": grids["a"]},
+        lambda grids: {"a": grids["a"]},
+        lambda grids: {**grids, "c": grids["a"]},
+        lambda grids: {**grids, "a": grids["a"][:2]},
+        lambda grids: {**grids, "a": grids["a"][:, :1]},
+        lambda grids: {**grids, "a": grids["a"].astype(float)},
+        lambda grids: {**grids, "a": grids["a"] - 1},
+    ],
+    ids=["label-order", "missing-label", "extra-label", "run-count", "series", "float",
+         "negative"],
+)
+def test_result_grids_must_match_the_config(change):
+    cfg = small_config([ModelEntry(label, forecaster=GlobalMean()) for label in "ab"])
+    grids = {label: np.zeros((3, 2, 7), np.int64) for label in "ab"}
+    actuals = np.zeros((2, 7))
+    result = ExperimentResult(grids, actuals, ("x", "y"), cfg)
+    assert not result.forecasts["a"].flags.writeable
+    grids["a"][0, 0, 0] = 1  # the result holds a copy
+    assert result.forecasts["a"][0, 0, 0] == 0
+    with pytest.raises(RaggedRuns):
+        ExperimentResult(change(grids), actuals, ("x", "y"), cfg)
 
 
 def test_load_runs_missing_actuals(tmp_path):
@@ -713,8 +724,10 @@ def test_ints_read_as_floats_and_bools_as_nothing_else():
         CONFIG_FAULTS["fractional-lags"],
         CONFIG_FAULTS["unknown-top"],
         (_set("run_count", value=1), "config: run_count must be >= 2"),
+        (_set("run_count", value=10_001), "config: run_count must be <= 10000"),
+        (_set("run_count", value=10**400), "config: run_count must be <= 10000"),
     ],
-    ids=["lags", "top-key", "run-count"],
+    ids=["lags", "top-key", "run-count", "run-count-above-bound", "run-count-huge"],
 )
 def test_cli_run_rejects_bad_config(tmp_path, capsys, fault, message):
     config = tmp_path / "experiment.json"
@@ -736,12 +749,50 @@ def test_cli_generate_rejects_bad_config(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_cli_names_a_config_that_is_not_json(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text('{"n_series": 2,')
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {config}: Expecting property name")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: LinearAR(learning_rate=x),
+        lambda x: TinyMLP(learning_rate=x),
+        lambda x: SynthConfig(n_series=1, length=1, noise_std=x),
+        lambda x: SynthConfig(n_series=1, length=1, season_amplitude=x),
+        lambda x: SynthConfig(n_series=1, length=1, level_range=(0.0, x)),
+    ],
+    ids=["linear_ar", "tiny_mlp", "noise_std", "season_amplitude", "level_range"],
+)
+def test_constructors_reject_non_finite_floats(build, value):
+    with pytest.raises(ValueError, match="finite|inf"):
+        build(value)
+
+
 def test_readme_experiment_config_reads():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"`experiment.json`\):\n\n```json\n(.*?)```", readme, re.S)
     cfg = config_from_json(json.loads(block.group(1)))
     assert [entry.label for entry in cfg.models] == ["seasonal_naive", "linear_ar", "ensemble"]
     assert config_from_json(json.loads(json.dumps(config_to_json(cfg)))) == cfg
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S)
+    exec(block.group(1), {})
+    q25, q50, q75, q90 = map(float, re.findall(r"[\d.]+", capsys.readouterr().out))
+    assert 0 <= q25 <= q50 <= q75 <= q90
+    assert q90 > 0
 
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
