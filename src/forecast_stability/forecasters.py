@@ -13,7 +13,12 @@ and whether it is ``seeded`` (unseen by the codec and ``asdict``), and the
 
 ``fit`` takes a tuple of seeds and fits them all in one pass: one SGD loop
 with a leading run axis, whose per-run results are bit-identical to
-fitting each seed alone.
+fitting each seed alone. All runs' parameters sit in one (R, P) buffer,
+updated in place from an (R, P) gradient buffer: the same
+``w - scale * g`` per element as a lone run. One ``np.take`` gathers every
+run's windows and targets for a few batches, and each step reads them in
+place; BLAS reads a matrix through its strides, so products over these
+views have the bits of products over contiguous copies.
 
 Learned models pool training windows across series after per-series mean
 scaling, so series of different magnitudes share one set of weights;
@@ -98,16 +103,16 @@ class GlobalMean:
         return np.repeat(state["means"][:, None], horizon, axis=1)
 
 
-def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Per-run (m, n) @ (n,): numpy makes the same BLAS call for each run's
-    # slab as for the unstacked product, so every run's bits match.
-    return np.matmul(a, v[:, :, None])[:, :, 0]
+# Batches gathered by one np.take in the SGD loop: few, so the gathered
+# windows stay small (about 160 KiB for 10 runs of batch 32 and 7 lags).
+_CHUNK_BATCHES = 8
 
 
 class _Learned:
     """Base of the kinds trained by mini-batch SGD: the batched loop and
     recursive prediction. Each kind supplies ``param_names``, ``_init`` (one
-    run's initial parameters), ``_step`` (of every run) and ``_predict_one``.
+    run's initial parameters), ``_temps`` and ``_grad`` (one step of every
+    run) and ``_predict_one``.
     """
 
     seeded: ClassVar[bool] = True
@@ -117,9 +122,8 @@ class _Learned:
         """Mini-batch SGD of every seed's run at once, over a leading run axis.
 
         Training rows are the pooled (window -> next value) pairs in
-        series-major, time-ascending order. Each step gathers every run's
-        batch of windows straight from a sliding view of the scaled panel.
-        All runs share the row count, so their batches line up.
+        series-major, time-ascending order. All runs share the row count,
+        so their batches line up.
         """
         n_series, length = values.shape
         if length <= self.lags:
@@ -131,30 +135,50 @@ class _Learned:
         scales[scales == 0.0] = 1.0
         scaled = values / scales[:, None]
         flat = scaled.reshape(-1)
-        windows = np.lib.stride_tricks.sliding_window_view(flat, self.lags)
-        targets = flat[self.lags :]
         per_series = length - self.lags
         n = n_series * per_series
 
         rngs = [Rng(seed) for seed in seeds]
-        params = tuple(np.array(p) for p in zip(*(self._init(rng) for rng in rngs)))
-        # starts[r, i]: offset in ``flat`` of run r's i-th window this epoch.
+        inits = [self._init(rng) for rng in rngs]
+        params = np.array([np.concatenate([np.ravel(p) for p in init]) for init in inits])
+        grads = np.empty_like(params)
+        shapes = [np.shape(p) for p in inits[0]]
+        splits = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+
+        param_views, grad_views = (
+            [part.reshape(len(seeds), *shape) for part, shape in zip(np.split(b, splits, 1), shapes)]
+            for b in (params, grads)
+        )
+        temps = {}  # batch size -> the step's temporaries
         index_type = np.int32 if flat.size <= np.iinfo(np.int32).max else np.intp
+        # Offset in ``flat`` of row k: window k % per_series of series k // per_series.
+        row_starts = np.arange(n, dtype=index_type)
+        row_starts += row_starts // per_series * self.lags
+        # starts[r, i]: offset in ``flat`` of run r's i-th window this epoch.
         starts = np.empty((len(seeds), n), dtype=index_type)
+        # A window's lags, then its target.
+        columns = np.arange(self.lags + 1, dtype=index_type)
+        rows = _CHUNK_BATCHES * self.batch_size
         # A diverging run overflows to inf/NaN quietly; it is reported once, below.
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(self.epochs):
                 for row, rng in zip(starts, rngs):
-                    perm = rng.permutation(n)
-                    # Row k is window k % per_series of series k // per_series.
-                    np.add(perm, perm // per_series * self.lags, out=row, casting="unsafe")
-                for first in range(0, n, self.batch_size):
-                    index = starts[:, first : first + self.batch_size]
-                    params = self._step(params, windows[index], targets[index])
+                    np.take(row_starts, rng.permutation(n), out=row)
+                for first in range(0, n, rows):
+                    chunk = np.take(flat, starts[:, first : first + rows, None] + columns)
+                    xs, ys = chunk[:, :, :-1], chunk[:, :, -1]
+                    for at in range(0, chunk.shape[1], self.batch_size):
+                        xb = xs[:, at : at + self.batch_size]
+                        size = xb.shape[1]
+                        if size not in temps:
+                            temps[size] = self._temps(len(seeds), size)
+                        scale = self._grad(
+                            param_views, grad_views, xb, ys[:, at : at + size], temps[size]
+                        )
+                        np.multiply(scale, grads, out=grads)
+                        np.subtract(params, grads, out=params)
 
-        finite = np.ones(len(seeds), dtype=bool)
-        for p in params:
-            finite &= np.isfinite(p.reshape(len(seeds), -1)).all(axis=1)
+        finite = np.isfinite(params).all(axis=1)
         if not finite.all():
             runs = tuple(int(r) for r in np.flatnonzero(~finite))
             named = ", ".join(str(seeds[r]) for r in runs)
@@ -164,7 +188,7 @@ class _Learned:
         window = scaled[:, -self.lags :].copy()
         return [
             {
-                **{name: np.array(p[r]) for name, p in zip(self.param_names, params)},
+                **{name: np.array(p[r]) for name, p in zip(self.param_names, param_views)},
                 "scales": scales,
                 "window": window,
             }
@@ -181,6 +205,12 @@ class _Learned:
                 steps.append(step)
                 window = np.concatenate([window[:, 1:], step[:, None]], axis=1)
             return np.stack(steps, axis=1) * state["scales"][:, None]
+
+
+# A ``_grad`` fills the gradient views of every run and returns the step
+# size. Each product is one np.matmul over the run axis, a vector taken as
+# an (R, n, 1) view: numpy makes the same BLAS call for each run's slab as
+# for one run's product, so every run's bits match.
 
 
 @dataclass(frozen=True)
@@ -200,11 +230,17 @@ class LinearAR(_Learned):
     def _init(self, rng: Rng) -> tuple:
         return rng.normals(self.lags) * (0.1 / np.sqrt(self.lags)), 0.0
 
-    def _step(self, params: tuple, xb: np.ndarray, yb: np.ndarray) -> tuple:
-        w, b = params
-        err = _matvec(xb, w) + b[:, None] - yb
-        scale = 2.0 * self.learning_rate / xb.shape[1]
-        return w - scale * _matvec(xb.transpose(0, 2, 1), err), b - scale * err.sum(axis=1)
+    def _temps(self, runs: int, batch: int) -> tuple[np.ndarray, ...]:
+        return (np.empty((runs, batch)),)
+
+    def _grad(self, params, grads, xb: np.ndarray, yb: np.ndarray, temps) -> float:
+        (w, b), (g_w, g_b), (err,) = params, grads, temps
+        np.matmul(xb, w[:, :, None], out=err[:, :, None])
+        err += b[:, None]
+        err -= yb
+        np.matmul(xb.transpose(0, 2, 1), err[:, :, None], out=g_w[:, :, None])
+        np.add.reduce(err, axis=1, out=g_b)
+        return 2.0 * self.learning_rate / xb.shape[1]
 
     def _predict_one(self, state: dict[str, np.ndarray], window: np.ndarray) -> np.ndarray:
         return window @ state["weights"] + float(state["bias"])
@@ -234,19 +270,34 @@ class TinyMLP(_Learned):
         w2 = rng.normals(self.hidden_dim) * np.sqrt(1.0 / self.hidden_dim)
         return w1, np.zeros(self.hidden_dim), w2, 0.0
 
-    def _step(self, params: tuple, xb: np.ndarray, yb: np.ndarray) -> tuple:
-        w1, b1, w2, b2 = params
-        hidden = np.tanh(np.matmul(xb, w1) + b1[:, None, :])
-        err = _matvec(hidden, w2) + b2[:, None] - yb
-        d_out = (2.0 / xb.shape[1]) * err
-        d_hidden = (d_out[:, :, None] * w2[:, None, :]) * (1.0 - hidden * hidden)
-        lr = self.learning_rate
-        return (
-            w1 - lr * np.matmul(xb.transpose(0, 2, 1), d_hidden),
-            b1 - lr * d_hidden.sum(axis=1),
-            w2 - lr * _matvec(hidden.transpose(0, 2, 1), d_out),
-            b2 - lr * d_out.sum(axis=1),
-        )
+    def _temps(self, runs: int, batch: int) -> tuple[np.ndarray, ...]:
+        # Hidden-layer arrays are batch-major, (batch, run, hidden): their
+        # elementwise steps run over contiguous memory, and the sum of
+        # d_hidden over the batch adds whole rows in batch order, as one
+        # run's sum does.
+        by_batch = (batch, runs, self.hidden_dim)
+        return np.empty(by_batch), np.empty(by_batch), np.empty(by_batch), np.empty((runs, batch))
+
+    def _grad(self, params, grads, xb: np.ndarray, yb: np.ndarray, temps) -> float:
+        (w1, b1, w2, b2), (g_w1, g_b1, g_w2, g_b2) = params, grads
+        hidden, slope, d_hidden, d_out = temps
+        by_run = hidden.transpose(1, 0, 2)
+        np.matmul(xb, w1, out=by_run)
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        np.matmul(by_run, w2[:, :, None], out=d_out[:, :, None])
+        d_out += b2[:, None]
+        d_out -= yb
+        d_out *= 2.0 / xb.shape[1]
+        np.multiply(d_out.T[:, :, None], w2, out=d_hidden)
+        np.multiply(hidden, hidden, out=slope)
+        np.subtract(1.0, slope, out=slope)
+        d_hidden *= slope
+        np.matmul(xb.transpose(0, 2, 1), d_hidden.transpose(1, 0, 2), out=g_w1)
+        np.add.reduce(d_hidden, axis=0, out=g_b1)
+        np.matmul(by_run.transpose(0, 2, 1), d_out[:, :, None], out=g_w2[:, :, None])
+        np.add.reduce(d_out, axis=1, out=g_b2)
+        return self.learning_rate
 
     def _predict_one(self, state: dict[str, np.ndarray], window: np.ndarray) -> np.ndarray:
         hidden = np.tanh(window @ state["w1"] + state["b1"])

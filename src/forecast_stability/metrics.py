@@ -252,11 +252,14 @@ def quantiles(
     """Quantiles by linear interpolation between order statistics.
 
     Quantile p of n sorted values interpolates at fractional index
-    p * (n - 1); p=0 is the minimum and p=1 the maximum.
+    p * (n - 1); p=0 is the minimum and p=1 the maximum. Raises
+    :class:`NonFiniteInput` on NaN or infinity.
     """
     data = np.sort(np.asarray(list(values), dtype=np.float64))
     if data.size == 0:
         raise EmptyInput("quantiles of an empty sample are undefined")
+    if not np.isfinite(data).all():
+        raise NonFiniteInput("quantiles need finite values")
     out = []
     for p in probs:
         if not (0.0 <= p <= 1.0):
@@ -276,11 +279,17 @@ def histogram(
 
     Values above ``clip_upper`` are excluded and counted separately (the
     long right tail of CV distributions is clipped for display). Bins are
-    half-open [lo, hi) except the final bin, which is closed.
+    half-open [lo, hi) except the final bin, which is closed. Raises
+    :class:`NonFiniteInput` on NaN or infinity and :class:`OutOfRange` on
+    a negative value.
     """
     data = np.asarray(list(values), dtype=np.float64)
     if data.size == 0:
         raise EmptyInput("histogram of an empty sample is undefined")
+    if not np.isfinite(data).all():
+        raise NonFiniteInput("histogram values must be finite")
+    if (data < 0).any():
+        raise OutOfRange(f"histogram values must be nonnegative, got {float(data.min())!r}")
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
     if bin_count > MAX_BINS:

@@ -96,7 +96,7 @@ def build_report_bundle(
         raise ReportError(
             f"cv models {sorted(grids)} != rmse models {sorted(accuracy)}"
         )
-    sorted_probs = tuple(sorted(probs))
+    sorted_probs = _sorted_probs(probs)
     models = []
     run_count = 0
     for label in sorted(grids):
@@ -126,11 +126,12 @@ def emit_quantile_table(
     """CSV table of CV quantiles, one row per model, 3-decimal values.
 
     Default columns are the 25/50/75/90 percent points; rows are sorted by
-    model label.
+    model label. Two probabilities whose column names are equal raise
+    :class:`ReportError`.
     """
     if not grids:
         raise EmptyInput("no models to tabulate")
-    sorted_probs = tuple(sorted(probs))
+    sorted_probs = _sorted_probs(probs)
     table = [quantiles(grid.cv.reshape(-1), sorted_probs) for grid in grids.values()]
     columns = tuple(_prob_column(p) for p in sorted_probs)
     schema = tabular.Schema((tabular.MODEL,), columns, "{:.3f}".format)
@@ -139,6 +140,19 @@ def emit_quantile_table(
 
 def _prob_column(p: float) -> str:
     return f"q{100 * p:g}"
+
+
+def _sorted_probs(probs: Sequence[float]) -> tuple[float, ...]:
+    """The probabilities in ascending order; their column names must differ."""
+    named: dict[str, float] = {}
+    for p in sorted(probs):
+        column = _prob_column(p)
+        if column in named:
+            raise ReportError(
+                f"quantile probabilities {named[column]!r} and {p!r} share the column {column}"
+            )
+        named[column] = p
+    return tuple(named.values())
 
 
 def write_metrics_files(

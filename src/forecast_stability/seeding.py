@@ -8,7 +8,12 @@ trivially portable and reproducible across processes and platforms.
 
 All arithmetic is wrapping 64-bit unsigned. Scalar paths use Python ints
 masked to 64 bits; vectorized paths use numpy uint64 arrays, whose
-elementwise ops wrap silently.
+elementwise ops wrap silently, and mix their states in place.
+
+A permutation is the argsort of distinct raw draws. It is computed by one
+plain sort of words that pack each draw's high bits with its row index,
+which gives the argsort's order unless two draws share their high bits;
+then it falls back to ``np.argsort``.
 """
 
 from __future__ import annotations
@@ -55,10 +60,34 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-def _mix_array(states: np.ndarray) -> np.ndarray:
-    z = (states ^ (states >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix_in_place(z: np.ndarray) -> np.ndarray:
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _argsort_distinct(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys)`` of distinct uint64 keys, through one plain sort.
+
+    Each key's high bits are packed with its row index in the low
+    ``(n - 1).bit_length()`` bits, so sorting the packed words orders the
+    rows by key. That order is the argsort's unless two keys share their
+    high bits; then this falls back to ``np.argsort(keys)``.
+    """
+    n = keys.size
+    bits = max(n - 1, 0).bit_length()
+    low = np.uint64((1 << bits) - 1)
+    packed = keys & ~low
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    high = packed >> np.uint64(bits)
+    if np.any(high[1:] == high[:-1]):
+        return np.argsort(keys)
+    packed &= low
+    return packed.view(np.intp)
 
 
 class Rng:
@@ -75,10 +104,11 @@ class Rng:
         self._state = seed & _MASK64
 
     def u64_array(self, n: int) -> np.ndarray:
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        states = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
+        states = np.arange(1, n + 1, dtype=np.uint64)
+        states *= np.uint64(_GOLDEN)
+        states += np.uint64(self._state)
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        return _mix_array(states)
+        return _mix_in_place(states)
 
     def uniforms(self, n: int) -> np.ndarray:
         return (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -97,5 +127,4 @@ class Rng:
         multiples of the odd golden constant, and the finalizer is a
         bijection. So any sort, stable or not, gives the same order.
         """
-        keys = self.u64_array(n)
-        return np.argsort(keys)
+        return _argsort_distinct(self.u64_array(n))

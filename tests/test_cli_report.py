@@ -14,7 +14,7 @@ from forecast_stability.metrics import (
     EmptyInput,
     histogram,
 )
-from forecast_stability.report import load_metrics_files
+from forecast_stability.report import ReportError, load_metrics_files
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -285,6 +285,20 @@ def test_report_rejects_more_bins_than_plot_pixels(tmp_path, capsys, bins):
     assert cli_main(["report", "--runs", str(runs), "--out", str(rep), "--bins", bins]) == 2
     assert "bin_count must be <= 560" in capsys.readouterr().err
     assert not rep.exists()
+
+
+@pytest.mark.parametrize(
+    "probs, pair",
+    [("0.5,0.5,0.25", "0.5 and 0.5"), ("0.5,0.25,0.5000001", "0.5 and 0.5000001")],
+)
+def test_report_rejects_quantiles_that_share_a_column(tmp_path, capsys, probs, pair):
+    runs = metrics_dir(tmp_path)
+    rep = tmp_path / "report"
+    assert cli_main(["report", "--runs", str(runs), "--out", str(rep), "--quantiles", probs]) == 2
+    assert f"quantile probabilities {pair} share the column q50" in capsys.readouterr().err
+    assert not rep.exists()
+    with pytest.raises(ReportError, match="share the column q50"):
+        emit_quantile_table({"m": grid_from_cv([[0.1, 0.2]])}, [float(p) for p in probs.split(",")])
 
 
 @pytest.mark.parametrize(

@@ -147,10 +147,11 @@ def reference_sgd(kind, values, seed):
 @pytest.mark.parametrize("kind", BATCHED_SGD_KINDS)
 def test_batched_fit_equals_the_per_run_reference_loop(kind):
     panel = noisy_panel()
-    seeds = (11, 2**64 - 1, 0)
-    for seed, model in zip(seeds, fit(kind, panel, seeds)):
-        for key, want in reference_sgd(kind, panel.values, seed).items():
-            assert np.array_equal(model.state[key], want), key
+    # R = 3, and R = 10 as in the benchmark workloads.
+    for seeds in ((11, 2**64 - 1, 0), tuple(range(100, 110))):
+        for seed, model in zip(seeds, fit(kind, panel, seeds)):
+            for key, want in reference_sgd(kind, panel.values, seed).items():
+                assert np.array_equal(model.state[key], want), key
 
 
 def test_deterministic_kinds_share_one_state_across_seeds():

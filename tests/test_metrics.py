@@ -298,6 +298,12 @@ def test_quantiles_errors():
         quantiles([1.0], [1.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quantiles_reject_values_that_are_not_finite(bad):
+    with pytest.raises(NonFiniteInput):
+        quantiles([1.0, bad, 2.0], (0.5, 1.0))
+
+
 # --------------------------------------------------------------- histogram
 
 def test_histogram_hand_placed():
@@ -344,3 +350,14 @@ def test_cv_grid_type_rejects_inconsistent_zero_mean():
         CvGrid(
             cv=np.array([[0.5]]), mean=np.array([[0.0]]), std=np.array([[1.0]])
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_histogram_rejects_values_that_are_not_finite(bad):
+    with pytest.raises(NonFiniteInput):
+        histogram([0.1, bad], 4, 1.0)
+
+
+def test_histogram_rejects_negative_values():
+    with pytest.raises(OutOfRange, match="nonnegative"):
+        histogram([-5.0, 0.1], 4, 1.0)

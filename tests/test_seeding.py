@@ -3,7 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from forecast_stability.seeding import Rng, derive_seed, fnv1a64, splitmix64
+from forecast_stability.seeding import (
+    Rng,
+    _argsort_distinct,
+    derive_seed,
+    fnv1a64,
+    splitmix64,
+)
 
 MASK = (1 << 64) - 1
 
@@ -82,7 +88,19 @@ def test_permutation_is_a_permutation():
 
 @pytest.mark.parametrize("seed", [0, 11, 2**63 + 5, 2**64 - 1])
 def test_permutation_equals_stable_argsort(seed):
-    # the raw draws never tie, so the default sort gives the stable order
-    for n in (1, 2, 31, 1000, 100_000):
+    # the raw draws never tie, so the default sort gives the stable order;
+    # 2**17 rows take 17 index bits in the packed sort and 2**17 + 1 take
+    # 18, and 75 800 is the row count of the sgd_refit benchmark panel
+    for n in (0, 1, 2, 31, 1000, 2**17, 2**17 + 1, 75_800, 100_000):
         keys = Rng(seed).u64_array(n)
         assert np.array_equal(Rng(seed).permutation(n), np.argsort(keys, kind="stable"))
+
+
+def test_packed_key_sort_falls_back_to_argsort_when_high_bits_tie():
+    # Five keys take 3 index bits. Keys 1 and 2 differ only in their low 3
+    # bits, so the packed words would order them by row index, not by key.
+    keys = np.array([5 << 40, (9 << 40) | 1, 9 << 40, 1 << 40, 7 << 40], dtype=np.uint64)
+    assert _argsort_distinct(keys).tolist() == [3, 0, 4, 2, 1]
+    # All four keys share their high bits: the packed order would be 0, 1, 2, 3.
+    keys = (np.uint64(0xDEADBEEF) << np.uint64(32)) | np.array([3, 2, 1, 0], dtype=np.uint64)
+    assert _argsort_distinct(keys).tolist() == [3, 2, 1, 0]
