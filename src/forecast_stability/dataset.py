@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,9 @@ from .seeding import Rng
 
 # Fixed start date for synthetic panels; the generator has no calendar knob.
 _SYNTH_START = dt.date(2020, 1, 1)
+# 16 GiB of float64, seven times a Favorita-scale panel (about 3e8 cells);
+# a config asking for more fails at once instead of exhausting memory.
+MAX_PANEL_CELLS = 2**31
 
 
 class DatasetError(ForecastStabilityError):
@@ -134,8 +138,11 @@ class SynthConfig:
         lo, hi = self.level_range
         if not 0.0 <= lo <= hi < math.inf:
             raise ValueError("level_range must satisfy 0 <= min <= max < inf")
-        if self.season_period < 1:
-            raise ValueError("season_period must be >= 1")
+        if self.n_series * self.length > MAX_PANEL_CELLS:
+            raise ValueError(f"n_series * length must be <= {MAX_PANEL_CELLS}")
+        # The sinusoid divides by the period as a float.
+        if not 1 <= self.season_period <= sys.float_info.max:
+            raise ValueError("season_period must be >= 1 and at most the largest float")
         if not 0 <= self.season_amplitude < math.inf:
             raise ValueError("season_amplitude must be finite and >= 0")
         if not 0 <= self.noise_std < math.inf:
@@ -200,17 +207,24 @@ def synth_generate(cfg: SynthConfig) -> TimeSeriesDataset:
     levels = lo + (hi - lo) * rng.uniforms(m)
     phases = 2.0 * np.pi * rng.uniforms(m)
 
-    # t is 1-indexed to match the documented sinusoid.
+    # Drawn before the panel exists, so that no draw's temporaries sit
+    # beside two panels.
+    noise = rng.normals(m * length).reshape(m, length) if cfg.noise_std > 0 else None
+
+    # t is 1-indexed to match the documented sinusoid. The panel is computed
+    # in place, in the order of the formula, so each cell's bits are fixed.
     t = np.arange(1, length + 1, dtype=np.float64)
-    values = levels[:, None] + cfg.season_amplitude * np.sin(
-        2.0 * np.pi * t[None, :] / cfg.season_period + phases[:, None]
-    )
-    if cfg.noise_std > 0:
-        values = values + cfg.noise_std * rng.normals(m * length).reshape(m, length)
-    values = np.maximum(values, 0.0)
+    values = 2.0 * np.pi * t / cfg.season_period + phases[:, None]
+    np.sin(values, out=values)
+    values *= cfg.season_amplitude
+    values += levels[:, None]
+    if noise is not None:
+        noise *= cfg.noise_std
+        values += noise
+        del noise
+    np.maximum(values, 0.0, out=values)
     if cfg.intermittency > 0:
-        mask = rng.uniforms(m * length).reshape(m, length) < cfg.intermittency
-        values[mask] = 0.0
+        values[rng.uniforms(m * length).reshape(m, length) < cfg.intermittency] = 0.0
 
     width = max(4, len(str(m - 1)))
     ids = tuple(f"item_{i:0{width}d}" for i in range(m))

@@ -29,7 +29,7 @@ recursive: each predicted value feeds the lag window for the next step.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import ClassVar, Mapping
 
 import numpy as np
@@ -103,6 +103,10 @@ class GlobalMean:
         return np.repeat(state["means"][:, None], horizon, axis=1)
 
 
+# 1000 times the default: a config asking for more fails at once instead
+# of running for good.
+MAX_EPOCHS = 10_000
+
 # Batches gathered by one np.take in the SGD loop: few, so the gathered
 # windows stay small (about 160 KiB for 10 runs of batch 32 and 7 lags).
 _CHUNK_BATCHES = 8
@@ -117,6 +121,12 @@ class _Learned:
 
     seeded: ClassVar[bool] = True
     param_names: ClassVar[tuple[str, ...]]
+
+    def __post_init__(self):
+        # Every hyperparameter of a learned kind is a positive number.
+        _require_positive(self, *(field.name for field in fields(self)))
+        if self.epochs > MAX_EPOCHS:
+            raise ValueError(f"{type(self).__name__}.epochs must be <= {MAX_EPOCHS}")
 
     def _fit(self, values: np.ndarray, seeds: tuple[int, ...]) -> list[dict[str, np.ndarray]]:
         """Mini-batch SGD of every seed's run at once, over a leading run axis.
@@ -224,9 +234,6 @@ class LinearAR(_Learned):
     learning_rate: float = 0.05
     batch_size: int = 32
 
-    def __post_init__(self):
-        _require_positive(self, "lags", "epochs", "learning_rate", "batch_size")
-
     def _init(self, rng: Rng) -> tuple:
         return rng.normals(self.lags) * (0.1 / np.sqrt(self.lags)), 0.0
 
@@ -257,11 +264,6 @@ class TinyMLP(_Learned):
     epochs: int = 10
     learning_rate: float = 0.05
     batch_size: int = 32
-
-    def __post_init__(self):
-        _require_positive(
-            self, "lags", "hidden_dim", "epochs", "learning_rate", "batch_size"
-        )
 
     def _init(self, rng: Rng) -> tuple:
         w1 = rng.normals(self.lags * self.hidden_dim).reshape(

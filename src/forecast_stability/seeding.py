@@ -111,14 +111,23 @@ class Rng:
         return _mix_in_place(states)
 
     def uniforms(self, n: int) -> np.ndarray:
-        return (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        draws = self.u64_array(n)
+        draws >>= np.uint64(11)
+        return np.multiply(draws, 2.0**-53, out=draws.view(np.float64))
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normals via Box-Muller; consumes 2*n raw draws."""
         u1 = self.uniforms(n)
         u2 = self.uniforms(n)
-        radius = np.sqrt(-2.0 * np.log1p(-u1))
-        return radius * np.cos(2.0 * np.pi * u2)
+        # sqrt(-2 log1p(-u1)) * cos(2 pi u2), in place and in that order.
+        np.negative(u1, out=u1)
+        np.log1p(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)
+        u2 *= 2.0 * np.pi
+        np.cos(u2, out=u2)
+        u1 *= u2
+        return u1
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n): argsort of ``n`` raw draws.

@@ -18,6 +18,13 @@ for a malformed row. Both then scatter codes and numbers into the dense
 grid. A wrong header or field count, a bad or non-finite number, a
 duplicate cell and a missing cell each raise the error class the caller
 names for it, with the file and, where one row is at fault, its line.
+
+Memory: the writer holds the grid and, per block of rows, their cells and
+texts, gathered through each text key's sorted order; it copies no grid.
+The reader holds per row each key's code (4 bytes on the block path, 8 on
+the row path), each number and the row's cell index (8 bytes each), and
+per cell one flag and the float64 grids. Parsing a block holds a few times
+its bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence, TextIO
 import numpy as np
 
 # The block reader parses at most this many bytes at once, unless one line
-# is longer; the writer formats and joins this many rows at once.
+# is longer; the writer formats and joins, and the reader indexes, this
+# many rows at once.
 BLOCK_BYTES = 256 * 1024
 BLOCK_ROWS = 8192
 
@@ -125,16 +133,18 @@ def _write(out: TextIO, schema: Schema, axes, columns) -> None:
         raise ValueError(f"columns must have the axis lengths {shape}")
     fields = []
     labels = []
-    for k, (key, axis) in enumerate(zip(schema.keys, axes)):
+    orders = []
+    for key, axis in zip(schema.keys, axes):
         if key.parse is None:
             if len(set(axis)) != len(axis):
                 raise ValueError(f"duplicate {key.name} labels")
             order = sorted(range(len(axis)), key=axis.__getitem__)
-            columns = [np.take(column, order, axis=k) for column in columns]
             fields.append([axis[i] for i in order])
             labels.extend(axis)
         else:
+            order = range(len(axis))
             fields.append([key.show(v) for v in axis])
+        orders.append(np.array(order, dtype=np.intp))
     # csv.writer quotes a field only for the characters of its line
     # terminator, so a lone "\r" in a label is quoted only under "\r\n".
     terminator = "\r\n" if any("\r" in label for label in labels) else "\n"
@@ -145,9 +155,12 @@ def _write(out: TextIO, schema: Schema, axes, columns) -> None:
     prefixes = map("".join, itertools.product(*outer))
     keys = itertools.starmap(str.__add__, itertools.product(prefixes, inner))
     fmt = schema.fmt or str
-    flat = [column.reshape(-1) for column in columns]
-    for first in range(0, math.prod(shape), BLOCK_ROWS):
-        texts = [map(fmt, column[first : first + BLOCK_ROWS].tolist()) for column in flat]
+    n_rows = math.prod(shape)
+    for first in range(0, n_rows, BLOCK_ROWS):
+        # Each row's cell, gathered from the columns as they are laid out.
+        rows = np.arange(first, min(first + BLOCK_ROWS, n_rows))
+        cell = tuple(map(np.take, orders, np.unravel_index(rows, shape)))
+        texts = [map(fmt, column[cell].tolist()) for column in columns]
         values = texts[0] if len(texts) == 1 else map(",".join, zip(*texts))
         lines = map(str.__add__, itertools.islice(keys, BLOCK_ROWS), values)
         out.write(terminator.join(lines) + terminator)
@@ -193,14 +206,17 @@ def read_csv(
             what = f"non-finite {name} {float(column[bad[0]])!r}"
             raise _fault(errors.value, path, int(bad[0]), what)
 
+    # Per key, its axis and the position along it of each code.
     axes = []
-    positions = []
+    ranks = []
+    cells = 1
     for key, texts, column in zip(keys, key_texts, codes):
         if key.parse is None:
             order = sorted(range(len(texts)), key=texts.__getitem__)
             rank = np.empty(len(texts), dtype=np.int64)
             rank[order] = np.arange(len(texts))
             axes.append(tuple(texts[i] for i in order))
+            cells *= len(texts)
         else:
             try:
                 parsed = [key.parse(text) for text in texts]
@@ -210,13 +226,18 @@ def read_csv(
                 what = f"bad {key.name} {texts[bad]!r}"
                 raise _fault(errors.value, path, row, what) from None
             origin = min(parsed) if key.origin is None else key.origin
-            rank = np.array(parsed, dtype=np.int64) - origin
-            low = int(np.argmin(rank))
+            rank = [value - origin for value in parsed]
+            low = min(range(len(rank)), key=rank.__getitem__)
             if rank[low] < 0:
                 what = f"{key.name} {texts[low]!r} is below {origin}"
                 raise _fault(errors.value, path, int(np.argmax(column == low)), what)
-            axes.append(range(origin, origin + int(rank.max()) + 1))
-        positions.append(rank[column])
+            size = max(rank) + 1
+            axes.append(range(origin, origin + size))
+            cells *= size
+        # A larger grid would overflow the int64 cell index.
+        if cells > np.iinfo(np.int64).max:
+            raise errors.missing(f"{path}: {cells} cells are too many for one grid")
+        ranks.append(np.asarray(rank, dtype=np.int64))
 
     def cell(index) -> str:
         return ",".join(
@@ -225,15 +246,31 @@ def read_csv(
         )
 
     shape = tuple(len(axis) for axis in axes)
-    flat = np.ravel_multi_index(positions, shape)
-    order = np.argsort(flat, kind="stable")
-    ranked = flat[order]
-    repeats = np.flatnonzero(ranked[1:] == ranked[:-1])
-    if repeats.size:
-        row = int(order[repeats + 1].min())
-        what = f"duplicate cell {cell([p[row] for p in positions])}"
-        raise _fault(errors.duplicate, path, row, what)
-    if n_rows < math.prod(shape) and not fill_missing:
+    # Each row's row-major cell index, built in place a block at a time.
+    flat = np.zeros(n_rows, dtype=np.int64)
+    for first in range(0, n_rows, BLOCK_ROWS):
+        part = flat[first : first + BLOCK_ROWS]
+        for length, rank, column in zip(shape, ranks, codes):
+            part *= length
+            part += rank[column[first : first + BLOCK_ROWS]]
+    # The codes are done with; the grids need not sit beside them.
+    del codes, column
+    # The row count, or else one flag per cell, shows a duplicate or missing
+    # cell; only then are the rows sorted, to name the first one.
+    sound = n_rows == cells
+    if sound or n_rows < cells and fill_missing:
+        seen = np.zeros(cells, dtype=bool)
+        seen[flat] = True
+        sound = np.count_nonzero(seen) == n_rows
+        del seen
+    if not sound:
+        order = np.argsort(flat, kind="stable")
+        ranked = flat[order]
+        repeats = np.flatnonzero(ranked[1:] == ranked[:-1])
+        if repeats.size:
+            row = int(order[repeats + 1].min())
+            what = f"duplicate cell {cell(np.unravel_index(flat[row], shape))}"
+            raise _fault(errors.duplicate, path, row, what)
         gaps = np.flatnonzero(ranked != np.arange(n_rows))
         index = np.unravel_index(int(gaps[0]) if gaps.size else n_rows, shape)
         raise errors.missing(f"{path}: no row for cell {cell(index)}")

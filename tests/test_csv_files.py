@@ -376,6 +376,30 @@ def test_writer_bytes_equal_the_row_writer(drawn, block_rows):
         assert path.read_bytes() == expected.encode("utf-8")
 
 
+@pytest.mark.parametrize("block_rows", [1, 7, tabular.BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "schema, axes, column",
+    [
+        pytest.param(
+            tabular.RUNS,
+            (["m2", "m0", "m1"], range(2), ["b", "c", "a", "d"], range(1, 4)),
+            np.arange(3 * 2 * 4 * 3, dtype=np.int64).reshape(3, 2, 4, 3),
+            id="unsorted-labels",
+        ),
+        pytest.param(
+            tabular.CV,
+            (["y", "x"], ["q", "r", "p"], range(1, 5)),
+            np.arange(4 * 3 * 2, dtype=np.float64).reshape(4, 3, 2).T / 8,
+            id="transposed-column",
+        ),
+    ],
+)
+def test_writer_gathers_cells_from_any_layout(monkeypatch, schema, axes, column, block_rows):
+    monkeypatch.setattr(tabular, "BLOCK_ROWS", block_rows)
+    columns = (column,) * len(schema.values)
+    assert tabular.csv_text(schema, axes, columns) == reference_csv_text(schema, axes, columns)
+
+
 # The block reader against the csv.reader loop.
 
 
@@ -471,13 +495,13 @@ def files(draw):
     return schema, data
 
 
-def read_result(path, schema, blocks=True):
+def read_result(path, schema, blocks=True, fill_missing=False):
     """What read_csv returns, or the class and text of what it raises."""
     with pytest.MonkeyPatch.context() as patch:
         if not blocks:
             patch.setattr(tabular, "_read_blocks", lambda path, schema: None)
         try:
-            return tabular.read_csv(path, schema, ERRORS)
+            return tabular.read_csv(path, schema, ERRORS, fill_missing)
         except Exception as exc:  # compared, class and text, across the two paths
             return type(exc), str(exc)
 
@@ -532,6 +556,73 @@ def test_block_reader_matches_the_csv_reader(drawn, block_bytes):
         path.write_bytes(data)
         read_by_blocks = assert_blocks_match_rows(path, schema)
         assert read_by_blocks == block_readable(path, schema)
+
+
+# Cell checks against a dict of cells: duplicates and gaps on both paths.
+
+GRID = tabular.Schema((tabular.MODEL, tabular.RUN, tabular.DATE, tabular.STEP), ("a", "b"))
+
+
+def reference_read(path, schema, rows, fill_missing):
+    """What read_csv must return for ``rows``, one per line after the
+    header, or the class and text of what it must raise."""
+    n_keys = len(schema.keys)
+    if not rows:
+        return EmptyFault, f"{path}: no data rows"
+    cells = {}
+    for line, row in enumerate(rows, start=2):
+        cell = tuple(row[:n_keys])
+        if cell in cells:
+            return DuplicateFault, f"{path}:{line}: duplicate cell {','.join(cell)}"
+        cells[cell] = [float(text) for text in row[n_keys:]]
+    axes, shown = [], []
+    for k, key in enumerate(schema.keys):
+        texts = {cell[k] for cell in cells}
+        if key.parse is None:
+            axes.append(tuple(sorted(texts)))
+            shown.append(axes[-1])
+        else:
+            values = [key.parse(text) for text in texts]
+            origin = min(values) if key.origin is None else key.origin
+            axes.append(range(origin, max(values) + 1))
+            shown.append([key.show(value) for value in axes[-1]])
+    grids = [np.zeros(tuple(map(len, axes))) for _ in schema.values]
+    for index in itertools.product(*(range(len(axis)) for axis in axes)):
+        cell = tuple(texts[i] for texts, i in zip(shown, index))
+        if cell not in cells:
+            if not fill_missing:
+                return MissingFault, f"{path}: no row for cell {','.join(cell)}"
+            continue
+        for grid, value in zip(grids, cells[cell]):
+            grid[index] = value
+    return tuple(axes), tuple(grids)
+
+
+@st.composite
+def faulty_grid_rows(draw):
+    """GRID rows of every cell but some, in any order, with some repeated."""
+    labels = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+    first = draw(st.dates(max_value=dt.date(9000, 1, 1)))
+    days = [(first + dt.timedelta(days)).isoformat() for days in range(draw(st.integers(1, 3)))]
+    runs = [str(run) for run in range(draw(st.integers(1, 3)))]
+    steps = [str(step) for step in range(1, draw(st.integers(1, 3)) + 1)]
+    cells = list(itertools.product(labels, runs, days, steps))
+    kept = [cell for cell in draw(st.permutations(cells)) if draw(st.integers(0, 5))]
+    for _ in range(draw(st.integers(0, 2))):
+        kept.insert(draw(st.integers(0, len(kept))), draw(st.sampled_from(cells)))
+    return [list(cell) + [draw(NUMBERS) for _ in GRID.values] for cell in kept]
+
+
+@settings(max_examples=150, deadline=None)
+@given(faulty_grid_rows(), st.booleans())
+def test_cell_checks_match_a_dict_of_cells(rows, fill_missing):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.csv"
+        lines = [",".join(GRID.header)] + [",".join(row) for row in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = reference_read(path, GRID, rows, fill_missing)
+        for blocks in (True, False):
+            assert_same_result(read_result(path, GRID, blocks, fill_missing), expected)
 
 
 HEAD = "model,run_id,a,b\n"

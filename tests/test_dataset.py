@@ -202,6 +202,10 @@ def test_synth_config_validation():
         SynthConfig(n_series=1, length=10, intermittency=1.5)
     with pytest.raises(ValueError):
         SynthConfig(n_series=1, length=10, noise_std=-1.0)
+    with pytest.raises(ValueError, match="n_series \\* length"):
+        SynthConfig(n_series=2**63, length=1)
+    with pytest.raises(ValueError, match="season_period"):
+        SynthConfig(n_series=1, length=10, season_period=10**400)
 
 
 def test_dataset_invariants():

@@ -294,3 +294,5 @@ def test_hyperparameters_must_be_positive():
         LinearAR(lags=1, epochs=1, learning_rate=0.0, batch_size=1)
     with pytest.raises(ValueError):
         TinyMLP(lags=1, hidden_dim=0, epochs=1, learning_rate=0.1, batch_size=1)
+    with pytest.raises(ValueError, match="epochs must be <= 10000"):
+        LinearAR(epochs=2**63)

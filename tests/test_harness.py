@@ -36,7 +36,8 @@ from forecast_stability import (
     write_long_csv,
 )
 from forecast_stability.cli import cli_main
-from forecast_stability.forecasters import Diverged
+from forecast_stability.dataset import MAX_PANEL_CELLS
+from forecast_stability.forecasters import MAX_EPOCHS, Diverged
 from forecast_stability.harness import (
     EmptyExperiment,
     ExperimentResult,
@@ -797,18 +798,19 @@ def test_readme_quickstart_runs(capsys):
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 POSITIVE = st.integers(1, 2**40)
+EPOCHS = st.integers(1, MAX_EPOCHS)
 RATES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 KINDS = st.one_of(
     st.builds(SeasonalNaive, period=POSITIVE),
     st.builds(GlobalMean),
     st.builds(
-        LinearAR, lags=POSITIVE, epochs=POSITIVE, learning_rate=RATES, batch_size=POSITIVE
+        LinearAR, lags=POSITIVE, epochs=EPOCHS, learning_rate=RATES, batch_size=POSITIVE
     ),
     st.builds(
         TinyMLP,
         lags=POSITIVE,
         hidden_dim=POSITIVE,
-        epochs=POSITIVE,
+        epochs=EPOCHS,
         learning_rate=RATES,
         batch_size=POSITIVE,
     ),
@@ -819,9 +821,10 @@ KINDS = st.one_of(
 def synth_configs(draw):
     size = st.floats(min_value=0.0, max_value=1e12)
     low = draw(size)
+    n_series = draw(st.integers(1, MAX_PANEL_CELLS))
     return SynthConfig(
-        n_series=draw(POSITIVE),
-        length=draw(POSITIVE),
+        n_series=n_series,
+        length=draw(st.integers(1, MAX_PANEL_CELLS // n_series)),
         level_range=(low, low + draw(size)),
         season_period=draw(POSITIVE),
         season_amplitude=draw(size),
