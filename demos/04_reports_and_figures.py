@@ -62,11 +62,13 @@ for label, forecasts in result.forecasts.items():
     grids[label] = cv_grid(fs_runs)
     accuracy[label] = accuracy_report(fs_runs, result.actuals, label)
 
-print("CV quantile table (the report's headline summary):\n")
-print(emit_quantile_table(grids))
-
 bundle = build_report_bundle(grids, accuracy, bins=40, clip_upper=0.5)
-paths = emit_plots(bundle, out_dir)
+print("CV quantile table (the report's headline summary):\n")
+print(emit_quantile_table(bundle))
+
+figures = emit_plots(bundle)
+out_dir.mkdir(exist_ok=True)
 print(f"figures written to {out_dir}/:")
-for path in paths:
-    print(f"  {path.name}")
+for name, svg in figures.items():
+    (out_dir / name).write_text(svg, encoding="utf-8")
+    print(f"  {name}")

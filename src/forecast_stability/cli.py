@@ -1,8 +1,8 @@
 """Command-line pipeline: generate -> run -> metrics -> report.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
-stderr; output files are composed in full before anything is written, so a
-failing invocation never leaves partial outputs behind.
+stderr. ``report`` composes every output it was asked for before it writes
+any, in one loop, so a failing ``report`` writes no file.
 """
 
 from __future__ import annotations
@@ -147,32 +147,26 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or args.runs)
     probs = _parse_probs(args.quantiles)
-    grids_with_ids, accuracy = load_metrics_files(args.runs)
-    grids = {label: grid for label, (grid, _) in grids_with_ids.items()}
-    train_length = _train_length_from_manifest(Path(args.runs))
+    grids, accuracy = load_metrics_files(args.runs)
     bundle = build_report_bundle(
-        grids,
+        {label: grid for label, (grid, _) in grids.items()},
         accuracy,
         probs=probs,
         bins=args.bins,
         clip_upper=args.clip,
-        train_length=train_length,
+        train_length=_train_length_from_manifest(Path(args.runs)),
     )
-    # compose everything first; write only when all formats succeeded
-    table_text = emit_quantile_table(grids, probs)
-    json_text = report_to_json(bundle)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    outputs = {}
     if args.format in ("csv", "all"):
-        (out_dir / TABLE_FILE).write_text(table_text, encoding="utf-8")
-        written.append(TABLE_FILE)
+        outputs[TABLE_FILE] = emit_quantile_table(bundle)
     if args.format in ("json", "all"):
-        (out_dir / REPORT_FILE).write_text(json_text, encoding="utf-8")
-        written.append(REPORT_FILE)
+        outputs[REPORT_FILE] = report_to_json(bundle)
     if args.format in ("svg", "all"):
-        paths = emit_plots(bundle, out_dir)
-        written.extend(p.name for p in paths)
-    print(f"wrote {out_dir}: {', '.join(written)}")
+        outputs.update(emit_plots(bundle))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    print(f"wrote {out_dir}: {', '.join(outputs)}")
     return 0
 
 

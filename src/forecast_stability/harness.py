@@ -101,6 +101,8 @@ class EnsembleRequest:
     def __post_init__(self):
         if not self.components:
             raise ValueError("ensemble request needs at least one component")
+        if self.n_windows < 1:
+            raise ValueError("n_windows must be >= 1")
         object.__setattr__(self, "components", tuple(self.components))
 
 
@@ -139,6 +141,8 @@ class ExperimentConfig:
             raise ValueError("run_count must be >= 2")
         if self.run_count > MAX_RUN_COUNT:
             raise ValueError(f"run_count must be <= {MAX_RUN_COUNT}")
+        if self.ensemble_iterations < 1:
+            raise ValueError("ensemble_iterations must be >= 1")
         labels = [entry.label for entry in self.models]
         if not labels:
             raise ValueError("experiment needs at least one model")

@@ -1,15 +1,19 @@
-"""Report emission: quantile tables, histograms, and SVG figures.
+"""Report composition: quantile tables, histograms, and SVG figures.
 
-Everything here is a deterministic, pure transformation of metric outputs:
-identical inputs produce byte-identical CSV, JSON, and SVG. Figures are
-self-contained static SVG composed by hand, with no external assets, so
-outputs stay diffable and golden-testable. Histogram count axes use a
-log-like scale (bar length proportional to log10(1 + count)) because CV
-distributions concentrate near zero with long sparse tails.
+:func:`build_report_bundle` computes everything a report shows, once per
+model; :func:`emit_quantile_table`, :func:`report_to_json` and
+:func:`emit_plots` render the bundle as text and write no file, so a caller
+can compose every output before writing any. Each is a deterministic, pure
+transformation: identical inputs produce byte-identical CSV, JSON, and SVG.
+Figures are self-contained static SVG composed by hand, with no external
+assets, so outputs stay diffable and golden-testable. Histogram count axes
+use a log-like scale (bar length proportional to log10(1 + count)) because
+CV distributions concentrate near zero with long sparse tails.
 """
 
 from __future__ import annotations
 
+import html
 import json
 import math
 import re
@@ -38,6 +42,7 @@ CV_FILE = "cv.csv"
 RMSE_FILE = "rmse.csv"
 TABLE_FILE = "table.csv"
 REPORT_FILE = "report.json"
+RMSE_FIGURE = "rmse_distribution.svg"
 
 
 class ReportError(ForecastStabilityError):
@@ -52,7 +57,6 @@ class ModelReport:
     """Summary of one model: CV quantiles, CV histogram, per-run RMSE."""
 
     label: str
-    quantile_probs: tuple[float, ...]
     quantile_values: tuple[float, ...]
     cv_median: float
     cv_histogram: Histogram
@@ -74,11 +78,20 @@ class ModelReport:
 
 @dataclass(frozen=True)
 class ReportBundle:
-    """Per-model reports plus the experiment shape they came from."""
+    """Per-model reports, sorted by label, plus the experiment shape they came from.
+
+    ``probs`` are the ascending probabilities of every model's
+    ``quantile_values``. Raises :class:`EmptyInput` when there is no model.
+    """
 
     models: tuple[ModelReport, ...]
+    probs: tuple[float, ...]
     run_count: int
     train_length: int | None = None
+
+    def __post_init__(self):
+        if not self.models:
+            raise EmptyInput("no models to report on")
 
 
 def build_report_bundle(
@@ -89,53 +102,38 @@ def build_report_bundle(
     clip_upper: float = DEFAULT_CLIP,
     train_length: int | None = None,
 ) -> ReportBundle:
-    """Assemble the full report state from per-model grids and accuracy."""
-    if not grids:
-        raise EmptyInput("no models to report on")
+    """Assemble the full report state from per-model grids and accuracy.
+
+    Two probabilities whose column names are equal raise :class:`ReportError`.
+    """
     if set(grids) != set(accuracy):
-        raise ReportError(
-            f"cv models {sorted(grids)} != rmse models {sorted(accuracy)}"
-        )
+        raise ReportError(f"cv models {sorted(grids)} != rmse models {sorted(accuracy)}")
     sorted_probs = _sorted_probs(probs)
     models = []
-    run_count = 0
     for label in sorted(grids):
-        grid = grids[label]
-        flat = grid.cv.reshape(-1)
+        flat = grids[label].cv.reshape(-1)
+        # One sort of the grid gives the quantile row and the median.
+        *values, median = quantiles(flat, sorted_probs + (0.5,))
+        n_series, horizon = grids[label].shape
         models.append(
-            ModelReport(
-                label=label,
-                quantile_probs=sorted_probs,
-                quantile_values=tuple(quantiles(flat, sorted_probs)),
-                cv_median=quantiles(flat, [0.5])[0],
-                cv_histogram=histogram(flat, bins, clip_upper),
-                rmse_per_run=accuracy[label].rmse_per_run,
-                n_series=grid.shape[0],
-                horizon=grid.shape[1],
-            )
+            ModelReport(label, tuple(values), median, histogram(flat, bins, clip_upper),
+                        accuracy[label].rmse_per_run, n_series, horizon)
         )
-        run_count = max(run_count, len(accuracy[label].rmse_per_run))
-    return ReportBundle(
-        models=tuple(models), run_count=run_count, train_length=train_length
-    )
+    run_count = max((len(m.rmse_per_run) for m in models), default=0)
+    return ReportBundle(tuple(models), sorted_probs, run_count, train_length)
 
 
-def emit_quantile_table(
-    grids: Mapping[str, CvGrid], probs: Sequence[float] = DEFAULT_QUANTILES
-) -> str:
+def emit_quantile_table(bundle: ReportBundle) -> str:
     """CSV table of CV quantiles, one row per model, 3-decimal values.
 
     Default columns are the 25/50/75/90 percent points; rows are sorted by
-    model label. Two probabilities whose column names are equal raise
-    :class:`ReportError`.
+    model label.
     """
-    if not grids:
-        raise EmptyInput("no models to tabulate")
-    sorted_probs = _sorted_probs(probs)
-    table = [quantiles(grid.cv.reshape(-1), sorted_probs) for grid in grids.values()]
-    columns = tuple(_prob_column(p) for p in sorted_probs)
+    columns = tuple(_prob_column(p) for p in bundle.probs)
     schema = tabular.Schema((tabular.MODEL,), columns, "{:.3f}".format)
-    return tabular.csv_text(schema, (list(grids),), tuple(np.array(table).T))
+    labels = [m.label for m in bundle.models]
+    table = np.array([m.quantile_values for m in bundle.models])
+    return tabular.csv_text(schema, (labels,), tuple(table.T))
 
 
 def _prob_column(p: float) -> str:
@@ -221,8 +219,7 @@ def report_to_json(bundle: ReportBundle) -> str:
                 "n_series": m.n_series,
                 "horizon": m.horizon,
                 "cv_quantiles": {
-                    _prob_column(p): v
-                    for p, v in zip(m.quantile_probs, m.quantile_values)
+                    _prob_column(p): v for p, v in zip(bundle.probs, m.quantile_values)
                 },
                 "cv_median": m.cv_median,
                 "cv_histogram": {
@@ -244,26 +241,24 @@ def slugify(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
 
 
-def emit_plots(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
-    """Write one CV histogram SVG per model plus an RMSE distribution SVG.
+def emit_plots(bundle: ReportBundle) -> dict[str, str]:
+    """One CV histogram SVG per model plus an RMSE distribution SVG, by file name.
 
     Histogram bars carry their count in a ``data-count`` attribute, the
     median sits on a dashed marker line, and the count axis is log-like.
-    Returns the written paths.
+    Two labels whose histograms would share a file name raise
+    :class:`ReportError` naming the file.
     """
-    if not bundle.models:
-        raise EmptyInput("no models to plot")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    figures: dict[str, str] = {}
+    owners: dict[str, str] = {}
     for model in bundle.models:
-        path = out_dir / f"cv_hist_{slugify(model.label)}.svg"
-        path.write_text(_cv_histogram_svg(model), encoding="utf-8")
-        written.append(path)
-    rmse_path = out_dir / "rmse_distribution.svg"
-    rmse_path.write_text(_rmse_distribution_svg(bundle), encoding="utf-8")
-    written.append(rmse_path)
-    return written
+        name = f"cv_hist_{slugify(model.label)}.svg"
+        owner = owners.setdefault(name, model.label)
+        if owner != model.label:
+            raise ReportError(f"models {owner!r} and {model.label!r} would both write {name}")
+        figures[name] = _cv_histogram_svg(model)
+    figures[RMSE_FIGURE] = _rmse_distribution_svg(bundle)
+    return figures
 
 
 _SVG_STYLE = (
@@ -277,22 +272,47 @@ _SVG_STYLE = (
     ".whisker{stroke:#33597f;stroke-width:1}"
     ".pt{fill:#c0392b}"
 )
+# Every figure's size and the left, right and top margins of its plot area;
+# each figure sets its own bottom margin.
+_WIDTH, _HEIGHT = 640, 400
+_LEFT, _RIGHT, _TOP = 60, 20, 34
+_PLOT_W = _WIDTH - _LEFT - _RIGHT
 
 
-def _svg_open(width: int, height: int, title: str) -> list[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
+def _element(tag: str, text: object = None, **attrs: object) -> str:
+    """One SVG element, with ``text`` as its escaped content if given.
+
+    A float attribute is written with 2 decimals, any other as ``str``
+    writes it; ``class_`` names ``class`` and ``data_count`` ``data-count``.
+    """
+    shown = {name: f"{v:.2f}" if isinstance(v, float) else v for name, v in attrs.items()}
+    fields = "".join(f' {name.rstrip("_").replace("_", "-")}="{v}"' for name, v in shown.items())
+    if text is None:
+        return f"<{tag}{fields}/>"
+    return f"<{tag}{fields}>{html.escape(str(text), quote=False)}</{tag}>"
+
+
+def _svg(title: str, body: list[str], plot_h: int, y_label: str) -> str:
+    """A whole figure: its frame and title, ``body``, then the y-axis label."""
+    middle = _TOP + plot_h / 2
+    rotate = f"rotate(-90 16 {middle:.2f})"
+    frame = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f"<style>{_SVG_STYLE}</style>",
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text class="title" x="{width / 2:.2f}" y="18" '
-        f'text-anchor="middle">{_escape(title)}</text>',
+        _element("rect", width=_WIDTH, height=_HEIGHT, fill="white"),
+        _element("text", title, class_="title", x=_WIDTH / 2, y=18, text_anchor="middle"),
     ]
+    label = _element("text", y_label, x=16, y=middle, text_anchor="middle", transform=rotate)
+    return "\n".join([*frame, *body, label, "</svg>\n"])
 
 
-def _escape(text: str) -> str:
+def _axes(plot_h: int) -> tuple[str, str]:
+    """The plot area's horizontal and vertical axis lines."""
+    base = _TOP + plot_h
     return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        _element("line", class_="axis", x1=_LEFT, y1=base, x2=_LEFT + _PLOT_W, y2=base),
+        _element("line", class_="axis", x1=_LEFT, y1=_TOP, x2=_LEFT, y2=base),
     )
 
 
@@ -303,76 +323,46 @@ def _log_height(count: int, max_count: int, plot_height: float) -> float:
 
 
 def _cv_histogram_svg(model: ModelReport) -> str:
-    width, height = 640, 400
-    left, right, top, bottom = 60, 20, 34, 50
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_h = _HEIGHT - _TOP - 50
+    base = _TOP + plot_h
     bins = model.cv_histogram.bins
     clip_upper = bins[-1][1]
     max_count = max(count for _, _, count in bins)
 
-    parts = _svg_open(
-        width,
-        height,
-        f"CV distribution: {model.label} "
-        f"(excluded tail: {model.cv_histogram.excluded})",
-    )
+    body = []
     # log-like count gridlines at 1, 10, 100, ...
     level = 1
     while level <= max_count:
-        y = top + plot_h - _log_height(level, max_count, plot_h)
-        parts.append(
-            f'<line class="grid" x1="{left}" y1="{y:.2f}" '
-            f'x2="{left + plot_w}" y2="{y:.2f}"/>'
-        )
-        parts.append(
-            f'<text x="{left - 6}" y="{y + 4:.2f}" text-anchor="end">{level}</text>'
-        )
+        y = base - _log_height(level, max_count, plot_h)
+        body.append(_element("line", class_="grid", x1=_LEFT, y1=y, x2=_LEFT + _PLOT_W, y2=y))
+        body.append(_element("text", level, x=_LEFT - 6, y=y + 4, text_anchor="end"))
         level *= 10
     for lo, hi, count in bins:
-        x = left + plot_w * lo / clip_upper
-        bar_w = plot_w * (hi - lo) / clip_upper
+        x = _LEFT + _PLOT_W * lo / clip_upper
+        bar_w = _PLOT_W * (hi - lo) / clip_upper
         bar_h = _log_height(count, max_count, plot_h)
-        y = top + plot_h - bar_h
-        parts.append(
-            f'<rect class="bar" data-count="{count}" x="{x:.2f}" y="{y:.2f}" '
-            f'width="{max(bar_w - 0.5, 0.5):.2f}" height="{bar_h:.2f}"/>'
+        body.append(
+            _element("rect", class_="bar", data_count=count, x=x, y=base - bar_h,
+                     width=max(bar_w - 0.5, 0.5), height=bar_h)
         )
-    median_x = left + plot_w * min(model.cv_median, clip_upper) / clip_upper
-    parts.append(
-        f'<line class="median" data-median="{model.cv_median!r}" '
-        f'x1="{median_x:.2f}" y1="{top}" x2="{median_x:.2f}" y2="{top + plot_h}"/>'
+    median_x = _LEFT + _PLOT_W * min(model.cv_median, clip_upper) / clip_upper
+    body.append(
+        _element("line", class_="median", data_median=repr(model.cv_median),
+                 x1=median_x, y1=_TOP, x2=median_x, y2=base)
     )
-    parts.append(
-        f'<line class="axis" x1="{left}" y1="{top + plot_h}" '
-        f'x2="{left + plot_w}" y2="{top + plot_h}"/>'
-    )
-    parts.append(
-        f'<line class="axis" x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}"/>'
-    )
+    body.extend(_axes(plot_h))
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x = left + plot_w * frac
-        parts.append(
-            f'<text x="{x:.2f}" y="{top + plot_h + 16}" '
-            f'text-anchor="middle">{frac * clip_upper:g}</text>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{height - 12}" '
-        f'text-anchor="middle">coefficient of variation</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">cell count (log scale)</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        x, label = _LEFT + _PLOT_W * frac, f"{frac * clip_upper:g}"
+        body.append(_element("text", label, x=x, y=base + 16, text_anchor="middle"))
+    body.append(_element("text", "coefficient of variation", x=_LEFT + _PLOT_W / 2,
+                         y=_HEIGHT - 12, text_anchor="middle"))
+    title = f"CV distribution: {model.label} (excluded tail: {model.cv_histogram.excluded})"
+    return _svg(title, body, plot_h, "cell count (log scale)")
 
 
 def _rmse_distribution_svg(bundle: ReportBundle) -> str:
-    width, height = 640, 400
-    left, right, top, bottom = 60, 20, 34, 60
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_h = _HEIGHT - _TOP - 60
+    base = _TOP + plot_h
     models = bundle.models
     all_values = [v for m in models for v in m.rmse_per_run]
     vmax = max(all_values) if all_values else 1.0
@@ -382,62 +372,34 @@ def _rmse_distribution_svg(bundle: ReportBundle) -> str:
     span = vmax - vmin
 
     def y_of(value: float) -> float:
-        return top + plot_h * (1.0 - (value - vmin) / span)
+        return _TOP + plot_h * (1.0 - (value - vmin) / span)
 
-    parts = _svg_open(width, height, "RMSE per run, by model")
-    slot_w = plot_w / len(models)
+    body = []
+    slot_w = _PLOT_W / len(models)
     for k, model in enumerate(models):
-        center = left + slot_w * (k + 0.5)
-        values = sorted(model.rmse_per_run)
-        if not values:
+        center = _LEFT + slot_w * (k + 0.5)
+        runs = len(model.rmse_per_run)
+        if not runs:
             continue
-        q1, q2, q3 = quantiles(values, (0.25, 0.5, 0.75))
-        lo, hi = values[0], values[-1]
+        lo, q1, q2, q3, hi = quantiles(model.rmse_per_run, (0.0, 0.25, 0.5, 0.75, 1.0))
         box_w = slot_w * 0.4
-        parts.append(
-            f'<line class="whisker" x1="{center:.2f}" y1="{y_of(lo):.2f}" '
-            f'x2="{center:.2f}" y2="{y_of(hi):.2f}"/>'
-        )
-        parts.append(
-            f'<rect class="box" x="{center - box_w / 2:.2f}" y="{y_of(q3):.2f}" '
-            f'width="{box_w:.2f}" height="{max(y_of(q1) - y_of(q3), 0.5):.2f}"/>'
-        )
-        parts.append(
-            f'<line class="whisker" x1="{center - box_w / 2:.2f}" '
-            f'y1="{y_of(q2):.2f}" x2="{center + box_w / 2:.2f}" y2="{y_of(q2):.2f}"/>'
-        )
+        left, right = center - box_w / 2, center + box_w / 2
+        body += [
+            _element("line", class_="whisker", x1=center, y1=y_of(lo), x2=center, y2=y_of(hi)),
+            _element("rect", class_="box", x=left, y=y_of(q3), width=box_w,
+                     height=max(y_of(q1) - y_of(q3), 0.5)),
+            _element("line", class_="whisker", x1=left, y1=y_of(q2), x2=right, y2=y_of(q2)),
+        ]
         for run_id, value in enumerate(model.rmse_per_run):
             # deterministic strip: spread points by run id
-            offset = (
-                (run_id / (len(model.rmse_per_run) - 1) - 0.5)
-                if len(model.rmse_per_run) > 1
-                else 0.0
-            )
-            x = center + offset * box_w * 0.8
-            parts.append(
-                f'<circle class="pt" data-rmse="{value!r}" cx="{x:.2f}" '
-                f'cy="{y_of(value):.2f}" r="2"/>'
-            )
-        parts.append(
-            f'<text x="{center:.2f}" y="{top + plot_h + 16}" '
-            f'text-anchor="middle">{_escape(model.label)}</text>'
-        )
+            offset = (run_id / (runs - 1) - 0.5) if runs > 1 else 0.0
+            x, y = center + offset * box_w * 0.8, y_of(value)
+            body.append(_element("circle", class_="pt", data_rmse=repr(value), cx=x, cy=y, r=2))
+        body.append(_element("text", model.label, x=center, y=base + 16, text_anchor="middle"))
     for frac in (0.0, 0.5, 1.0):
         value = vmin + span * frac
-        parts.append(
-            f'<text x="{left - 6}" y="{y_of(value) + 4:.2f}" '
-            f'text-anchor="end">{value:.2f}</text>'
+        body.append(
+            _element("text", f"{value:.2f}", x=_LEFT - 6, y=y_of(value) + 4, text_anchor="end")
         )
-    parts.append(
-        f'<line class="axis" x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}"/>'
-    )
-    parts.append(
-        f'<line class="axis" x1="{left}" y1="{top + plot_h}" '
-        f'x2="{left + plot_w}" y2="{top + plot_h}"/>'
-    )
-    parts.append(
-        f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">RMSE (demand units)</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    body += reversed(_axes(plot_h))  # the vertical axis first
+    return _svg("RMSE per run, by model", body, plot_h, "RMSE (demand units)")

@@ -15,16 +15,16 @@ to integer codes and parses the numbers column-wise. A file that holds a
 count, UTF-8, a number), is read again row by row with ``csv.reader``,
 which is the reference for the block reader and the only one that raises
 for a malformed row. Both then scatter codes and numbers into the dense
-grid. A wrong header or field count, a bad or non-finite number, a
-duplicate cell and a missing cell each raise the error class the caller
-names for it, with the file and, where one row is at fault, its line.
+grid. A wrong header or field count, a bad or non-finite number, bytes
+that are not UTF-8, a duplicate cell and a missing cell each raise the
+error class the caller names for it, with the file and, where one row is
+at fault, its line.
 
 Memory: the writer holds the grid and, per block of rows, their cells and
 texts, gathered through each text key's sorted order; it copies no grid.
-The reader holds per row each key's code (4 bytes on the block path, 8 on
-the row path), each number and the row's cell index (8 bytes each), and
-per cell one flag and the float64 grids. Parsing a block holds a few times
-its bytes.
+The reader holds per row each key's code (4 bytes), each number and the
+row's cell index (8 bytes each), and per cell one flag and the float64
+grids. Parsing a block holds a few times its bytes.
 """
 
 from __future__ import annotations
@@ -286,49 +286,46 @@ def _read_rows(path: Path, schema: Schema, errors: Errors):
     """Parse ``path`` row by row with ``csv.reader``; see :func:`read_csv`.
 
     This is the reference for :func:`_read_blocks`, and raises the typed
-    error, with its line, for a wrong header, field count or number.
+    error, with its line, for a wrong header, field count, number or bytes
+    that are not UTF-8.
     """
     keys, header = schema.keys, schema.header
-    # A new text's code is the next number of its column's counter: codes
-    # rise with first appearance but skip numbers.
+    # A new text's code is the number of texts seen before it in its column.
     lookups: list[dict[str, int]] = [{} for _ in keys]
-    counters = [itertools.count() for _ in keys]
-    codes = [array("q") for _ in keys]
+    codes = [array("i") for _ in keys]
     numbers = [array("d") for _ in schema.values]
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise errors.empty(f"{path}: file is empty")
-        if tuple(first) != header:
-            expected, got = ",".join(header), ",".join(first)
-            raise errors.schema(f"{path}:1: expected {expected}, got {got}")
-        # A chunk of rows at a time, column by column, keeps the per-row
-        # work inside map() rather than in a Python loop.
-        data = filter(None, reader)
-        while rows := list(itertools.islice(data, 1024)):
-            done = len(codes[0])
-            if set(map(len, rows)) != {len(header)}:
-                row = next(i for i, r in enumerate(rows) if len(r) != len(header))
-                what = f"expected {len(header)} fields, got {len(rows[row])}"
-                raise _fault(errors.schema, path, done + row, what)
-            fields = list(zip(*rows))
-            for lookup, counter, column, texts in zip(lookups, counters, codes, fields):
-                column.extend(map(lookup.setdefault, texts, counter))
-            for name, column, texts in zip(schema.values, numbers, fields[len(keys) :]):
-                try:
-                    column.extend(map(float, texts))
-                except ValueError:
-                    row = _first_rejected(float, texts)
-                    what = f"bad {name} {texts[row]!r}"
-                    raise _fault(errors.value, path, done + row, what) from None
-    dense = [
-        np.searchsorted(
-            np.fromiter(lookup.values(), dtype=np.int64, count=len(lookup)),
-            np.frombuffer(column, dtype=np.int64),
-        )
-        for lookup, column in zip(lookups, codes)
-    ]
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise errors.empty(f"{path}: file is empty")
+            if tuple(first) != header:
+                expected, got = ",".join(header), ",".join(first)
+                raise errors.schema(f"{path}:1: expected {expected}, got {got}")
+            # A chunk of rows at a time, column by column, keeps the per-row
+            # work inside map() rather than in a Python loop.
+            data = filter(None, reader)
+            while rows := list(itertools.islice(data, 1024)):
+                done = len(codes[0])
+                if set(map(len, rows)) != {len(header)}:
+                    row = next(i for i, r in enumerate(rows) if len(r) != len(header))
+                    what = f"expected {len(header)} fields, got {len(rows[row])}"
+                    raise _fault(errors.schema, path, done + row, what)
+                fields = list(zip(*rows))
+                for lookup, column, texts in zip(lookups, codes, fields):
+                    sizes = map(len, itertools.repeat(lookup))
+                    column.extend(map(lookup.setdefault, texts, sizes))
+                for name, column, texts in zip(schema.values, numbers, fields[len(keys) :]):
+                    try:
+                        column.extend(map(float, texts))
+                    except ValueError:
+                        row = _first_rejected(float, texts)
+                        what = f"bad {name} {texts[row]!r}"
+                        raise _fault(errors.value, path, done + row, what) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(errors.value, path) from None
+    dense = [np.frombuffer(column, dtype=np.intc) for column in codes]
     values = [np.frombuffer(column, dtype=np.float64) for column in numbers]
     return [list(lookup) for lookup in lookups], dense, values
 
@@ -506,6 +503,21 @@ def _first_rejected(parse: Callable[[str], object], texts: Sequence[str]) -> int
         except ValueError:
             return index
     raise AssertionError("every text parses")
+
+
+def _not_utf8(error: type[Exception], path: Path) -> Exception:
+    """``error`` naming the first line of ``path`` that is not UTF-8.
+
+    A newline is one byte in UTF-8, so no character spans two lines.
+    """
+    with path.open("rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                what = f"byte 0x{line[exc.start]:02x} at column {exc.start + 1}"
+                return error(f"{path}:{number}: not UTF-8: {what}")
+    raise AssertionError("every line is UTF-8")
 
 
 def _fault(error: type[Exception], path: Path, row: int, what: str) -> Exception:

@@ -14,7 +14,7 @@ from forecast_stability.metrics import (
     EmptyInput,
     histogram,
 )
-from forecast_stability.report import ReportError, load_metrics_files
+from forecast_stability.report import ReportBundle, ReportError, load_metrics_files
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -161,15 +161,21 @@ def test_report_outputs_are_byte_deterministic(tmp_path, capsys):
 
 # ------------------------------------------------------------ table format
 
+def table_of(grids, **options):
+    """The quantile table of ``grids``, each with one run's RMSE."""
+    accuracy = {label: AccuracyReport(label, (1.0,)) for label in grids}
+    return emit_quantile_table(build_report_bundle(grids, accuracy, **options))
+
+
 def test_all_zero_grid_row_format():
     grids = {"label": grid_from_cv(np.zeros((2, 3)))}
-    text = emit_quantile_table(grids)
+    text = table_of(grids)
     assert text.splitlines()[1] == "label,0.000,0.000,0.000,0.000"
 
 
 def test_quantile_table_hand_checked_median():
     grids = {"m": grid_from_cv(np.array([[0.0, 0.1], [0.2, 0.3]]))}
-    lines = emit_quantile_table(grids).splitlines()
+    lines = table_of(grids).splitlines()
     assert lines[0] == "model,q25,q50,q75,q90"
     q50 = lines[1].split(",")[2]
     assert q50 == "0.150"
@@ -180,19 +186,19 @@ def test_quantile_table_rows_sorted_by_label():
         "zeta": grid_from_cv(np.zeros((1, 2))),
         "alpha": grid_from_cv(np.zeros((1, 2))),
     }
-    lines = emit_quantile_table(grids).splitlines()
+    lines = table_of(grids).splitlines()
     assert [row.split(",")[0] for row in lines[1:]] == ["alpha", "zeta"]
 
 
 def test_quantile_table_custom_probs():
     grids = {"m": grid_from_cv(np.array([[0.0, 1.0]]))}
-    lines = emit_quantile_table(grids, probs=(0.5, 0.9)).splitlines()
+    lines = table_of(grids, probs=(0.5, 0.9)).splitlines()
     assert lines[0] == "model,q50,q90"
 
 
 def test_empty_table_rejected():
     with pytest.raises(EmptyInput):
-        emit_quantile_table({})
+        emit_quantile_table(ReportBundle(models=(), probs=(0.5,), run_count=0))
 
 
 # ------------------------------------------------------------------- plots
@@ -207,12 +213,12 @@ def make_bundle(cv_values, rmse_values=(1.0, 2.0, 3.0), bins=4, clip=1.0):
     )
 
 
-def test_svg_bar_counts_match_histogram(tmp_path):
+def test_svg_bar_counts_match_histogram():
     cv = np.array([[0.05, 0.3, 0.3], [0.8, 0.9, 2.0]])
     bundle = make_bundle(cv, bins=4, clip=1.0)
-    paths = emit_plots(bundle, tmp_path)
-    hist_path = next(p for p in paths if p.name == "cv_hist_m.svg")
-    root = ET.parse(hist_path).getroot()
+    figures = emit_plots(bundle)
+    assert list(figures) == ["cv_hist_m.svg", "rmse_distribution.svg"]
+    root = ET.fromstring(figures["cv_hist_m.svg"])
     bars = [
         el
         for el in root.iter(f"{SVG_NS}rect")
@@ -224,10 +230,9 @@ def test_svg_bar_counts_match_histogram(tmp_path):
     assert sum(counts) + expected.excluded == cv.size
 
 
-def test_svg_median_line_at_left_edge_for_all_zero_cv(tmp_path):
+def test_svg_median_line_at_left_edge_for_all_zero_cv():
     bundle = make_bundle(np.zeros((2, 3)))
-    emit_plots(bundle, tmp_path)
-    root = ET.parse(tmp_path / "cv_hist_m.svg").getroot()
+    root = ET.fromstring(emit_plots(bundle)["cv_hist_m.svg"])
     median = next(
         el for el in root.iter(f"{SVG_NS}line") if el.get("class") == "median"
     )
@@ -235,10 +240,9 @@ def test_svg_median_line_at_left_edge_for_all_zero_cv(tmp_path):
     assert float(median.get("x1")) == 60.0  # left edge of the plot area
 
 
-def test_rmse_plot_has_point_per_run(tmp_path):
+def test_rmse_plot_has_point_per_run():
     bundle = make_bundle(np.zeros((1, 2)), rmse_values=(1.0, 1.5, 2.0, 4.0))
-    emit_plots(bundle, tmp_path)
-    root = ET.parse(tmp_path / "rmse_distribution.svg").getroot()
+    root = ET.fromstring(emit_plots(bundle)["rmse_distribution.svg"])
     points = [el for el in root.iter(f"{SVG_NS}circle") if el.get("class") == "pt"]
     assert len(points) == 4
     assert sorted(float(p.get("data-rmse")) for p in points) == [1.0, 1.5, 2.0, 4.0]
@@ -254,10 +258,8 @@ def test_bundle_conservation_enforced():
 def test_empty_bundle_rejected():
     with pytest.raises(EmptyInput):
         build_report_bundle({}, {})
-    from forecast_stability.report import ReportBundle
-
     with pytest.raises(EmptyInput):
-        emit_plots(ReportBundle(models=(), run_count=0), "unused")
+        emit_plots(ReportBundle(models=(), probs=(0.5,), run_count=0))
 
 
 def metrics_dir(tmp_path):
@@ -298,7 +300,11 @@ def test_report_rejects_quantiles_that_share_a_column(tmp_path, capsys, probs, p
     assert f"quantile probabilities {pair} share the column q50" in capsys.readouterr().err
     assert not rep.exists()
     with pytest.raises(ReportError, match="share the column q50"):
-        emit_quantile_table({"m": grid_from_cv([[0.1, 0.2]])}, [float(p) for p in probs.split(",")])
+        build_report_bundle(
+            {"m": grid_from_cv([[0.1, 0.2]])},
+            {"m": AccuracyReport("m", (1.0,))},
+            probs=[float(p) for p in probs.split(",")],
+        )
 
 
 @pytest.mark.parametrize(
@@ -311,6 +317,22 @@ def test_report_rejects_a_corrupt_manifest(tmp_path, capsys, text):
     assert cli_main(["report", "--runs", str(runs), "--out", str(rep)]) == 2
     assert f"error: {runs / 'manifest.json'}: " in capsys.readouterr().err
     assert not rep.exists()
+
+
+def test_report_rejects_labels_whose_figures_share_a_file(tmp_path, capsys):
+    kind = {"kind": "seasonal_naive", "params": {"period": 7}}
+    models = [{"label": label, "kind": kind} for label in ("a b", "a_b")]
+    config = write_experiment_config(tmp_path, models=models)
+    runs = tmp_path / "runs"
+    assert cli_main(["run", "--config", str(config), "--out", str(runs)]) == 0
+    assert cli_main(["metrics", "--runs", str(runs)]) == 0
+    rep = tmp_path / "report"
+    assert cli_main(["report", "--runs", str(runs), "--out", str(rep)]) == 2
+    assert "'a b' and 'a_b' would both write cv_hist_a_b.svg" in capsys.readouterr().err
+    assert not rep.exists()
+    # Without figures, nothing collides.
+    assert cli_main(["report", "--runs", str(runs), "--out", str(rep), "--format", "csv"]) == 0
+    assert [path.name for path in rep.iterdir()] == ["table.csv"]
 
 
 def test_report_reads_train_length_from_an_optional_manifest(tmp_path):

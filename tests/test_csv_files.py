@@ -197,22 +197,28 @@ RUNS = "model,run_id,item_id,h,value\n" + "".join(
 ACTUALS = "item_id,h,value\nA,1,5\n"
 CV = "model,item_id,h,cv,mean,std\nm,A,1,0.5,2.0,1.0\nm,A,2,0.5,2.0,1.0\n"
 RMSE = "model,run_id,rmse\n" + "".join(f"m,{run},1.5\n" for run in range(10))
+# The helpers write this character as the byte 0x93, which starts no UTF-8 character.
+NOT_UTF8 = "\udc93"
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def _load_dataset(tmp, text):
-    (tmp / "data.csv").write_text(text, encoding="utf-8")
+    _write(tmp / "data.csv", text)
     load_long_csv(tmp / "data.csv")
 
 
 def _load_runs(tmp, runs, actuals=ACTUALS):
-    (tmp / "runs.csv").write_text(runs, encoding="utf-8")
-    (tmp / "actuals.csv").write_text(actuals, encoding="utf-8")
+    _write(tmp / "runs.csv", runs)
+    _write(tmp / "actuals.csv", actuals)
     load_runs(tmp)
 
 
 def _load_metrics(tmp, cv, rmse=RMSE):
-    (tmp / "cv.csv").write_text(cv, encoding="utf-8")
-    (tmp / "rmse.csv").write_text(rmse, encoding="utf-8")
+    _write(tmp / "cv.csv", cv)
+    _write(tmp / "rmse.csv", rmse)
     load_metrics_files(tmp)
 
 
@@ -284,6 +290,24 @@ def _load_metrics(tmp, cv, rmse=RMSE):
             ReportError,
             "cv.csv:2:",
             id="nan-cv",
+        ),
+        pytest.param(
+            lambda tmp: _load_dataset(tmp, DATASET + f"B{NOT_UTF8},2021-01-01,3\n"),
+            DatasetError,
+            "data.csv:4: not UTF-8: byte 0x93 at column 2",
+            id="not-utf8-dataset",
+        ),
+        pytest.param(
+            lambda tmp: _load_runs(tmp, RUNS.replace("m,2,", f"m{NOT_UTF8},2,")),
+            SchemaMismatch,
+            "runs.csv:4: not UTF-8: byte 0x93 at column 2",
+            id="not-utf8-runs",
+        ),
+        pytest.param(
+            lambda tmp: _load_runs(tmp, RUNS, ACTUALS.replace(",5", f",5{NOT_UTF8}")),
+            SchemaMismatch,
+            "actuals.csv:2: not UTF-8: byte 0x93 at column 6",
+            id="not-utf8-actuals",
         ),
     ],
 )

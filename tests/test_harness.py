@@ -632,6 +632,14 @@ CONFIG_FAULTS = {
         _set("models", 2, "ensemble", "n_window", value=2),
         "models[2].ensemble.n_window: unknown key",
     ),
+    "zero-windows": (
+        _set("models", 2, "ensemble", "n_windows", value=0),
+        "models[2].ensemble: n_windows must be >= 1",
+    ),
+    "zero-iterations": (
+        _set("ensemble_iterations", value=0),
+        "config: ensemble_iterations must be >= 1",
+    ),
     "unknown-kind": (
         _set("models", 1, "kind", "param", value={}),
         "models[1].kind.param: unknown key",
@@ -853,7 +861,7 @@ def experiment_configs(draw):
         models=tuple(models),
         run_count=draw(st.integers(2, 5)),
         master_seed=draw(st.integers(-(2**63), 2**64 - 1)),
-        ensemble_iterations=draw(st.integers(0, 10**6)),
+        ensemble_iterations=draw(st.integers(1, 10**6)),
         output_dir=draw(st.none() | TEXT),
     )
 
