@@ -37,6 +37,7 @@ from .report import (
     report_to_json,
     write_metrics_files,
 )
+from .tabular import _not_utf8
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,11 +101,13 @@ def main() -> None:
 
 
 def _read_json(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(ValueError, Path(path)) from None
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -106,6 +106,10 @@ class GlobalMean:
 # 1000 times the default: a config asking for more fails at once instead
 # of running for good.
 MAX_EPOCHS = 10_000
+# A run's parameters stay at a few MiB: a TinyMLP at both bounds has
+# 1000 * 256 + 2 * 256 + 1 of them, 2 MiB of float64.
+MAX_LAGS = 1000
+MAX_HIDDEN_DIM = 256
 
 # Batches gathered by one np.take in the SGD loop: few, so the gathered
 # windows stay small (about 160 KiB for 10 runs of batch 32 and 7 lags).
@@ -125,8 +129,10 @@ class _Learned:
     def __post_init__(self):
         # Every hyperparameter of a learned kind is a positive number.
         _require_positive(self, *(field.name for field in fields(self)))
-        if self.epochs > MAX_EPOCHS:
-            raise ValueError(f"{type(self).__name__}.epochs must be <= {MAX_EPOCHS}")
+        bounds = {"epochs": MAX_EPOCHS, "lags": MAX_LAGS, "hidden_dim": MAX_HIDDEN_DIM}
+        for name, bound in bounds.items():
+            if getattr(self, name, 0) > bound:
+                raise ValueError(f"{type(self).__name__}.{name} must be <= {bound}")
 
     def _fit(self, values: np.ndarray, seeds: tuple[int, ...]) -> list[dict[str, np.ndarray]]:
         """Mini-batch SGD of every seed's run at once, over a leading run axis.

@@ -36,6 +36,7 @@ from .dataset import (
 from .ensemble import (
     DEFAULT_ITERATIONS,
     DEFAULT_WINDOWS,
+    EnsembleError,
     component_seed,
     fit_ensemble,
     predict_ensemble,
@@ -44,6 +45,7 @@ from .errors import ForecastStabilityError
 from .forecasters import (
     Diverged,
     FittedForecaster,
+    ForecasterError,
     ForecasterKind,
     fit,
     kind_from_json,
@@ -216,8 +218,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     (kind, seed), with no seed for a deterministic kind. An entry predicts
     each distinct model once and post-processes each distinct forecast
     once. Raises on the first failure without emitting partial results; a
-    :class:`Diverged` error names the label, run ids and seeds of the runs
-    that blew up.
+    fit or ensemble error names the label, and a :class:`Diverged` error
+    also the run ids and seeds of the runs that blew up.
     """
     panel = load_panel(cfg.dataset)
     train, actuals = split(panel, cfg.split)
@@ -269,6 +271,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         except Diverged as exc:
             runs = ", ".join(f"run {r} (seed {seeds[r]})" for r in exc.runs)
             raise Diverged(f"model {entry.label!r}, {runs}: {exc}", exc.runs) from exc
+        except (ForecasterError, EnsembleError) as exc:
+            raise type(exc)(f"model {entry.label!r}: {exc}") from exc
         forecasts[entry.label] = np.stack([delivered[key] for key in keys])
     return ExperimentResult(
         forecasts=forecasts,

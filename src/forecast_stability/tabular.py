@@ -7,8 +7,11 @@ counted from 1 or a date counted from the earliest one. ``csv.writer``
 quotes a field holding ``,``, ``"`` or a newline, RFC 4180 style, and
 writes every other field as is.
 
-The writer quotes each distinct key text once and writes the rows a block
-at a time. The reader parses a file block by block with numpy: it splits
+The writer builds each block of rows as bytes in numpy. It encodes each
+distinct key text once per file and each distinct bit pattern of a block's
+values once (so ``0.0`` and ``-0.0`` differ), gathers each row's fields
+from tables padded with 0xFF, which no UTF-8 text holds, and drops the
+padding. The reader parses a file block by block with numpy: it splits
 lines and fields at byte positions, maps each key column's distinct texts
 to integer codes and parses the numbers column-wise. A file that holds a
 ``"``, a ``\\r`` or a NUL byte, or a block that fails any check (field
@@ -20,11 +23,12 @@ that are not UTF-8, a duplicate cell and a missing cell each raise the
 error class the caller names for it, with the file and, where one row is
 at fault, its line.
 
-Memory: the writer holds the grid and, per block of rows, their cells and
-texts, gathered through each text key's sorted order; it copies no grid.
-The reader holds per row each key's code (4 bytes), each number and the
-row's cell index (8 bytes each), and per cell one flag and the float64
-grids. Parsing a block holds a few times its bytes.
+Memory: the writer holds the grid, each key's padded texts and, per block,
+its cells and a record of its rows, padded to their fields' longest texts;
+it copies no grid, and long key texts shorten a block to about
+``BLOCK_BYTES``. The reader holds per row each key's code (4 bytes), each
+number and the row's cell index (8 bytes each), and per cell one flag and
+the float64 grids. Parsing a block holds a few times its bytes.
 """
 
 from __future__ import annotations
@@ -36,13 +40,13 @@ import itertools
 import math
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 # The block reader parses at most this many bytes at once, unless one line
-# is longer; the writer formats and joins, and the reader indexes, this
-# many rows at once.
+# is longer, and a block the writer builds holds about as many key bytes;
+# the writer builds, and the reader indexes, at most this many rows at once.
 BLOCK_BYTES = 256 * 1024
 BLOCK_ROWS = 8192
 
@@ -111,7 +115,7 @@ RMSE = Schema((MODEL, RUN), ("rmse",))
 
 def write_csv(path: str | Path, schema: Schema, axes, columns) -> None:
     """Write a dense grid to ``path``; see :func:`csv_text`."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with Path(path).open("wb") as fh:
         _write(fh, schema, axes, columns)
 
 
@@ -122,18 +126,16 @@ def csv_text(schema: Schema, axes, columns) -> str:
     order and are written sorted. Each array in ``columns`` is shaped by
     the axis lengths.
     """
-    out = io.StringIO()
+    out = io.BytesIO()
     _write(out, schema, axes, columns)
-    return out.getvalue()
+    return out.getvalue().decode("utf-8")
 
 
-def _write(out: TextIO, schema: Schema, axes, columns) -> None:
+def _write(out: BinaryIO, schema: Schema, axes, columns) -> None:
     shape = tuple(len(axis) for axis in axes)
     if any(column.shape != shape for column in columns):
         raise ValueError(f"columns must have the axis lengths {shape}")
-    fields = []
-    labels = []
-    orders = []
+    fields, labels, orders = [], [], []
     for key, axis in zip(schema.keys, axes):
         if key.parse is None:
             if len(set(axis)) != len(axis):
@@ -148,22 +150,39 @@ def _write(out: TextIO, schema: Schema, axes, columns) -> None:
     # csv.writer quotes a field only for the characters of its line
     # terminator, so a lone "\r" in a label is quoted only under "\r\n".
     terminator = "\r\n" if any("\r" in label for label in labels) else "\n"
-    csv.writer(out, lineterminator=terminator).writerow(schema.header)
-    # Every row is its key texts, each followed by a comma, then its value
-    # texts joined by commas; values never need quoting.
-    *outer, inner = (_quoted(texts, terminator) for texts in fields)
-    prefixes = map("".join, itertools.product(*outer))
-    keys = itertools.starmap(str.__add__, itertools.product(prefixes, inner))
-    fmt = schema.fmt or str
+    header = io.StringIO()
+    csv.writer(header, lineterminator=terminator).writerow(schema.header)
+    out.write(header.getvalue().encode("utf-8"))
+    # A row is its key texts, each followed by a comma, then its value texts,
+    # each followed by a comma or, last, the terminator; values need no quotes.
+    tables = [_padded(_quoted(texts, terminator)) for texts in fields]
+    ends = [b","] * (len(columns) - 1) + [terminator.encode()]
     n_rows = math.prod(shape)
-    for first in range(0, n_rows, BLOCK_ROWS):
-        # Each row's cell, gathered from the columns as they are laid out.
-        rows = np.arange(first, min(first + BLOCK_ROWS, n_rows))
-        cell = tuple(map(np.take, orders, np.unravel_index(rows, shape)))
-        texts = [map(fmt, column[cell].tolist()) for column in columns]
-        values = texts[0] if len(texts) == 1 else map(",".join, zip(*texts))
-        lines = map(str.__add__, itertools.islice(keys, BLOCK_ROWS), values)
-        out.write(terminator.join(lines) + terminator)
+    step = min(BLOCK_ROWS, max(BLOCK_BYTES // (sum(t.shape[1] for t in tables) or 1), 1))
+    for first in range(0, n_rows, step):
+        index = np.unravel_index(np.arange(first, min(first + step, n_rows)), shape)
+        cell = tuple(map(np.take, orders, index))
+        parts = [np.take(table, i, axis=0) for table, i in zip(tables, index)]
+        for column, end in zip(columns, ends):
+            values = column[cell]
+            bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+            texts = list(map(schema.fmt or str, bits.view(values.dtype).tolist()))
+            parts.append(np.take(_padded(texts), inverse, axis=0))
+            parts.append(np.broadcast_to(np.frombuffer(end, np.uint8), (len(values), len(end))))
+        record = np.concatenate(parts, axis=1)
+        out.write(record[record != 0xFF].tobytes())
+
+
+def _padded(texts: Sequence[str]) -> np.ndarray:
+    """Each text's UTF-8 bytes as a row of a uint8 table, padded with 0xFF."""
+    joined = "".join(texts)
+    data = np.frombuffer(joined.encode("utf-8"), np.uint8)
+    # Each text's length is its byte count, unless some text is not ASCII.
+    sized = texts if len(data) == len(joined) else [text.encode("utf-8") for text in texts]
+    lengths = np.fromiter(map(len, sized), np.intp, len(texts))
+    table = np.full((len(texts), lengths.max(initial=0)), 0xFF, np.uint8)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = data
+    return table
 
 
 def _quoted(texts: Sequence[str], terminator: str) -> list[str]:

@@ -319,6 +319,16 @@ def test_report_rejects_a_corrupt_manifest(tmp_path, capsys, text):
     assert not rep.exists()
 
 
+def test_report_names_a_manifest_that_is_not_utf8(tmp_path, capsys):
+    runs = metrics_dir(tmp_path)
+    manifest = runs / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes().replace(b"{", b"{\x93", 1))
+    rep = tmp_path / "report"
+    assert cli_main(["report", "--runs", str(runs), "--out", str(rep)]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}:1: not UTF-8: byte 0x93 at column 2\n"
+    assert not rep.exists()
+
+
 def test_report_rejects_labels_whose_figures_share_a_file(tmp_path, capsys):
     kind = {"kind": "seasonal_naive", "params": {"period": 7}}
     models = [{"label": label, "kind": kind} for label in ("a b", "a_b")]

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 ODD_VALUES = [
     None, True, "x", [], {}, 1.5, -1, 0, math.nan, math.inf, -math.inf,
-    2**63, 2**64, -(2**63) - 1, 10**400,
+    10**9, 10**11, 2**63, 2**64, -(2**63) - 1, 10**400,
 ]
 ODD_FIELDS = [b"", b"x", b"-1", b"0", b"2.5", b"nan", b"inf", b"1e400", b"9" * 25, b'"', b"\xff"]
 

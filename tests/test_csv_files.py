@@ -400,6 +400,13 @@ def test_writer_bytes_equal_the_row_writer(drawn, block_rows):
         assert path.read_bytes() == expected.encode("utf-8")
 
 
+def from_bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+NUL = "\0" if _csv_reads_nul() else ""
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, tabular.BLOCK_ROWS])
 @pytest.mark.parametrize(
     "schema, axes, column",
@@ -415,6 +422,49 @@ def test_writer_bytes_equal_the_row_writer(drawn, block_rows):
             (["y", "x"], ["q", "r", "p"], range(1, 5)),
             np.arange(4 * 3 * 2, dtype=np.float64).reshape(4, 3, 2).T / 8,
             id="transposed-column",
+        ),
+        # The writer formats each distinct bit pattern of a block's values once.
+        pytest.param(
+            tabular.DATASET,
+            (["b", "a"], range(738000, 738004)),
+            np.array([[0.0, -0.0, 1.0, -0.0], [-1.0, 0.0, -0.0, 0.5]]),
+            id="signed-zeros-dataset",
+        ),
+        pytest.param(
+            tabular.CV,
+            (["m"], ["a", "b"], range(1, 4)),
+            np.array([[[-0.0, 0.0, 0.0], [0.0, -0.0, 2.5]]]),
+            id="signed-zeros-cv",
+        ),
+        pytest.param(
+            tabular.CV,
+            (["m"], ["a"], range(1, 6)),
+            from_bits(
+                0x7FF8000000000000,
+                0xFFF8000000000000,
+                0x7FF8000000000001,
+                0x7FF0000000000001,
+                0x7FF8000000000000,
+            ).reshape(1, 1, 5),
+            id="nan-payloads",
+        ),
+        pytest.param(
+            tabular.RUNS,
+            (["m"], range(2), ["a", "b"], range(1, 3)),
+            np.array([0, 2**63 - 1, 2**63 - 1, 0] * 2, dtype=np.int64).reshape(1, 2, 2, 2),
+            id="int64-extremes",
+        ),
+        pytest.param(
+            tabular.RMSE,
+            (["m", "n", "o"], range(5)),
+            np.full((3, 5), 1 / 3),
+            id="all-equal",
+        ),
+        pytest.param(
+            tabular.CV,
+            ([f"n{NUL}ul", "caf\u00e9", "c\rr"], [f"{NUL}", "\u65e5\u672c", "x\r"], range(1, 3)),
+            np.arange(18, dtype=np.float64).reshape(3, 3, 2) / 4,
+            id="odd-labels",
         ),
     ],
 )

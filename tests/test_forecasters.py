@@ -15,6 +15,8 @@ from forecast_stability import (
     synth_generate,
 )
 from forecast_stability.forecasters import (
+    MAX_HIDDEN_DIM,
+    MAX_LAGS,
     Diverged,
     FittedForecaster,
     InsufficientHistory,
@@ -296,3 +298,14 @@ def test_hyperparameters_must_be_positive():
         TinyMLP(lags=1, hidden_dim=0, epochs=1, learning_rate=0.1, batch_size=1)
     with pytest.raises(ValueError, match="epochs must be <= 10000"):
         LinearAR(epochs=2**63)
+
+
+def test_learned_sizes_are_bounded():
+    # One run's parameters at both bounds: 1000 * 256 + 2 * 256 + 1 float64s.
+    TinyMLP(lags=MAX_LAGS, hidden_dim=MAX_HIDDEN_DIM)
+    with pytest.raises(ValueError, match="LinearAR.lags must be <= 1000"):
+        LinearAR(lags=MAX_LAGS + 1)
+    with pytest.raises(ValueError, match="TinyMLP.lags must be <= 1000"):
+        TinyMLP(lags=MAX_LAGS + 1)
+    with pytest.raises(ValueError, match="TinyMLP.hidden_dim must be <= 256"):
+        TinyMLP(hidden_dim=10**11)

@@ -37,7 +37,13 @@ from forecast_stability import (
 )
 from forecast_stability.cli import cli_main
 from forecast_stability.dataset import MAX_PANEL_CELLS
-from forecast_stability.forecasters import MAX_EPOCHS, Diverged
+from forecast_stability.forecasters import (
+    MAX_EPOCHS,
+    MAX_HIDDEN_DIM,
+    MAX_LAGS,
+    Diverged,
+    InsufficientHistory,
+)
 from forecast_stability.harness import (
     EmptyExperiment,
     ExperimentResult,
@@ -300,6 +306,23 @@ def test_diverging_model_names_label_run_and_seed():
     cfg = small_config([ModelEntry(label="ens", ensemble=request)])
     seed = run_seed(5, "ens", 0)
     with pytest.raises(Diverged, match=rf"^model 'ens', run 0 \(seed {seed}\): validation"):
+        run_experiment(cfg)
+
+
+def test_fit_and_ensemble_errors_name_the_model(monkeypatch):
+    cfg = small_config([ModelEntry(label="sn", forecaster=SeasonalNaive(period=1000))])
+    with pytest.raises(InsufficientHistory, match=r"^model 'sn': need at least 1000 .* have 33$"):
+        run_experiment(cfg)
+    request = EnsembleRequest(components=(SeasonalNaive(period=1000), GlobalMean()))
+    cfg = small_config([ModelEntry(label="ens", ensemble=request)])
+    with pytest.raises(InsufficientHistory, match=r"^model 'ens': need at least 1000 .* have 19$"):
+        run_experiment(cfg)
+
+    def dominated(*args):
+        raise ensemble.DominanceViolation("selection scored worse than its best member")
+
+    monkeypatch.setattr(harness, "fit_ensemble", dominated)
+    with pytest.raises(ensemble.DominanceViolation, match="^model 'ens': selection scored"):
         run_experiment(cfg)
 
 
@@ -735,8 +758,21 @@ def test_ints_read_as_floats_and_bools_as_nothing_else():
         (_set("run_count", value=1), "config: run_count must be >= 2"),
         (_set("run_count", value=10_001), "config: run_count must be <= 10000"),
         (_set("run_count", value=10**400), "config: run_count must be <= 10000"),
+        (
+            _set("models", 1, "kind", "params", "lags", value=10**9),
+            "models[1].kind.params: LinearAR.lags must be <= 1000",
+        ),
+        (
+            _set(
+                "models", 1, "kind", value={"kind": "tiny_mlp", "params": {"hidden_dim": 10**11}}
+            ),
+            "models[1].kind.params: TinyMLP.hidden_dim must be <= 256",
+        ),
     ],
-    ids=["lags", "top-key", "run-count", "run-count-above-bound", "run-count-huge"],
+    ids=[
+        "lags", "top-key", "run-count", "run-count-above-bound", "run-count-huge",
+        "lags-above-bound", "hidden-dim-above-bound",
+    ],
 )
 def test_cli_run_rejects_bad_config(tmp_path, capsys, fault, message):
     config = tmp_path / "experiment.json"
@@ -766,6 +802,18 @@ def test_cli_names_a_config_that_is_not_json(tmp_path, capsys, command):
     assert cli_main([command, "--config", str(config), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {config}: Expecting property name")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_cli_names_a_config_that_is_not_utf8(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"n_series": 2,\n "length": "\x93"}')
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {config}:2: not UTF-8: byte 0x93 at column 13\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -807,17 +855,18 @@ def test_readme_quickstart_runs(capsys):
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 POSITIVE = st.integers(1, 2**40)
 EPOCHS = st.integers(1, MAX_EPOCHS)
+LAGS = st.integers(1, MAX_LAGS)
 RATES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 KINDS = st.one_of(
     st.builds(SeasonalNaive, period=POSITIVE),
     st.builds(GlobalMean),
     st.builds(
-        LinearAR, lags=POSITIVE, epochs=EPOCHS, learning_rate=RATES, batch_size=POSITIVE
+        LinearAR, lags=LAGS, epochs=EPOCHS, learning_rate=RATES, batch_size=POSITIVE
     ),
     st.builds(
         TinyMLP,
-        lags=POSITIVE,
-        hidden_dim=POSITIVE,
+        lags=LAGS,
+        hidden_dim=st.integers(1, MAX_HIDDEN_DIM),
         epochs=EPOCHS,
         learning_rate=RATES,
         batch_size=POSITIVE,

@@ -76,6 +76,15 @@ def test_write_csv_holds_less_than_a_copy_of_the_grid(tmp_path, monkeypatch):
     assert peak < grid.nbytes
 
 
+def test_write_csv_holds_a_small_block_of_long_labels(tmp_path):
+    # One 8 KiB label pads every row's field of its key to 8 KiB, so a
+    # block of BLOCK_ROWS rows would hold 64 MiB; such a block takes fewer.
+    axes = (*RUNS_AXES[:2], ["x" * 8192, *RUNS_AXES[2][:99]], RUNS_AXES[3])
+    grid = runs_grid(axes)
+    peak = traced_peak(tabular.write_csv, tmp_path / "runs.csv", tabular.RUNS, axes, (grid,))
+    assert peak < 8 * 2**20
+
+
 def test_synth_generate_holds_a_few_panels():
     # A draw's two buffers and its shift, then the panel and the noise;
     # whole-panel temporaries of the formula held six panels.
