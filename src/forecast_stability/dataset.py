@@ -184,7 +184,7 @@ def split(ds: TimeSeriesDataset, spec: SplitSpec) -> tuple[TimeSeriesDataset, np
     """
     if spec.train_length + spec.horizon > ds.length:
         raise SplitOutOfRange(
-            f"train_length {spec.train_length} + horizon {spec.horizon} "
+            f"split: train_length {spec.train_length} + horizon {spec.horizon} "
             f"exceeds panel length {ds.length}"
         )
     train = TimeSeriesDataset(

@@ -66,6 +66,17 @@ def _require_positive(obj, *names: str) -> None:
             raise ValueError(f"{type(obj).__name__}.{name} must be positive and finite")
 
 
+def _require_at_most(obj, **bounds: int) -> None:
+    for name, bound in bounds.items():
+        if getattr(obj, name, 0) > bound:
+            raise ValueError(f"{type(obj).__name__}.{name} must be <= {bound}")
+
+
+# A season of over 27 years of daily demand fails when the config is read,
+# not when a fit finds too few observations.
+MAX_PERIOD = 10_000
+
+
 @dataclass(frozen=True)
 class SeasonalNaive:
     """Repeat the last observed season; deterministic."""
@@ -76,6 +87,7 @@ class SeasonalNaive:
 
     def __post_init__(self):
         _require_positive(self, "period")
+        _require_at_most(self, period=MAX_PERIOD)
 
     def _fit(self, values: np.ndarray) -> dict[str, np.ndarray]:
         if values.shape[1] < self.period:
@@ -110,6 +122,10 @@ MAX_EPOCHS = 10_000
 # 1000 * 256 + 2 * 256 + 1 of them, 2 MiB of float64.
 MAX_LAGS = 1000
 MAX_HIDDEN_DIM = 256
+# A step's three (batch, hidden_dim) temporaries stay at 6 MiB per run at
+# MAX_HIDDEN_DIM. Without a bound, a batch is cut only to the training rows,
+# so its temporaries grow with the panel.
+MAX_BATCH_SIZE = 1024
 
 # Batches gathered by one np.take in the SGD loop: few, so the gathered
 # windows stay small (about 160 KiB for 10 runs of batch 32 and 7 lags).
@@ -129,10 +145,13 @@ class _Learned:
     def __post_init__(self):
         # Every hyperparameter of a learned kind is a positive number.
         _require_positive(self, *(field.name for field in fields(self)))
-        bounds = {"epochs": MAX_EPOCHS, "lags": MAX_LAGS, "hidden_dim": MAX_HIDDEN_DIM}
-        for name, bound in bounds.items():
-            if getattr(self, name, 0) > bound:
-                raise ValueError(f"{type(self).__name__}.{name} must be <= {bound}")
+        _require_at_most(
+            self,
+            epochs=MAX_EPOCHS,
+            lags=MAX_LAGS,
+            hidden_dim=MAX_HIDDEN_DIM,
+            batch_size=MAX_BATCH_SIZE,
+        )
 
     def _fit(self, values: np.ndarray, seeds: tuple[int, ...]) -> list[dict[str, np.ndarray]]:
         """Mini-batch SGD of every seed's run at once, over a leading run axis.

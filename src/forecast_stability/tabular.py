@@ -11,9 +11,15 @@ The writer builds each block of rows as bytes in numpy. It encodes each
 distinct key text once per file and each distinct bit pattern of a block's
 values once (so ``0.0`` and ``-0.0`` differ), gathers each row's fields
 from tables padded with 0xFF, which no UTF-8 text holds, and drops the
-padding. The reader parses a file block by block with numpy: it splits
-lines and fields at byte positions, maps each key column's distinct texts
-to integer codes and parses the numbers column-wise. A file that holds a
+padding. The reader parses a file block by block with numpy. One pass
+finds a block's commas and newlines. Each key column codes its texts
+through a table of the texts read so far, so each distinct text is decoded
+once per file. A number written ``[-]digits[.digits]`` in at most 19 bytes
+is read exactly as integers: its digits ``m`` and the count ``k`` after
+its dot give ``m / 10**k``, which float64 division rounds correctly while
+``m <= 2**53``; a larger ``m`` is divided in integers before one rounding.
+Any other ASCII number (an exponent, ``+``, ``_``, ``inf``, ``nan``, a
+longer text) goes through numpy's bytes-to-float64 cast. A file that holds a
 ``"``, a ``\\r`` or a NUL byte, or a block that fails any check (field
 count, UTF-8, a number), is read again row by row with ``csv.reader``,
 which is the reference for the block reader and the only one that raises
@@ -27,8 +33,9 @@ Memory: the writer holds the grid, each key's padded texts and, per block,
 its cells and a record of its rows, padded to their fields' longest texts;
 it copies no grid, and long key texts shorten a block to about
 ``BLOCK_BYTES``. The reader holds per row each key's code (4 bytes), each
-number and the row's cell index (8 bytes each), and per cell one flag and
-the float64 grids. Parsing a block holds a few times its bytes.
+number and the row's cell index (8 bytes each), per cell one flag and the
+float64 grids, and per distinct key text its words and fold. Parsing a
+block holds a few times its bytes.
 """
 
 from __future__ import annotations
@@ -358,7 +365,7 @@ def _read_blocks(path: Path, schema: Schema):
     not UTF-8 or a number that ``float()`` may not read as the cast does.
     """
     header = ",".join(schema.header).encode()
-    lookups: list[dict[str, int]] = [{} for _ in schema.keys]
+    keys = [_KeyTexts() for _ in schema.keys]
     # Growing arrays, as in _read_rows, hold the parsed blocks compactly.
     columns = [array("i") for _ in schema.keys] + [array("d") for _ in schema.values]
     with path.open("rb") as fh:
@@ -368,20 +375,19 @@ def _read_blocks(path: Path, schema: Schema):
             split = _split_block(block, len(columns))
             if split is None:
                 return None
-            data, lefts, widths = split
+            text, data, lefts, widths = split
             fields = list(zip(lefts.T, widths.T))
             parts = [
-                _key_codes(block, data, left, width, lookup)
-                for lookup, (left, width) in zip(lookups, fields)
+                key.codes_of(text, data, left, width) for key, (left, width) in zip(keys, fields)
             ]
-            parts += [_numbers(data, left, width) for left, width in fields[len(lookups) :]]
+            parts += [_numbers(data, left, width) for left, width in fields[len(keys) :]]
             if any(part is None for part in parts):
                 return None
             for column, part in zip(columns, parts):
-                column.frombytes(part.tobytes())
-    codes = [np.frombuffer(column, dtype=np.intc) for column in columns[: len(lookups)]]
-    values = [np.frombuffer(column, dtype=np.float64) for column in columns[len(lookups) :]]
-    return [list(lookup) for lookup in lookups], codes, values
+                column.frombytes(part.view(np.uint8))
+    codes = [np.frombuffer(column, dtype=np.intc) for column in columns[: len(keys)]]
+    values = [np.frombuffer(column, dtype=np.float64) for column in columns[len(keys) :]]
+    return [list(key.lookup) for key in keys], codes, values
 
 
 def _blocks(fh: BinaryIO) -> Iterator[bytes]:
@@ -402,116 +408,277 @@ def _blocks(fh: BinaryIO) -> Iterator[bytes]:
         yield rest + b"\n"
 
 
+# Zeros before a block let the last 24 bytes of any field be read as three
+# 8-byte words; zeros after it, the first bytes of any field.
+_FRONT = 24
+
+
 def _split_block(block: bytes, n_fields: int):
     """Where each field of each non-blank line of ``block`` starts, and its width.
 
-    Returns ``block`` as uint8 with zeros after it, and the (lines, fields)
-    offsets and widths; None when csv.reader must read the block. ``block``
-    ends with a newline.
+    Returns ``block`` with zeros around it, as bytes and as uint8, and the
+    (lines, fields) offsets into it and widths; None when csv.reader must
+    read the block. ``block`` ends with a newline.
     """
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
     data = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    commas = np.flatnonzero(data == ord(","))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    filled = ends > starts
-    # Commas in each line: every non-blank line needs one per field but one.
-    per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
-    if not np.array_equal(per_line, filled * (n_fields - 1)):
+    # Every comma and newline, and the field that each one ends.
+    seps = data == ord(",")
+    seps |= data == ord("\n")
+    seps = np.flatnonzero(seps)
+    ends = data[seps] == ord("\n")
+    lefts = np.empty_like(seps)
+    lefts[0] = 0
+    lefts[1:] = seps[:-1] + 1
+    widths = seps - lefts
+    # A newline right after another, or at the start, ends a blank line.
+    blank = ends & (widths == 0)
+    blank[1:] &= ends[:-1]
+    if blank.any():
+        lefts, widths, ends = lefts[~blank], widths[~blank], ends[~blank]
+    # Every line but a blank one needs one comma per field but one.
+    if len(ends) % n_fields or np.count_nonzero(ends) * n_fields != len(ends):
         return None
-    inner = commas.reshape(-1, n_fields - 1)
-    lefts = np.column_stack((starts[filled], inner + 1))
-    widths = np.column_stack((inner, ends[filled])) - lefts
+    if not ends[n_fields - 1 :: n_fields].all():
+        return None
     widest = int(widths.max(initial=0))
     if widest > csv.field_size_limit():
         return None
-    # The zeros let every field be read in whole 8-byte words.
-    return np.frombuffer(block + bytes(widest + 8), dtype=np.uint8), lefts, widths
+    text = b"".join((bytes(_FRONT), block, bytes(widest + 8)))
+    lefts += _FRONT
+    shape = (-1, n_fields)
+    return text, np.frombuffer(text, np.uint8), lefts.reshape(shape), widths.reshape(shape)
 
 
-def _key_codes(
-    block: bytes, data: np.ndarray, left: np.ndarray, width: np.ndarray, lookup: dict[str, int]
-) -> np.ndarray | None:
-    """Each field's code in ``lookup``, adding new texts in order of appearance.
+class _KeyTexts:
+    """A key column's distinct texts, coded in order of first appearance.
 
-    None when a text is not UTF-8.
+    Beside the dict of texts, a table of their folded words, sorted, codes
+    a block's texts in a few array operations. A run of rows that repeat a
+    text is looked up once, and a text is decoded only when the table
+    misses it: once per file, unless two texts fold alike.
     """
-    first, inverse = _distinct(_words(data, left, width))
-    codes = np.empty(len(first), dtype=np.intc)
-    try:
-        for index in np.argsort(first):
-            start = int(left[first[index]])
-            text = block[start : start + int(width[first[index]])].decode("utf-8")
-            codes[index] = lookup.setdefault(text, len(lookup))
-    except UnicodeDecodeError:
-        return None
-    return codes[inverse]
+
+    def __init__(self) -> None:
+        self.lookup: dict[str, int] = {}
+        self.folds = np.empty(0, dtype=np.uint64)
+        self.codes = np.empty(0, dtype=np.intc)  # the code of each fold
+        self.words = np.empty((1, 0), dtype=np.uint64)  # each code's words
+
+    def codes_of(
+        self, text: bytes, data: np.ndarray, left: np.ndarray, width: np.ndarray
+    ) -> np.ndarray | None:
+        """Each field's code, adding new texts in order of appearance.
+
+        None when a text is not UTF-8.
+        """
+        words = _words(data, left, width)
+        # The first row of each run of equal texts.
+        changed = np.ones(len(left), dtype=bool)
+        changed[1:] = (words[:, 1:] != words[:, :-1]).any(axis=0)
+        heads = np.flatnonzero(changed)
+        n_words = max(len(words), len(self.words))
+        words = _widen(np.take(words, heads, axis=1), n_words)
+        self.words = _widen(self.words, n_words)
+        folded = _fold(words)
+        if len(self.folds):
+            at = np.minimum(np.searchsorted(self.folds, folded), len(self.folds) - 1)
+            codes = self.codes[at]
+            hit = self.folds[at] == folded
+            hit &= (np.take(self.words, codes, axis=1) == words).all(axis=0)
+        else:
+            codes = np.empty(len(heads), dtype=np.intc)
+            hit = np.zeros(len(heads), dtype=bool)
+        missed = np.flatnonzero(~hit)
+        if missed.size:
+            first, inverse = _distinct(np.take(words, missed, axis=1), folded[missed])
+            size = len(self.lookup)
+            found = np.empty(len(first), dtype=np.intc)
+            try:
+                for index in np.argsort(first):
+                    start = int(left[heads[missed[first[index]]]])
+                    key = text[start : start + int(width[heads[missed[first[index]]]])]
+                    found[index] = self.lookup.setdefault(key.decode("utf-8"), len(self.lookup))
+            except UnicodeDecodeError:
+                return None
+            codes[missed] = found[inverse]
+            # Distinct texts new to the file, in order of appearance.
+            new = missed[first[found >= size]]
+            new = new[np.argsort(codes[new])]
+            self.words = np.concatenate((self.words, np.take(words, new, axis=1)), axis=1)
+            new = new[np.argsort(folded[new], kind="stable")]
+            at = np.searchsorted(self.folds, folded[new], side="right")
+            self.folds = np.insert(self.folds, at, folded[new])
+            self.codes = np.insert(self.codes, at, codes[new])
+        return np.repeat(codes, np.diff(heads, append=len(left)))
 
 
-# _MASKS[n] keeps the first n bytes of a little-endian 8-byte word.
+# _MASKS[n] keeps the first n bytes of a little-endian 8-byte word, and
+# _TOPS[n] its last n bytes.
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_TOPS = ~_MASKS[::-1]
 # Odd multiplier that folds the 8-byte words of a field into one integer.
 _FOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _words(data: np.ndarray, left: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Each field's bytes as (fields, words) little-endian uint64, zero-filled."""
+    """Each field's bytes as (words, fields) little-endian uint64, zero-filled."""
     unaligned = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
     n_words = max(-(-int(width.max(initial=0)) // 8), 1)
-    words = np.empty((len(left), n_words), dtype=np.uint64)
+    words = np.empty((n_words, len(left)), dtype=np.uint64)
     for k in range(n_words):
-        words[:, k] = unaligned[left + 8 * k] & _MASKS[np.clip(width - 8 * k, 0, 8)]
+        words[k] = unaligned[left + 8 * k] & _MASKS.take(width - 8 * k, mode="clip")
     return words
 
 
-def _distinct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each distinct row of ``words``, and each row's index into them.
+def _widen(words: np.ndarray, n_words: int) -> np.ndarray:
+    """``words`` with zero words added up to ``n_words``."""
+    return np.pad(words, ((0, n_words - len(words)), (0, 0))) if len(words) < n_words else words
+
+
+def _fold(words: np.ndarray) -> np.ndarray:
+    """Each field's words folded into one; trailing zero words change nothing."""
+    folded = words[-1].copy()
+    for k in range(len(words) - 2, -1, -1):
+        folded *= _FOLD
+        folded += words[k]
+    return folded
+
+
+def _distinct(words: np.ndarray, folded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first field of each distinct field of ``words``, and each field's index into them.
 
     A field holds no NUL, so zero-filled words differ exactly when texts
-    do. A field of up to 8 bytes is one word; longer ones are folded into
-    one and compared in full where two fold alike.
+    do. A field of up to 8 bytes is one word, its own fold; longer ones
+    are compared in full where two fold alike.
     """
-    folded = words[:, 0].copy()
-    for k in range(1, words.shape[1]):
-        folded *= _FOLD
-        folded += words[:, k]
     _, first, inverse = np.unique(folded, return_index=True, return_inverse=True)
-    if words.shape[1] > 1 and (words != words[first[inverse.reshape(-1)]]).any():
-        _, first, inverse = np.unique(words, return_index=True, return_inverse=True, axis=0)
+    if len(words) > 1 and (words != np.take(words, first[inverse], axis=1)).any():
+        _, first, inverse = np.unique(words.T, return_index=True, return_inverse=True, axis=0)
     return first, inverse.reshape(-1)
+
+
+_ZERO_DIGITS = np.uint64(0x3030303030303030)
+_LOW_BITS = np.uint64(0x7F7F7F7F7F7F7F7F)
+_PAST_NINE = np.uint64(0x7676767676767676)  # 0x80 - 10 in each byte
+_HIGH_BITS = np.uint64(0x8080808080808080)
+# Times a word of small byte counts, its top byte is their sum.
+_ONES = np.uint64(0x0101010101010101)
+_DOTS = np.uint64(0x1E1E1E1E1E1E1E1E)  # "." ^ "0" in each byte
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_POW5 = 5 ** np.arange(20, dtype=np.uint64)
+_POW10_FLOAT = 10.0 ** np.arange(20)
 
 
 def _numbers(data: np.ndarray, left: np.ndarray, width: np.ndarray) -> np.ndarray | None:
     """Each field's number as ``float()`` reads its text, or None.
 
-    A field of at most 15 digits is summed exactly in integers. Any other
-    ASCII field goes through numpy's bytes-to-float64 cast, which accepts
-    the texts ``float()`` accepts and rounds correctly; None when the cast
-    rejects one or a field is not ASCII, which the cast may read otherwise.
+    :func:`_decimals` reads every ``[-]digits[.digits]`` field of at most
+    19 bytes exactly. Any other ASCII field goes through numpy's
+    bytes-to-float64 cast, which accepts the texts ``float()`` accepts and
+    rounds correctly; None when the cast rejects one or a field is not
+    ASCII, which the cast may read otherwise.
     """
-    span = max(int(width.max(initial=0)), 1)
-    rows = np.lib.stride_tricks.sliding_window_view(data, span)[left]
-    rows *= np.arange(span) < width[:, None]
-    digits = (rows >= ord("0")) & (rows <= ord("9"))
-    whole = (digits.sum(axis=1) == width) & (width > 0) & (width <= 15)
-    numbers = np.empty(len(rows))
-    if whole.any():
-        integers = np.zeros(int(whole.sum()), dtype=np.int64)
-        places = rows[whole, :15].astype(np.int64) - ord("0")
-        widths = width[whole]
-        for k in range(places.shape[1]):
-            integers = np.where(k < widths, integers * 10 + places[:, k], integers)
-        numbers[whole] = integers
-    if not whole.all():
-        other = rows[~whole]
-        if (other >= 0x80).any():
+    read, numbers = _decimals(data, left, width)
+    if not read.all():
+        other = np.flatnonzero(~read)
+        span = max(int(width[other].max()), 1)
+        rows = np.lib.stride_tricks.sliding_window_view(data, span)[left[other]]
+        rows *= np.arange(span) < width[other, None]
+        if (rows >= 0x80).any():
             return None
         try:
-            numbers[~whole] = other.view(f"S{span}").reshape(-1).astype(np.float64)
+            numbers[other] = rows.view(f"S{span}").reshape(-1).astype(np.float64)
         except ValueError:
             return None
     return numbers
+
+
+def _parse8(x: np.ndarray) -> np.ndarray:
+    """The 8 digits of each word, its first byte the leading one, as an integer."""
+    x = x * np.uint64(10) + (x >> np.uint64(8))
+    pairs = (x & np.uint64(0x000000FF000000FF)) * np.uint64(100 + (1000000 << 32))
+    pairs += ((x >> np.uint64(16)) & np.uint64(0x000000FF000000FF)) * np.uint64(1 + (10000 << 32))
+    return pairs >> np.uint64(32)
+
+
+def _decimals(data: np.ndarray, left: np.ndarray, width: np.ndarray):
+    """Which fields read as ``[-]digits[.digits]`` in at most 19 bytes, and
+    their numbers, correctly rounded; ``data`` holds 24 bytes before them.
+    Either side of the dot may be empty, not both.
+
+    Each field's last 24 bytes are read as three words, its digits as the
+    integer ``m`` and the digits after its dot as ``k``: the number is
+    ``m / 10**k``. Both are exact in float64 when ``m <= 2**53``, and the
+    division rounds correctly; otherwise :func:`_divide` rounds it.
+    """
+    unaligned = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    end = left + width
+    sign = data[left] == ord("-")
+    chars = width - sign
+    digits = np.zeros(len(left), dtype=np.uint64)  # the digits, the dot a 0
+    # Per byte lane, words of 0s and 1s summed: the non-digits, and the
+    # dot's byte with those after it.
+    odd = np.zeros(len(left), dtype=np.uint64)
+    tail = np.zeros(len(left), dtype=np.uint64)
+    junk = np.zeros(len(left), dtype=np.uint64)  # non-digits other than a dot
+    seen = np.zeros(len(left), dtype=np.uint64)  # all ones once a dot is read
+    n_words = -(-min(int(chars.max(initial=0)), 19) // 8)
+    for k in range(n_words):
+        after = 8 * (n_words - 1 - k)  # bytes of the field after this word
+        keep = _TOPS.take(chars - after, mode="clip")
+        x = (unaligned[end - 8 - after] ^ _ZERO_DIGITS) & keep
+        # A byte of x above 9 gets its top bit set: it is no digit.
+        flags = ((((x & _LOW_BITS) + _PAST_NINE) | x) & _HIGH_BITS) >> np.uint64(7)
+        odd += flags
+        marked = flags * np.uint64(0xFF)
+        x ^= marked & _DOTS
+        junk |= x & marked
+        from_dot = -flags | seen
+        seen = -(from_dot >> np.uint64(63))
+        tail += from_dot & _ONES
+        digits *= np.uint64(10**8)
+        digits += _parse8(x)
+    odd = (odd * _ONES) >> np.uint64(56)
+    dot = odd == 1
+    read = (odd <= 1) & (junk == 0) & (chars > odd) & (width <= 19)
+    # Past 19 only in a field not read.
+    places = np.minimum(((tail * _ONES) >> np.uint64(56)) - dot, 19).astype(np.intp)
+    fraction = digits % _POW10[places]
+    whole = np.where(dot, (digits - fraction) // np.uint64(10) + fraction, digits)
+    numbers = whole.astype(np.float64) / _POW10_FLOAT[places]
+    wide = np.flatnonzero(read & (whole > 2**53))
+    if wide.size:
+        numbers[wide] = _divide(whole[wide], places[wide])
+    np.negative(numbers, out=numbers, where=sign)
+    return read, numbers
+
+
+def _divide(whole: np.ndarray, places: np.ndarray) -> np.ndarray:
+    """``whole / 10**places``, correctly rounded, for ``whole`` above
+    ``2**53`` and ``places`` up to 18.
+
+    That is ``whole / 5**places`` times ``2**-places``. The quotient is
+    taken exactly in integers to 60-62 bits, a few bits per step, and its
+    last bit set if a remainder is left, so that converting it to float64
+    rounds as the exact quotient would.
+    """
+    divisor = _POW5[places]
+    shift = 61 - np.frexp(whole.astype(np.float64))[1] + np.frexp(divisor.astype(np.float64))[1]
+    divisor <<= np.maximum(-shift, 0).astype(np.uint64)
+    todo = np.maximum(shift, 0).astype(np.uint64)
+    quotient, rest = np.divmod(whole, divisor)
+    # rest < divisor < 2**42 while bits are left to add, so 21 more fit.
+    while todo.any():
+        step = np.minimum(todo, np.uint64(21))
+        todo -= step
+        rest <<= step
+        quotient <<= step
+        quotient += rest // divisor
+        rest %= divisor
+    quotient |= rest != 0
+    return np.ldexp(quotient.view(np.int64).astype(np.float64), -(places + shift))
 
 
 def _first_rejected(parse: Callable[[str], object], texts: Sequence[str]) -> int:

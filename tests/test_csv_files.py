@@ -753,6 +753,76 @@ def test_block_reader_values_and_faults(tmp_path):
         tabular.read_csv(path, PAIRS, ERRORS)
 
 
+# Sign, exponent and fraction bits of finite floats whose repr has no
+# exponent, so that most read through the decimal kernel, not the cast.
+POSITIONAL_BITS = st.builds(
+    lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
+    st.integers(0, 1),
+    st.integers(1023 - 14, 1023 + 53),
+    st.integers(0, 2**52 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1) | POSITIONAL_BITS, min_size=1, max_size=40))
+def test_block_reader_reads_every_float_back(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    lines = [
+        f"a,{run},{value!r},{tabular.format_demand(value)}"
+        for run, value in enumerate(values.tolist())
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.csv"
+        path.write_text(HEAD + "".join(line + "\n" for line in lines), encoding="utf-8")
+        parsed = tabular._read_blocks(path, PAIRS)
+    assert parsed is not None
+    _, _, (a, b) = parsed
+    assert bits(a).tolist() == bits(values).tolist()
+    assert bits(b).tolist() == bits(values).tolist()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "9007199254740993",  # 2**53 + 1, a tie that rounds to even
+        "123456789012345678",
+        "1.23456789012345678",
+        "1234567890123456789",
+        "9999999999999999999",
+        "0.12345678901234567890123",
+        "-0", "-0.0", ".5", "5.", "1e5", "1_0", "+1", "inf", "nan",
+    ],
+)
+def test_block_reader_reads_numbers_as_float_does(tmp_path, text):
+    path = tmp_path / "pairs.csv"
+    path.write_text(HEAD + f"a,0,{text},-{text.lstrip('+-')}\n", encoding="utf-8")
+    want = [float(text), float("-" + text.lstrip("+-"))]
+    for parsed in tabular._read_blocks(path, PAIRS), tabular._read_rows(path, PAIRS, ERRORS):
+        assert parsed is not None
+        assert bits(np.concatenate(parsed[2])).tolist() == bits(want).tolist()
+
+
+# Two 16-byte labels whose words fold to one integer: the key table must tell
+# them apart in full.
+FOLD_ALIKE = ("0lOMiOfqivaKNrK6", "JH8y2fpz7Vof8JZM")
+
+
+@pytest.mark.parametrize("block_bytes", [16, 64, None])
+def test_block_reader_codes_labels_that_fold_alike(tmp_path, monkeypatch, block_bytes):
+    folds = [tabular._fold(np.frombuffer(label.encode(), "<u8")[:, None]) for label in FOLD_ALIKE]
+    assert folds[0] == folds[1]
+    if block_bytes is not None:
+        monkeypatch.setattr(tabular, "BLOCK_BYTES", block_bytes)
+    labels = [FOLD_ALIKE[0], "b", FOLD_ALIKE[1], FOLD_ALIKE[0], "c", FOLD_ALIKE[1]]
+    lines = [f"{label},{run},{run},1\n" for run in range(3) for label in dict.fromkeys(labels)]
+    path = tmp_path / "pairs.csv"
+    path.write_text(HEAD + "".join(lines), encoding="utf-8")
+    assert assert_blocks_match_rows(path, PAIRS)
+    (read_labels, runs), _ = tabular.read_csv(path, PAIRS, ERRORS)
+    assert read_labels == tuple(sorted(set(labels))) and runs == range(3)
+
+
 def test_block_reader_leaves_long_fields_to_the_csv_reader(tmp_path):
     path = tmp_path / "pairs.csv"
     path.write_text(HEAD + "abcde,0,1,2\n", encoding="utf-8")

@@ -125,7 +125,8 @@ def test_split_shapes():
 
 def test_split_out_of_range():
     ds = make_panel(np.arange(10, dtype=float))
-    with pytest.raises(SplitOutOfRange):
+    message = "^split: train_length 10 [+] horizon 1 exceeds panel length 10$"
+    with pytest.raises(SplitOutOfRange, match=message):
         split(ds, SplitSpec(train_length=10, horizon=1))
 
 

@@ -15,6 +15,7 @@ from forecast_stability import (
     synth_generate,
 )
 from forecast_stability.forecasters import (
+    MAX_BATCH_SIZE,
     MAX_HIDDEN_DIM,
     MAX_LAGS,
     Diverged,
@@ -309,3 +310,6 @@ def test_learned_sizes_are_bounded():
         TinyMLP(lags=MAX_LAGS + 1)
     with pytest.raises(ValueError, match="TinyMLP.hidden_dim must be <= 256"):
         TinyMLP(hidden_dim=10**11)
+    TinyMLP(hidden_dim=MAX_HIDDEN_DIM, batch_size=MAX_BATCH_SIZE)
+    with pytest.raises(ValueError, match="LinearAR.batch_size must be <= 1024"):
+        LinearAR(batch_size=MAX_BATCH_SIZE + 1)

@@ -38,9 +38,11 @@ from forecast_stability import (
 from forecast_stability.cli import cli_main
 from forecast_stability.dataset import MAX_PANEL_CELLS
 from forecast_stability.forecasters import (
+    MAX_BATCH_SIZE,
     MAX_EPOCHS,
     MAX_HIDDEN_DIM,
     MAX_LAGS,
+    MAX_PERIOD,
     Diverged,
     InsufficientHistory,
 )
@@ -768,10 +770,21 @@ def test_ints_read_as_floats_and_bools_as_nothing_else():
             ),
             "models[1].kind.params: TinyMLP.hidden_dim must be <= 256",
         ),
+        (
+            _set(
+                "models", 1, "kind", value={"kind": "tiny_mlp", "params": {"batch_size": 10**9}}
+            ),
+            "models[1].kind.params: TinyMLP.batch_size must be <= 1024",
+        ),
+        (
+            _set("models", 0, "kind", "params", "period", value=2**63 - 1),
+            "models[0].kind.params: SeasonalNaive.period must be <= 10000",
+        ),
     ],
     ids=[
         "lags", "top-key", "run-count", "run-count-above-bound", "run-count-huge",
-        "lags-above-bound", "hidden-dim-above-bound",
+        "lags-above-bound", "hidden-dim-above-bound", "batch-size-above-bound",
+        "period-above-bound",
     ],
 )
 def test_cli_run_rejects_bad_config(tmp_path, capsys, fault, message):
@@ -856,12 +869,13 @@ TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 POSITIVE = st.integers(1, 2**40)
 EPOCHS = st.integers(1, MAX_EPOCHS)
 LAGS = st.integers(1, MAX_LAGS)
+BATCHES = st.integers(1, MAX_BATCH_SIZE)
 RATES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 KINDS = st.one_of(
-    st.builds(SeasonalNaive, period=POSITIVE),
+    st.builds(SeasonalNaive, period=st.integers(1, MAX_PERIOD)),
     st.builds(GlobalMean),
     st.builds(
-        LinearAR, lags=LAGS, epochs=EPOCHS, learning_rate=RATES, batch_size=POSITIVE
+        LinearAR, lags=LAGS, epochs=EPOCHS, learning_rate=RATES, batch_size=BATCHES
     ),
     st.builds(
         TinyMLP,
@@ -869,7 +883,7 @@ KINDS = st.one_of(
         hidden_dim=st.integers(1, MAX_HIDDEN_DIM),
         epochs=EPOCHS,
         learning_rate=RATES,
-        batch_size=POSITIVE,
+        batch_size=BATCHES,
     ),
 )
 

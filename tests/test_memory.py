@@ -57,6 +57,20 @@ def test_read_csv_holds_a_few_words_per_row(tmp_path, monkeypatch):
     assert read_csv_peak_per_row(tmp_path, RUNS_AXES) < 48
 
 
+def test_read_csv_holds_a_few_words_per_row_of_floats(tmp_path, monkeypatch):
+    # Two key codes, the demand and the cell index come to 24 B a row, and
+    # the grid to 8 more. Non-integral demand goes through the decimal
+    # kernel and, for 17-digit texts, its exact division; neither they nor
+    # the table of key texts may hold more as the file grows.
+    monkeypatch.setattr(tabular, "BLOCK_BYTES", 32 * 1024)
+    ids = [f"item_{i:04d}" for i in reversed(range(150))]
+    days = range(730_000, 730_000 + 730)
+    grid = np.random.default_rng(0).random((len(ids), len(days))) * 100
+    path = tmp_path / "data.csv"
+    tabular.write_csv(path, tabular.DATASET, (ids, days), (grid,))
+    assert traced_peak(tabular.read_csv, path, tabular.DATASET, ERRORS) / grid.size < 48
+
+
 def test_read_csv_by_rows_holds_a_few_words_per_row(tmp_path):
     # A quoted label sends the whole file down the csv.reader path, whose
     # codes are as compact as the block path's; int64 codes with a sorted
