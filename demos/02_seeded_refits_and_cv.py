@@ -10,7 +10,6 @@ import numpy as np
 
 from forecast_stability import (
     ExperimentConfig,
-    ForecastSet,
     LinearAR,
     ModelEntry,
     SeasonalNaive,
@@ -48,7 +47,7 @@ runs = len(result.forecasts) * cfg.run_count
 print(f"executed {runs} seeded runs on a fixed 40x186 training panel\n")
 
 for label, tensor in result.forecasts.items():
-    grid = cv_grid(ForecastSet(result.series_ids, tensor))
+    grid = cv_grid(tensor)
     q25, q50, q75, q90 = quantiles(grid.cv.reshape(-1))
     cells = grid.cv.size
     nonzero = int((grid.cv > 0).sum())

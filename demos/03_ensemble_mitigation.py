@@ -11,7 +11,6 @@ Run: python3 demos/03_ensemble_mitigation.py
 from forecast_stability import (
     EnsembleRequest,
     ExperimentConfig,
-    ForecastSet,
     GlobalMean,
     LinearAR,
     ModelEntry,
@@ -68,6 +67,6 @@ result = run_experiment(cfg)
 
 print("\nmedian CV over 10 seeded refits (lower = more stable):")
 for label in ("linear_ar", "tiny_mlp", "ensemble"):
-    grid = cv_grid(ForecastSet(result.series_ids, result.forecasts[label]))
+    grid = cv_grid(result.forecasts[label])
     q50 = quantiles(grid.cv.reshape(-1), [0.5])[0]
     print(f"  {label:<10} {q50:.4f}")

@@ -11,7 +11,6 @@ from pathlib import Path
 
 from forecast_stability import (
     ExperimentConfig,
-    ForecastSet,
     LinearAR,
     ModelEntry,
     SeasonalNaive,
@@ -58,9 +57,8 @@ result = run_experiment(cfg)
 
 grids, accuracy = {}, {}
 for label, forecasts in result.forecasts.items():
-    fs_runs = ForecastSet(result.series_ids, forecasts)
-    grids[label] = cv_grid(fs_runs)
-    accuracy[label] = accuracy_report(fs_runs, result.actuals, label)
+    grids[label] = cv_grid(forecasts)
+    accuracy[label] = accuracy_report(forecasts, result.actuals, label)
 
 bundle = build_report_bundle(grids, accuracy, bins=40, clip_upper=0.5)
 print("CV quantile table (the report's headline summary):\n")

@@ -36,6 +36,7 @@ from .harness import (
     EnsembleRequest,
     ExperimentConfig,
     ExperimentResult,
+    ForecastSet,
     ModelEntry,
     load_runs,
     persist_runs,
@@ -44,7 +45,6 @@ from .harness import (
 from .metrics import (
     AccuracyReport,
     CvGrid,
-    ForecastSet,
     Histogram,
     accuracy_report,
     cv_cell,

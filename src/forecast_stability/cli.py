@@ -18,13 +18,14 @@ from .dataset import write_long_csv
 from .errors import ForecastStabilityError
 from .harness import (
     MANIFEST_FILE,
+    RUNS_FILE,
     config_from_json,
     load_runs,
     persist_runs,
     run_experiment,
     synth_from_json,
 )
-from .metrics import DEFAULT_QUANTILES, accuracy_report, cv_grid
+from .metrics import DEFAULT_QUANTILES, MetricsError, accuracy_report, cv_grid
 from .report import (
     DEFAULT_BINS,
     DEFAULT_CLIP,
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute the seeded refit experiment")
     p_run.add_argument("--config", required=True, help="experiment config JSON")
-    p_run.add_argument("--out", help="runs directory (overrides config output_dir)")
+    p_run.add_argument("--out", required=True, help="runs directory")
     p_run.set_defaults(func=_cmd_run)
 
     p_met = sub.add_parser("metrics", help="compute cv.csv and rmse.csv from runs")
@@ -122,13 +123,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = config_from_json(_read_json(args.config))
-    out_dir = args.out or cfg.output_dir
-    if out_dir is None:
-        raise ValueError("no output directory: pass --out or set output_dir")
     result = run_experiment(cfg)
-    persist_runs(result, out_dir)
+    persist_runs(result, args.out)
     print(
-        f"wrote {out_dir}: {len(cfg.models) * cfg.run_count} runs "
+        f"wrote {args.out}: {len(cfg.models) * cfg.run_count} runs "
         f"({len(cfg.models)} models x {cfg.run_count} seeds)"
     )
     return 0
@@ -140,8 +138,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     grids = {}
     accuracy = {}
     for label, fs in forecast_sets.items():
-        grids[label] = (cv_grid(fs), fs.series_ids)
-        accuracy[label] = accuracy_report(fs, actuals, label)
+        try:
+            grids[label] = (cv_grid(fs.values), fs.series_ids)
+            accuracy[label] = accuracy_report(fs.values, actuals, label)
+        except MetricsError as exc:
+            raise type(exc)(f"{Path(args.runs) / RUNS_FILE}: model {label!r}: {exc}") from exc
     write_metrics_files(grids, accuracy, out_dir)
     print(f"wrote {out_dir}/cv.csv and rmse.csv for {len(grids)} models")
     return 0

@@ -14,7 +14,6 @@ import contextlib
 import dataclasses
 import math
 import typing
-from types import NoneType, UnionType
 
 MISSING = dataclasses.MISSING  # the value of an absent key
 
@@ -58,11 +57,7 @@ def items(value: object, where: str) -> list[tuple[str, object]]:
 
 
 def read(tp, value: object, where: str):
-    """``value`` checked as a ``tp``: bool, int, float, str, X | None, tuple or dataclass."""
-    if typing.get_origin(tp) is UnionType:  # X | None; other unions are tagged shapes
-        if value is None:
-            return None
-        (tp,) = [arg for arg in typing.get_args(tp) if arg is not NoneType]
+    """``value`` checked as a ``tp``: bool, int, float, str, tuple or dataclass."""
     if typing.get_origin(tp) is tuple:
         args, pairs = typing.get_args(tp), items(value, where)
         types = args[:1] * len(pairs) if args[1:] == (Ellipsis,) else args

@@ -52,7 +52,7 @@ from .forecasters import (
     kind_to_json,
     predict,
 )
-from .metrics import ForecastSet, MetricsError, postprocess
+from .metrics import MetricsError, postprocess
 from .seeding import derive_seed, fnv1a64
 
 DEFAULT_RUN_COUNT = 10
@@ -136,7 +136,6 @@ class ExperimentConfig:
     run_count: int = DEFAULT_RUN_COUNT
     master_seed: int = 0
     ensemble_iterations: int = DEFAULT_ITERATIONS
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.run_count < 2:
@@ -161,6 +160,18 @@ class ExperimentConfig:
                     f"model {other[0]!r} run {other[1]} and model {label!r} "
                     f"run {run_id} share seed {seed}"
                 )
+
+
+@dataclass(frozen=True, eq=False)
+class ForecastSet:
+    """One model's (R, M, H) forecast grid as ``load_runs`` reads it back.
+
+    ``values[r, i, t]`` is run r's forecast for series ``series_ids[i]`` at
+    horizon step t+1.
+    """
+
+    series_ids: tuple[str, ...]
+    values: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +329,7 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
 
 
 def load_runs(path: str | Path) -> tuple[dict[str, ForecastSet], np.ndarray]:
-    """Reconstruct per-model forecast tensors and actuals from a directory.
+    """Reconstruct per-model read-only forecast grids and actuals from a directory.
 
     Validates that every run of a model covers the same full (item, step)
     grid, that every forecast is a nonnegative whole number, as
@@ -344,22 +355,20 @@ def load_runs(path: str | Path) -> tuple[dict[str, ForecastSet], np.ndarray]:
         raise RaggedRuns(
             f"{runs_path}: the (item, h) grid does not match that of {actuals_path}"
         )
-    sets = {
-        model: ForecastSet(series_ids=ids, values=forecasts[m])
-        for m, model in enumerate(models)
-    }
+    forecasts.flags.writeable = False
+    sets = {model: ForecastSet(ids, forecasts[m]) for m, model in enumerate(models)}
     return sets, actuals
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
-    """JSON object form of an experiment config; unset optional fields are left out."""
+    """JSON object form of an experiment config."""
     out = asdict(cfg)
     if isinstance(cfg.dataset, SynthConfig):
         out["dataset"] = {"synth": out["dataset"]}
     else:
         out["dataset"] = {"csv": out["dataset"].pop("path"), **out["dataset"]}
     out["models"] = [_model_to_json(entry) for entry in cfg.models]
-    return {key: value for key, value in out.items() if value is not None}
+    return out
 
 
 def _model_to_json(entry: ModelEntry) -> dict:

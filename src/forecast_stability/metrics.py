@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,34 +59,6 @@ class EmptyInput(MetricsError):
 
 class ProbOutOfRange(MetricsError):
     pass
-
-
-@dataclass(frozen=True, eq=False)
-class ForecastSet:
-    """R point-forecast runs for one model: an (R, M, H) tensor.
-
-    All runs share series order and horizon; ``values[r, i, t]`` is run r's
-    forecast for series i at horizon step t+1.
-    """
-
-    series_ids: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 3:
-            raise ValueError("values must be a (runs, series, horizon) tensor")
-        if values.shape[0] < 1:
-            raise ValueError("need at least one run")
-        if values.shape[1] != len(self.series_ids):
-            raise ValueError("series_ids length must match the series axis")
-        values.flags.writeable = False
-        object.__setattr__(self, "series_ids", tuple(self.series_ids))
-        object.__setattr__(self, "values", values)
-
-    @property
-    def run_count(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,16 +171,25 @@ def cv_cell(sample: Sequence[float]) -> tuple[float, float, float]:
     return cv, mean, std
 
 
-def cv_grid(fs: ForecastSet) -> CvGrid:
-    """Per-cell CV statistics over the runs of a forecast set.
+def _run_grid(values: np.ndarray, min_runs: int, caller: str) -> np.ndarray:
+    """``values`` as an (R, M, H) grid of at least ``min_runs`` runs."""
+    grid = np.asarray(values)
+    if grid.ndim != 3:
+        raise ShapeMismatch(f"{caller} needs a (runs, series, horizon) grid, not {grid.shape}")
+    if len(grid) < min_runs:
+        raise EmptySample(f"{caller} needs at least {min_runs} runs, got {len(grid)}")
+    return grid
+
+
+def cv_grid(values: np.ndarray) -> CvGrid:
+    """Per-cell CV statistics over the runs of an (R, M, H) forecast grid.
 
     Every run is post-processed first, then each (series, step) cell is
-    treated as a sample of size R. Requires R >= 2.
+    treated as a sample of size R. Raises :class:`ShapeMismatch` unless the
+    grid is 3-D and :class:`EmptySample` unless R >= 2.
     """
-    if fs.run_count < 2:
-        raise EmptySample("cv_grid needs at least 2 runs")
-    runs = postprocess(fs.values).astype(np.float64)
-    n = fs.run_count
+    runs = postprocess(_run_grid(values, 2, "cv_grid")).astype(np.float64)
+    n = len(runs)
     total = np.zeros(runs.shape[1:], dtype=np.float64)
     for r in range(n):
         total += runs[r]
@@ -234,20 +215,18 @@ def rmse(forecast: np.ndarray, actual: np.ndarray) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def accuracy_report(fs: ForecastSet, actual: np.ndarray, label: str) -> AccuracyReport:
-    """RMSE of each post-processed run against the test actuals."""
+def accuracy_report(values: np.ndarray, actual: np.ndarray, label: str) -> AccuracyReport:
+    """RMSE of each post-processed run of an (R, M, H) grid against the test actuals."""
+    grid = _run_grid(values, 1, "accuracy_report")
     actual = np.asarray(actual, dtype=np.float64)
-    if actual.shape != fs.values.shape[1:]:
-        raise ShapeMismatch(
-            f"actuals shape {actual.shape} != forecast shape {fs.values.shape[1:]}"
-        )
-    runs = postprocess(fs.values)
-    per_run = tuple(rmse(runs[r], actual) for r in range(fs.run_count))
+    if actual.shape != grid.shape[1:]:
+        raise ShapeMismatch(f"actuals shape {actual.shape} != forecast shape {grid.shape[1:]}")
+    per_run = tuple(rmse(run, actual) for run in postprocess(grid))
     return AccuracyReport(model_label=label, rmse_per_run=per_run)
 
 
 def quantiles(
-    values: Iterable[float], probs: Sequence[float] = DEFAULT_QUANTILES
+    values: Sequence[float] | np.ndarray, probs: Sequence[float] = DEFAULT_QUANTILES
 ) -> list[float]:
     """Quantiles by linear interpolation between order statistics.
 
@@ -255,7 +234,7 @@ def quantiles(
     p * (n - 1); p=0 is the minimum and p=1 the maximum. Raises
     :class:`NonFiniteInput` on NaN or infinity.
     """
-    data = np.sort(np.asarray(list(values), dtype=np.float64))
+    data = np.sort(np.asarray(values, dtype=np.float64))
     if data.size == 0:
         raise EmptyInput("quantiles of an empty sample are undefined")
     if not np.isfinite(data).all():
@@ -273,7 +252,7 @@ def quantiles(
 
 
 def histogram(
-    values: Iterable[float], bin_count: int, clip_upper: float
+    values: Sequence[float] | np.ndarray, bin_count: int, clip_upper: float
 ) -> Histogram:
     """Equal-width histogram over [0, clip_upper] with a clipped tail.
 
@@ -283,7 +262,7 @@ def histogram(
     :class:`NonFiniteInput` on NaN or infinity and :class:`OutOfRange` on
     a negative value.
     """
-    data = np.asarray(list(values), dtype=np.float64)
+    data = np.asarray(values, dtype=np.float64)
     if data.size == 0:
         raise EmptyInput("histogram of an empty sample is undefined")
     if not np.isfinite(data).all():

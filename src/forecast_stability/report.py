@@ -13,7 +13,6 @@ CV distributions concentrate near zero with long sparse tails.
 
 from __future__ import annotations
 
-import html
 import json
 import math
 import re
@@ -188,23 +187,31 @@ def write_metrics_files(
 def load_metrics_files(
     metrics_dir: str | Path,
 ) -> tuple[dict[str, tuple[CvGrid, tuple[str, ...]]], dict[str, AccuracyReport]]:
-    """Rebuild per-model CV grids and accuracy reports from metrics files."""
-    metrics_dir = Path(metrics_dir)
-    (models, ids, _), (cv, mean, std) = tabular.read_csv(
-        metrics_dir / CV_FILE, tabular.CV, _CSV_ERRORS
-    )
-    (rmse_models, _), (rmse,) = tabular.read_csv(
-        metrics_dir / RMSE_FILE, tabular.RMSE, _CSV_ERRORS
-    )
+    """Rebuild per-model CV grids and accuracy reports from metrics files.
+
+    A grid or report that fails its checks raises :class:`ReportError`
+    naming the file and the model.
+    """
+    cv_path, rmse_path = Path(metrics_dir) / CV_FILE, Path(metrics_dir) / RMSE_FILE
+    (models, ids, _), (cv, mean, std) = tabular.read_csv(cv_path, tabular.CV, _CSV_ERRORS)
+    (rmse_models, _), (rmse,) = tabular.read_csv(rmse_path, tabular.RMSE, _CSV_ERRORS)
     grids = {
-        model: (CvGrid(cv=cv[m], mean=mean[m], std=std[m]), ids)
+        model: (_named(cv_path, model, CvGrid, cv[m], mean[m], std[m]), ids)
         for m, model in enumerate(models)
     }
     accuracy = {
-        model: AccuracyReport(model_label=model, rmse_per_run=tuple(rmse[m].tolist()))
+        model: _named(rmse_path, model, AccuracyReport, model, tuple(rmse[m].tolist()))
         for m, model in enumerate(rmse_models)
     }
     return grids, accuracy
+
+
+def _named(path: Path, model: str, build, *args):
+    """``build(*args)``; its ValueError is raised again naming the file and the model."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ReportError(f"{path}: model {model!r}: {exc}") from exc
 
 
 def report_to_json(bundle: ReportBundle) -> str:
@@ -277,6 +284,8 @@ _SVG_STYLE = (
 _WIDTH, _HEIGHT = 640, 400
 _LEFT, _RIGHT, _TOP = 60, 20, 34
 _PLOT_W = _WIDTH - _LEFT - _RIGHT
+# Text content escapes as html.escape(text, quote=False) does.
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _element(tag: str, text: object = None, **attrs: object) -> str:
@@ -289,7 +298,7 @@ def _element(tag: str, text: object = None, **attrs: object) -> str:
     fields = "".join(f' {name.rstrip("_").replace("_", "-")}="{v}"' for name, v in shown.items())
     if text is None:
         return f"<{tag}{fields}/>"
-    return f"<{tag}{fields}>{html.escape(str(text), quote=False)}</{tag}>"
+    return f"<{tag}{fields}>{str(text).translate(_ESCAPES)}</{tag}>"
 
 
 def _svg(title: str, body: list[str], plot_h: int, y_label: str) -> str:

@@ -58,8 +58,7 @@ def criterion(number: int, description: str):
 
 def _grids_by_label(result):
     return {
-        label: fs.cv_grid(fs.ForecastSet(result.series_ids, runs))
-        for label, runs in result.forecasts.items()
+        label: fs.cv_grid(runs) for label, runs in result.forecasts.items()
     }
 
 
@@ -196,9 +195,7 @@ def test_c5_cv_grid_matches_brute_force_oracle():
         # exhaustive: all post-processed samples with R <= 4, values in {0..3}
         for r in (2, 3, 4):
             for sample in itertools.product(range(4), repeat=r):
-                grid = fs.cv_grid(
-                    fs.ForecastSet(("a",), np.array(sample, dtype=float).reshape(r, 1, 1))
-                )
+                grid = fs.cv_grid(np.array(sample, dtype=float).reshape(r, 1, 1))
                 cv, mean, std = oracle_cell(sample)
                 assert grid.cv[0, 0] == cv
                 assert grid.mean[0, 0] == mean
@@ -211,7 +208,7 @@ def test_c5_cv_grid_matches_brute_force_oracle():
             m = int(rng.integers(1, 5))
             h = int(rng.integers(1, 5))
             runs = rng.uniform(-4, 12, size=(r, m, h))
-            grid = fs.cv_grid(fs.ForecastSet(tuple(f"s{i}" for i in range(m)), runs))
+            grid = fs.cv_grid(runs)
             processed = postprocess(runs)
             for i in range(m):
                 for t in range(h):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import html
 import json
 import xml.etree.ElementTree as ET
 
@@ -67,6 +68,10 @@ def test_help_exits_zero(capsys):
 def test_metrics_on_missing_runs_is_data_error(tmp_path, capsys):
     assert cli_main(["metrics", "--runs", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_without_out_is_usage_error(tmp_path, capsys):
+    assert cli_main(["run", "--config", str(write_experiment_config(tmp_path))]) == 1
 
 
 def test_run_with_missing_config_is_data_error(tmp_path, capsys):
@@ -246,6 +251,18 @@ def test_rmse_plot_has_point_per_run():
     points = [el for el in root.iter(f"{SVG_NS}circle") if el.get("class") == "pt"]
     assert len(points) == 4
     assert sorted(float(p.get("data-rmse")) for p in points) == [1.0, 1.5, 2.0, 4.0]
+
+
+def test_svg_text_is_escaped_as_html_escape_does():
+    label = "a<b&c>"
+    bundle = build_report_bundle(
+        {label: grid_from_cv(np.zeros((1, 2)))},
+        {label: AccuracyReport(model_label=label, rmse_per_run=(1.0, 2.0))},
+    )
+    figures = emit_plots(bundle)
+    title = f"CV distribution: {label} (excluded tail: 0)"
+    assert f">{html.escape(title, quote=False)}</text>" in figures["cv_hist_a_b_c_.svg"]
+    assert f">{html.escape(label, quote=False)}</text>" in figures["rmse_distribution.svg"]
 
 
 def test_bundle_conservation_enforced():

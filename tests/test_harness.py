@@ -18,7 +18,6 @@ from forecast_stability import (
     CsvSource,
     EnsembleRequest,
     ExperimentConfig,
-    ForecastSet,
     GlobalMean,
     LinearAR,
     ModelEntry,
@@ -134,7 +133,7 @@ def test_stochastic_model_shows_variance_across_runs():
         master_seed=1,
     )
     result = run_experiment(cfg)
-    grid = cv_grid(ForecastSet(result.series_ids, result.forecasts["lar"]))
+    grid = cv_grid(result.forecasts["lar"])
     assert np.any(grid.cv > 0)
 
 
@@ -396,7 +395,7 @@ def test_persist_and_load_round_trip(tmp_path):
     assert set(sets) == {"sn", "lar"}
     assert np.array_equal(actuals, result.actuals)
     for label, fs in sets.items():
-        assert fs.run_count == 3
+        assert len(fs.values) == 3
         assert fs.series_ids == result.series_ids  # synth ids are already sorted
         assert np.array_equal(fs.values, result.forecasts[label].astype(float))
 
@@ -527,7 +526,6 @@ def test_config_json_round_trip():
         run_count=4,
         master_seed=11,
         ensemble_iterations=40,
-        output_dir="runs",
     )
     assert config_from_json(config_to_json(cfg)) == cfg
     assert json.loads(json.dumps(config_to_json(cfg))) == {
@@ -560,7 +558,6 @@ def test_config_json_round_trip():
         "run_count": 4,
         "master_seed": 11,
         "ensemble_iterations": 40,
-        "output_dir": "runs",
     }
 
 
@@ -635,6 +632,7 @@ def _with_csv(fault):
 
 CONFIG_FAULTS = {
     "unknown-top": (_set("run_cont", value=3), "run_cont: unknown key"),
+    "output-dir": (_set("output_dir", value="runs"), "output_dir: unknown key"),
     "unknown-split": (_set("split", "horizn", value=7), "split.horizn: unknown key"),
     "unknown-csv": (
         _with_csv(_set("dataset", "fill_mising", value=True)),
@@ -925,7 +923,6 @@ def experiment_configs(draw):
         run_count=draw(st.integers(2, 5)),
         master_seed=draw(st.integers(-(2**63), 2**64 - 1)),
         ensemble_iterations=draw(st.integers(1, 10**6)),
-        output_dir=draw(st.none() | TEXT),
     )
 
 

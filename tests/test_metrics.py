@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from forecast_stability import (
-    ForecastSet,
     cv_cell,
     cv_grid,
     histogram,
@@ -130,14 +129,14 @@ def test_raw_cv_scale_invariance(sample, factor):
 
 def test_cv_grid_identical_runs_are_all_zero():
     runs = np.tile(np.array([[1.0, 2.0], [3.0, 4.0]]), (5, 1, 1))
-    grid = cv_grid(ForecastSet(("a", "b"), runs))
+    grid = cv_grid(runs)
     assert np.all(grid.cv == 0.0)
     assert np.all(grid.std == 0.0)
 
 
 def test_cv_grid_single_cell_matches_cv_cell():
     runs = np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1)
-    grid = cv_grid(ForecastSet(("a",), runs))
+    grid = cv_grid(runs)
     assert grid.cv[0, 0] == 0.5
     assert grid.mean[0, 0] == 2.0
     assert grid.std[0, 0] == 1.0
@@ -145,14 +144,19 @@ def test_cv_grid_single_cell_matches_cv_cell():
 
 def test_cv_grid_applies_postprocessing_first():
     runs = np.array([-0.4, 0.4]).reshape(2, 1, 1)
-    grid = cv_grid(ForecastSet(("a",), runs))
+    grid = cv_grid(runs)
     assert grid.cv[0, 0] == 0.0
     assert grid.mean[0, 0] == 0.0
 
 
 def test_cv_grid_requires_two_runs():
     with pytest.raises(EmptySample):
-        cv_grid(ForecastSet(("a",), np.ones((1, 1, 1))))
+        cv_grid(np.ones((1, 1, 1)))
+
+
+def test_cv_grid_requires_a_three_dimensional_grid():
+    with pytest.raises(ShapeMismatch):
+        cv_grid(np.ones((2, 3)))
 
 
 def test_cv_grid_exhaustive_oracle_small_samples():
@@ -160,7 +164,7 @@ def test_cv_grid_exhaustive_oracle_small_samples():
     for r in (2, 3, 4):
         for sample in itertools.product(range(4), repeat=r):
             runs = np.array(sample, dtype=float).reshape(r, 1, 1)
-            grid = cv_grid(ForecastSet(("a",), runs))
+            grid = cv_grid(runs)
             cv, mean, std = brute_force_cell(sample)
             assert grid.cv[0, 0] == cv
             assert grid.mean[0, 0] == mean
@@ -175,8 +179,7 @@ def test_cv_grid_randomized_oracle():
         m = int(rng.integers(1, 5))
         h = int(rng.integers(1, 5))
         runs = rng.uniform(-3, 9, size=(r, m, h))
-        fs = ForecastSet(tuple(f"s{i}" for i in range(m)), runs)
-        grid = cv_grid(fs)
+        grid = cv_grid(runs)
         processed = postprocess(runs)
         for i in range(m):
             for t in range(h):
@@ -202,13 +205,13 @@ def test_degenerate_mean_closure_exhaustive():
 def test_cv_grid_rejects_nonfinite():
     runs = np.full((2, 1, 1), np.nan)
     with pytest.raises(NonFiniteInput):
-        cv_grid(ForecastSet(("a",), runs))
+        cv_grid(runs)
 
 
 def test_cv_grid_invariants_on_random_corpus():
     rng = np.random.default_rng(7)
     runs = rng.normal(20, 15, size=(10, 30, 6))
-    grid = cv_grid(ForecastSet(tuple(f"s{i}" for i in range(30)), runs))
+    grid = cv_grid(runs)
     assert np.all(np.isfinite(grid.cv))
     assert np.all(grid.cv >= 0)
     zero_mean = grid.mean == 0
@@ -258,11 +261,21 @@ def test_rmse_permutation_invariance():
     assert rmse(pa, pb) == pytest.approx(rmse(a, b), rel=1e-12)
 
 
-def test_accuracy_report_from_forecast_set():
+def test_accuracy_report_from_a_run_grid():
     runs = np.stack([np.array([[3.0, 5.0]]), np.array([[1.0, 1.0]])])
-    report = accuracy_report(ForecastSet(("a",), runs), np.array([[1.0, 1.0]]), "m")
+    report = accuracy_report(runs, np.array([[1.0, 1.0]]), "m")
     assert report.rmse_per_run[0] == pytest.approx(math.sqrt(10.0), abs=1e-12)
     assert report.rmse_per_run[1] == 0.0
+
+
+def test_accuracy_report_requires_a_three_dimensional_grid():
+    with pytest.raises(ShapeMismatch):
+        accuracy_report(np.ones((2, 3)), np.ones((2, 3)), "m")
+
+
+def test_accuracy_report_requires_a_run():
+    with pytest.raises(EmptySample):
+        accuracy_report(np.ones((0, 1, 2)), np.ones((1, 2)), "m")
 
 
 # --------------------------------------------------------------- quantiles
