@@ -299,13 +299,40 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
     runs.csv rows are ``model,run_id,item_id,h,value`` sorted by that key;
     forecast values are integer literals. actuals.csv is ``item_id,h,value``
     with round-trip precision (actual demand may be fractional). The
-    manifest echoes the config and the seed of every run, derived from it.
+    manifest echoes the config and the seed of every run, derived from it,
+    and the provenance of the run: the package, numpy and Python versions,
+    the system and machine, and the sha256 of the config's canonical JSON
+    text. ``created_at`` is its only field that a rerun does not reproduce.
     """
+    # Here, not at the top: importing the package need not pay for platform,
+    # and the package sets __version__ only after it imports this module.
+    import platform
+
+    from . import __version__
+
+    # The interpreter's own sha256 (named _sha2 from Python 3.12): hashlib
+    # loads OpenSSL, about 3.7 MB more of the run stage's peak RSS.
+    for module in ("_sha2", "_sha256", "hashlib"):
+        try:
+            sha256 = __import__(module).sha256
+            break
+        except ImportError:
+            continue
+
     cfg = result.config
     steps = range(1, result.actuals.shape[1] + 1)
+    config = config_to_json(cfg)
     manifest = {
-        "config": config_to_json(cfg),
+        "config": config,
         "seeds": {label: list(_run_seeds(cfg, label)) for label in result.forecasts},
+        "provenance": {
+            "package": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "system": platform.system(),
+            "machine": platform.machine(),
+            "config_sha256": sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest(),
+        },
         "created_at": dt.datetime.now(dt.timezone.utc).isoformat(),
     }
 

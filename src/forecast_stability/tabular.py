@@ -11,8 +11,17 @@ The writer builds each block of rows as bytes in numpy. It encodes each
 distinct key text once per file and each distinct bit pattern of a block's
 values once (so ``0.0`` and ``-0.0`` differ), gathers each row's fields
 from tables padded with 0xFF, which no UTF-8 text holds, and drops the
-padding. The reader parses a file block by block with numpy. One pass
-finds a block's commas and newlines. Each key column codes its texts
+padding. A value column written by :func:`format_demand` or ``str`` is
+formatted in numpy: int64 values, whole float64 values below 2**53, and
+other float64 values from 1e-4 up to 2**51 take their shortest round-trip
+digits from an exact integer kernel, as ``repr`` picks them. The schema's
+formatter writes every other value (an exponent form, ``inf``, ``nan``, a
+subnormal), each value the kernel leaves unproved (an exact tie or a carry
+to a new power of ten) and every value of a schema with any other
+formatter, so the bytes are those the formatter would write.
+
+The reader parses a file block by block with numpy. One pass finds a
+block's commas and newlines. Each key column codes its texts
 through a table of the texts read so far, so each distinct text is decoded
 once per file. A number written ``[-]digits[.digits]`` in at most 19 bytes
 is read exactly as integers: its digits ``m`` and the count ``k`` after
@@ -30,7 +39,8 @@ error class the caller names for it, with the file and, where one row is
 at fault, its line.
 
 Memory: the writer holds the grid, each key's padded texts and, per block,
-its cells and a record of its rows, padded to their fields' longest texts;
+its cells, a few words per distinct value to format them, and a record of
+its rows, padded to their fields' longest texts;
 it copies no grid, and long key texts shorten a block to about
 ``BLOCK_BYTES``. The reader holds per row each key's code (4 bytes), each
 number and the row's cell index (8 bytes each), per cell one flag and the
@@ -97,6 +107,8 @@ def format_demand(value: float) -> str:
     """Decimal literal for a demand value: integer form when integral.
 
     Both forms read back exactly; the integer form keeps the sign of -0.0.
+    This is the reference for the writer's number kernel, which writes the
+    same text, and the fallback for each value the kernel does not format.
     """
     value = float(value)
     if value.is_integer():
@@ -173,11 +185,180 @@ def _write(out: BinaryIO, schema: Schema, axes, columns) -> None:
         for column, end in zip(columns, ends):
             values = column[cell]
             bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-            texts = list(map(schema.fmt or str, bits.view(values.dtype).tolist()))
-            parts.append(np.take(_padded(texts), inverse, axis=0))
+            table = _formatted(bits.view(values.dtype), schema.fmt)
+            parts.append(np.take(table, inverse, axis=0))
             parts.append(np.broadcast_to(np.frombuffer(end, np.uint8), (len(values), len(end))))
         record = np.concatenate(parts, axis=1)
         out.write(record[record != 0xFF].tobytes())
+
+
+_ONE, _TEN = np.uint64(1), np.uint64(10)
+_FRACTION = np.uint64(2**52 - 1)
+_MAGNITUDE = np.uint64(2**63 - 1)
+# The bits of 1e-4, 2**51 and 2**53: positive floats order as their bits.
+_TINY, _WIDE, _EXACT = np.array([1e-4, 2.0**51, 2.0**53]).view(np.uint64)
+# 10**k for k in -4..15, each a float at or just above it, so that a value's
+# decimal exponent is the count of them at or below it, minus 5.
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 16)])
+
+
+def _formatted(values: np.ndarray, fmt: Callable[[float], str] | None) -> np.ndarray:
+    """Each value's text, as ``fmt`` or else ``str`` writes it, in a 0xFF-padded table.
+
+    Integers of an int64 column and, in a float64 column written by
+    :func:`format_demand` or ``str``, whole numbers below 2**53 and other
+    numbers from 1e-4 to 2**51 are laid out by :func:`_shortest` and
+    :func:`_layout`. The formatter writes the rest, and every value whose
+    shortest digits :func:`_shortest` does not prove.
+    """
+    n = len(values)
+    if values.dtype == np.int64 and fmt is None:
+        raw = values.view(np.uint64)
+        neg = values < 0
+        return _layout(neg, np.where(neg, -raw, raw), np.zeros(n, np.uint64), np.zeros(n, np.intp))
+    if values.dtype != np.float64 or fmt not in (None, format_demand):
+        return _padded(list(map(fmt or str, values.tolist())))
+    raw = values.view(np.uint64)
+    magnitude = raw & _MAGNITUDE
+    # Below 2**53 and whole, or else 0.5: no NaN reaches np.floor.
+    size = np.where(magnitude < _EXACT, np.abs(values), 0.5)
+    whole = np.floor(size) == size
+    other = ~whole & (magnitude >= _TINY) & (magnitude < _WIDE) & (raw & _FRACTION != 0)
+    integer = np.where(whole, size, 0).astype(np.uint64)
+    fraction = np.zeros(n, np.uint64)
+    # str writes a whole number with ".0", format_demand without.
+    places = whole.astype(np.intp) * (fmt is None)
+    rest = ~(whole | other)
+    at = np.flatnonzero(other)
+    if at.size:
+        mantissa = magnitude[at] & _FRACTION | np.uint64(2**52)
+        exponent = (magnitude[at] >> np.uint64(52)).astype(np.int64) - 1075
+        digits, places[at], unproved = _shortest(size[at], mantissa, exponent)
+        integer[at], fraction[at] = np.divmod(digits, _POW10[np.minimum(places[at], 19)])
+        rest[at[unproved]] = True
+    table = _layout(np.signbit(values), integer, fraction, places)
+    if rest.any():
+        rows = np.flatnonzero(rest)
+        texts = _padded(list(map(fmt or str, values[rows].tolist())))
+        width = max(table.shape[1], texts.shape[1])
+        table = np.pad(table, ((0, 0), (0, width - table.shape[1])), constant_values=0xFF)
+        table[rows] = 0xFF
+        table[rows, : texts.shape[1]] = texts
+    return table
+
+
+def _shortest(size: np.ndarray, mantissa: np.ndarray, exponent: np.ndarray):
+    """The shortest digits that read back as each ``size = mantissa * 2**exponent``,
+    nearest it among those, as Python's ``repr`` picks them; for 1e-4 <=
+    ``size`` < 2**51, not a power of two and not whole.
+
+    Returns the digits as an integer, the count of them after the dot, and
+    where a tie or a carry to a new power of ten leaves them unproved. As
+    in Ryu (Adams, PLDI 2018), ``size`` times ``10**p`` is an exact integer
+    product of at most 100 bits, split into its 17 leading digits
+    (``scaled``) and a remainder (``rest``) of ``s`` bits.
+    """
+    p = 16 - (np.searchsorted(_DECADES, size, side="right") - 5)
+    s = (-(p + exponent)).astype(np.uint64)  # from 1 to 46
+    five = _POW5[p]
+    # mantissa * five from 32-bit limbs, as hi * 2**64 + lo; no product overflows.
+    low, m_high, f_high = np.uint64(2**32 - 1), mantissa >> 32, five >> 32
+    middle = (mantissa & low) * f_high + m_high * (five & low)
+    lo = (mantissa & low) * (five & low)
+    hi = m_high * f_high + (middle >> 32)
+    lo += (middle & low) << 32
+    hi += lo < (middle & low) << 32
+    scaled = hi << (64 - s) | lo >> s
+    rest = lo & ((_ONE << s) - _ONE)
+    sticky = rest != 0
+    # 16 digits read back when less than half an ulp from size. No 16 digits
+    # lie exactly half an ulp away: that is an odd multiple of 2**(exponent-1)
+    # and takes at least 18 digits.
+    sixteen, tie = _rounded(scaled, sticky, 1)
+    miss = (sixteen * _TEN - scaled).view(np.int64) * (2 << s.view(np.int64))
+    miss = np.abs(miss - (rest << _ONE).view(np.int64))
+    cut = (miss < five.view(np.int64)).astype(np.intp)
+    # 17 digits round by the remainder's bits, and always read back.
+    half = _ONE << (s - _ONE)
+    digits = np.where(cut, sixteen, scaled + (rest >= half))
+    unproved = np.where(cut, tie, rest == half) | (digits == _POW10[17 - cut])
+    # 15 digits, and the powers of ten they are divided by, are exact in
+    # float64, so the division reads them back as float() does. Any 15 digits
+    # or fewer that read back as size are what 15 digits round it to
+    # (DBL_DIG), so the shortest are those 15 less their trailing zeros.
+    at = np.flatnonzero(cut & (p > 2))
+    fifteen, tie = _rounded(scaled[at], sticky[at], 2)
+    fits = fifteen.astype(np.float64) / _POW10_FLOAT[p[at] - 2] == size[at]
+    at, fifteen = at[fits], fifteen[fits]
+    unproved[at] = tie[fits] | (fifteen == _POW10[15])
+    cut[at] = 2
+    for k in (8, 4, 2, 1):
+        shorter = fifteen // _POW10[k]
+        gone = shorter * _POW10[k] == fifteen
+        fifteen = np.where(gone, shorter, fifteen)
+        cut[at] += k * gone
+    digits[at] = fifteen
+    return digits, p - cut, unproved
+
+
+def _rounded(scaled: np.ndarray, sticky: np.ndarray, cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """``scaled`` over ``10**cut``, ``cut`` >= 1, rounded to nearest, and
+    where that is an exact tie: half of ``10**cut`` left over and no bits
+    below ``scaled`` (``sticky`` false). A tie rounds up; it is unproved."""
+    power = _POW10[cut]
+    head = scaled // power
+    last = scaled - head * power
+    half = power >> _ONE
+    return head + (last >= half), (last == half) & ~sticky
+
+
+def _layout(neg: np.ndarray, whole: np.ndarray, fraction: np.ndarray, places: np.ndarray):
+    """Rows of a sign, the digits of ``whole``, then a dot and ``places``
+    digits of ``fraction`` where ``places`` > 0, in a 0xFF-padded uint8 table.
+
+    The digits are built 8 to a word and blanked by byte masks per word.
+    """
+    n = len(whole)
+    sizes = np.searchsorted(_POW10[1:], whole, side="right") + 1
+    wide, deep = int(sizes.max(initial=1)), int(places.max(initial=0))
+    n_whole, n_fraction = -(-wide // 8), -(-deep // 8)
+    # Per word and row, the blank bytes before the digits of whole, and the
+    # digits of fraction after the word; words lie along the first axis.
+    before = np.arange(8 * n_whole, 0, -8)[:, None] - sizes
+    after = places - np.arange(8, 8 * n_fraction + 1, 8)[:, None]
+    chunks = np.concatenate(
+        (
+            whole // _POW10[8 * np.arange(n_whole - 1, -1, -1), None] % _POW10[8],
+            fraction // _POW10.take(after, mode="clip")
+            % _POW10[:9].take(after + 8, mode="clip")
+            * _POW10.take(-after, mode="clip"),
+        )
+    )
+    words = _ascii8(chunks)
+    words |= np.concatenate((_MASKS.take(before, mode="clip"), _TOPS.take(-after, mode="clip")))
+    text = words.T.copy().view(np.uint8)
+    signed = int(neg.any())
+    table = np.empty((n, signed + wide + (deep > 0) + deep), np.uint8)
+    if signed:
+        table[:, 0] = np.where(neg, ord("-"), 0xFF)
+    table[:, signed : signed + wide] = text[:, 8 * n_whole - wide : 8 * n_whole]
+    if deep:
+        table[:, signed + wide] = np.where(places > 0, ord("."), 0xFF)
+        table[:, signed + wide + 1 :] = text[:, 8 * n_whole : 8 * n_whole + deep]
+    return table
+
+
+def _ascii8(x: np.ndarray) -> np.ndarray:
+    """The 8 digits of each integer below 10**8 as a word of ASCII, its
+    leading digit first: the inverse of :func:`_parse8`."""
+    # Split into 4-digit halves, 2-digit quarters, then digits, one per
+    # lane; a multiply and a shift divide every lane at once.
+    high = x // np.uint64(10**4)
+    x = high | (x - high * np.uint64(10**4)) << np.uint64(32)
+    high = (x * np.uint64(10486) >> np.uint64(20)) & np.uint64(0x0000007F0000007F)
+    x = high | (x - high * np.uint64(100)) << np.uint64(16)
+    high = (x * np.uint64(103) >> np.uint64(10)) & np.uint64(0x000F000F000F000F)
+    return high | (x - high * _TEN) << np.uint64(8) | _ZERO_DIGITS
 
 
 def _padded(texts: Sequence[str]) -> np.ndarray:
@@ -567,7 +748,7 @@ _HIGH_BITS = np.uint64(0x8080808080808080)
 _ONES = np.uint64(0x0101010101010101)
 _DOTS = np.uint64(0x1E1E1E1E1E1E1E1E)  # "." ^ "0" in each byte
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
-_POW5 = 5 ** np.arange(20, dtype=np.uint64)
+_POW5 = 5 ** np.arange(21, dtype=np.uint64)
 _POW10_FLOAT = 10.0 ** np.arange(20)
 
 

@@ -14,6 +14,7 @@ import csv
 import datetime as dt
 import io
 import itertools
+import sys
 import tempfile
 from pathlib import Path
 
@@ -833,3 +834,60 @@ def test_block_reader_leaves_long_fields_to_the_csv_reader(tmp_path):
             tabular.read_csv(path, PAIRS, ERRORS)
     finally:
         csv.field_size_limit(limit)
+
+
+# The writer's number kernel against the formatters it stands in for.
+
+# One row per value: the value fields are each line's last.
+ONE_ROW_PER_VALUE = {
+    tabular.DATASET: lambda n: (["a"], range(738000, 738000 + n)),
+    tabular.CV: lambda n: (["m"], ["a"], range(1, n + 1)),
+    tabular.RUNS: lambda n: (["m"], range(1), ["a"], range(1, n + 1)),
+}
+
+
+def written(schema, values):
+    """Each value's text as the writer writes a grid of one row per value."""
+    axes = ONE_ROW_PER_VALUE[schema](len(values))
+    column = values.reshape(tuple(map(len, axes)))
+    text = tabular.csv_text(schema, axes, (column,) * len(schema.values))
+    return [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
+
+
+def neighbours(value):
+    return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+
+
+# Whole numbers around and past 2**53, where the kernel gives way.
+WHOLE_BITS = st.integers(-(2**60), 2**60).map(lambda i: int(np.float64(i).view(np.uint64)))
+FIXED_FLOATS = [
+    2**-3, 2**-20, 2**-14, 3 * 2**-20,  # powers of two with a fraction, and thrice one
+    *neighbours(1e-4), *neighbours(2.0**51), *neighbours(2.0**52), *neighbours(2.0**53),
+    1e16 - 2, 1e16, 0.5, 0.1, 0.3, 2 / 3, 1e15 + 0.5, 123.456,
+    # Just below a power of ten: rounded to 15 digits they carry to 10**15.
+    *(np.nextafter(10.0**k, 0) for k in (-3, 0, 1, 7, 15)),
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max,
+    np.inf, -np.inf, np.nan,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.integers(0, 2**64 - 1) | POSITIONAL_BITS | WHOLE_BITS, min_size=1, max_size=300
+    )
+)
+@example(np.array(FIXED_FLOATS, dtype=np.float64).view(np.uint64).tolist())
+@example((-np.array(FIXED_FLOATS, dtype=np.float64)).view(np.uint64).tolist())
+def test_writer_formats_floats_as_the_schema_does(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert written(tabular.DATASET, values) == list(map(tabular.format_demand, values.tolist()))
+    assert written(tabular.CV, values) == list(map(str, values.tolist()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=300))
+@example([0, -1, 1, 2**63 - 1, -(2**63), 10**16, 10**18, -(10**18), 99_999_999, 10**8])
+def test_writer_formats_int64_as_str_does(numbers):
+    values = np.array(numbers, dtype=np.int64)
+    assert written(tabular.RUNS, values) == list(map(str, numbers))

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import math
+import platform
 import re
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import forecast_stability
 import forecast_stability.ensemble as ensemble
 import forecast_stability.harness as harness
 from forecast_stability import (
@@ -502,10 +504,19 @@ def test_manifest_contents(tmp_path):
     cfg = small_config([ModelEntry(label="sn", forecaster=SeasonalNaive(period=7))])
     persist_runs(run_experiment(cfg), tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert set(manifest) == {"config", "seeds", "created_at"}
+    assert set(manifest) == {"config", "seeds", "provenance", "created_at"}
     assert manifest["seeds"]["sn"] == [run_seed(5, "sn", r) for r in range(3)]
     assert manifest["config"]["run_count"] == 3
     assert config_from_json(manifest["config"]) == cfg
+    canonical = json.dumps(config_to_json(cfg), sort_keys=True).encode("utf-8")
+    assert manifest["provenance"] == {
+        "package": forecast_stability.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "system": platform.system(),
+        "machine": platform.machine(),
+        "config_sha256": hashlib.sha256(canonical).hexdigest(),
+    }
 
 
 # ------------------------------------------------------------------ config

@@ -90,6 +90,19 @@ def test_write_csv_holds_less_than_a_copy_of_the_grid(tmp_path, monkeypatch):
     assert peak < grid.nbytes
 
 
+def test_write_csv_holds_less_than_a_copy_of_a_float_grid(tmp_path, monkeypatch):
+    # Non-integral demand goes through the number kernel, whose temporaries
+    # take a few words per distinct value of one block, so a temporary the
+    # size of the grid would show, as in the runs case above.
+    monkeypatch.setattr(tabular, "BLOCK_ROWS", 256)
+    ids = [f"item_{i:04d}" for i in reversed(range(200))]
+    days = range(730_000, 730_000 + 140)
+    grid = np.random.default_rng(0).random((len(ids), len(days))) * 100
+    path = tmp_path / "data.csv"
+    peak = traced_peak(tabular.write_csv, path, tabular.DATASET, (ids, days), (grid,))
+    assert peak < grid.nbytes
+
+
 def test_write_csv_holds_a_small_block_of_long_labels(tmp_path):
     # One 8 KiB label pads every row's field of its key to 8 KiB, so a
     # block of BLOCK_ROWS rows would hold 64 MiB; such a block takes fewer.
