@@ -35,8 +35,6 @@ from .harness import (
     CsvSource,
     EnsembleRequest,
     ExperimentConfig,
-    ExperimentResult,
-    ForecastSet,
     ModelEntry,
     load_runs,
     persist_runs,
@@ -45,16 +43,14 @@ from .harness import (
 from .metrics import (
     AccuracyReport,
     CvGrid,
-    Histogram,
     accuracy_report,
-    cv_cell,
     cv_grid,
     histogram,
     postprocess,
     quantiles,
     rmse,
 )
-from .report import ReportBundle, build_report_bundle, emit_plots, emit_quantile_table
+from .report import build_report_bundle, emit_plots, emit_quantile_table
 from .seeding import derive_seed, fnv1a64, splitmix64
 
 __version__ = "0.1.0"
@@ -66,15 +62,11 @@ __all__ = [
     "EnsembleRequest",
     "EnsembleSpec",
     "ExperimentConfig",
-    "ExperimentResult",
     "FittedForecaster",
-    "ForecastSet",
     "ForecasterKind",
     "GlobalMean",
-    "Histogram",
     "LinearAR",
     "ModelEntry",
-    "ReportBundle",
     "SeasonalNaive",
     "SplitSpec",
     "SynthConfig",
@@ -82,7 +74,6 @@ __all__ = [
     "TinyMLP",
     "accuracy_report",
     "build_report_bundle",
-    "cv_cell",
     "cv_grid",
     "derive_seed",
     "emit_plots",

@@ -1,8 +1,11 @@
 """Command-line pipeline: generate -> run -> metrics -> report.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
-stderr. ``report`` composes every output it was asked for before it writes
-any, in one loop, so a failing ``report`` writes no file.
+stderr. ``run`` refuses an ``--out`` that already holds a file a stage
+writes, and ``report`` checks the metrics files' models and run count
+against the run's manifest, so a directory never mixes two experiments.
+``report`` composes every output it was asked for before it writes any, in
+one loop, so a failing ``report`` writes no file.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from . import codec
 from .dataset import write_long_csv
 from .errors import ForecastStabilityError
 from .harness import (
+    ACTUALS_FILE,
     MANIFEST_FILE,
     RUNS_FILE,
+    ExperimentConfig,
     config_from_json,
     load_runs,
     persist_runs,
@@ -27,10 +32,14 @@ from .harness import (
 )
 from .metrics import DEFAULT_QUANTILES, MetricsError, accuracy_report, cv_grid
 from .report import (
+    CV_FILE,
     DEFAULT_BINS,
     DEFAULT_CLIP,
     REPORT_FILE,
+    RMSE_FIGURE,
+    RMSE_FILE,
     TABLE_FILE,
+    ReportError,
     build_report_bundle,
     emit_plots,
     emit_quantile_table,
@@ -39,6 +48,12 @@ from .report import (
     write_metrics_files,
 )
 from .tabular import _not_utf8
+
+# What the stages write into a runs directory, besides each cv_hist_*.svg.
+PIPELINE_FILES = (
+    RUNS_FILE, ACTUALS_FILE, MANIFEST_FILE, CV_FILE, RMSE_FILE,
+    TABLE_FILE, REPORT_FILE, RMSE_FIGURE,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,6 +138,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = config_from_json(_read_json(args.config))
+    out = Path(args.out)
+    held = [out / name for name in PIPELINE_FILES if (out / name).exists()]
+    held += sorted(out.glob("cv_hist_*.svg"))
+    if held:
+        raise FileExistsError(f"{held[0]}: --out already holds the output of a run")
     result = run_experiment(cfg)
     persist_runs(result, args.out)
     print(
@@ -149,16 +169,19 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out or args.runs)
+    runs_dir, out_dir = Path(args.runs), Path(args.out or args.runs)
     probs = _parse_probs(args.quantiles)
-    grids, accuracy = load_metrics_files(args.runs)
+    grids, accuracy = load_metrics_files(runs_dir)
+    cfg = _manifest_config(runs_dir)
+    if cfg is not None:
+        _check_against_manifest(runs_dir, cfg, grids, accuracy)
     bundle = build_report_bundle(
         {label: grid for label, (grid, _) in grids.items()},
         accuracy,
         probs=probs,
         bins=args.bins,
         clip_upper=args.clip,
-        train_length=_train_length_from_manifest(Path(args.runs)),
+        train_length=None if cfg is None else cfg.split.train_length,
     )
     outputs = {}
     if args.format in ("csv", "all"):
@@ -184,16 +207,33 @@ def _parse_probs(text: str) -> tuple[float, ...]:
     return probs
 
 
-def _train_length_from_manifest(runs_dir: Path) -> int | None:
+def _manifest_config(runs_dir: Path) -> ExperimentConfig | None:
     manifest = runs_dir / MANIFEST_FILE
     if not manifest.exists():
         return None
     obj = _read_json(manifest)
     try:
         (config,), _ = codec.take(obj, "", "config")
-        return config_from_json(config).split.train_length
+        return config_from_json(config)
     except ValueError as exc:
         raise ValueError(f"{manifest}: {exc}") from exc
+
+
+def _check_against_manifest(runs_dir: Path, cfg: ExperimentConfig, grids, accuracy) -> None:
+    """Raise :class:`ReportError` unless the metrics files hold the manifest's
+    models and, in ``rmse.csv``, its run count per model."""
+    manifest, labels = runs_dir / MANIFEST_FILE, sorted(entry.label for entry in cfg.models)
+    for name, models in ((CV_FILE, grids), (RMSE_FILE, accuracy)):
+        if sorted(models) != labels:
+            raise ReportError(
+                f"{runs_dir / name}: models {sorted(models)} are not those of {manifest}: {labels}"
+            )
+    runs = {len(report.rmse_per_run) for report in accuracy.values()}
+    if runs != {cfg.run_count}:
+        raise ReportError(
+            f"{runs_dir / RMSE_FILE}: {min(runs)} runs per model, "
+            f"but {manifest} has run_count {cfg.run_count}"
+        )
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import TimeSeriesDataset
+from .dataset import SplitSpec, TimeSeriesDataset, split
 from .errors import ForecastStabilityError
 from .forecasters import (
     Diverged,
@@ -102,15 +102,7 @@ def make_validation_windows(
             f"{n} validation windows of length {horizon} need at least "
             f"{needed} observations, have {train.length}"
         )
-    windows = []
-    for k in range(n):
-        end = train.length - (n - 1 - k) * horizon
-        inner = TimeSeriesDataset(
-            train.series_ids, train.start_date, train.values[:, : end - horizon]
-        )
-        held_out = train.values[:, end - horizon : end].copy()
-        windows.append((inner, held_out))
-    return windows
+    return [split(train, SplitSpec(train.length - (n - k) * horizon, horizon)) for k in range(n)]
 
 
 def fit_ensemble(

@@ -144,33 +144,6 @@ def postprocess(raw: np.ndarray) -> np.ndarray:
     return np.floor(np.maximum(arr, 0.0) + 0.5).astype(np.int64)
 
 
-def cv_cell(sample: Sequence[float]) -> tuple[float, float, float]:
-    """Coefficient of variation of one post-processed sample.
-
-    Returns ``(cv, mean, std)`` with std using the n-1 denominator (std 0
-    for a single observation) and CV := 0 when the mean is zero. Sums run
-    left to right so the result is bit-identical to :func:`cv_grid`.
-    """
-    values = [float(v) for v in sample]
-    n = len(values)
-    if n == 0:
-        raise EmptySample("cv_cell needs at least one value")
-    total = 0.0
-    for v in values:
-        total += v
-    mean = total / n
-    if n < 2:
-        std = 0.0
-    else:
-        ssq = 0.0
-        for v in values:
-            d = v - mean
-            ssq += d * d
-        std = math.sqrt(ssq / (n - 1))
-    cv = std / mean if mean != 0.0 else 0.0
-    return cv, mean, std
-
-
 def _run_grid(values: np.ndarray, min_runs: int, caller: str) -> np.ndarray:
     """``values`` as an (R, M, H) grid of at least ``min_runs`` runs."""
     grid = np.asarray(values)

@@ -14,11 +14,12 @@ from tables padded with 0xFF, which no UTF-8 text holds, and drops the
 padding. A value column written by :func:`format_demand` or ``str`` is
 formatted in numpy: int64 values, whole float64 values below 2**53, and
 other float64 values from 1e-4 up to 2**51 take their shortest round-trip
-digits from an exact integer kernel, as ``repr`` picks them. The schema's
-formatter writes every other value (an exponent form, ``inf``, ``nan``, a
-subnormal), each value the kernel leaves unproved (an exact tie or a carry
-to a new power of ten) and every value of a schema with any other
-formatter, so the bytes are those the formatter would write.
+digits from an exact integer kernel, as ``repr`` picks them. A block whose
+distinct values include any other value (an exponent form, ``inf``,
+``nan``, a subnormal) or one the kernel leaves unproved (an exact tie or a
+carry to a new power of ten) is written whole by the schema's formatter,
+as is every block of a schema with any other formatter, so the bytes are
+those the formatter would write.
 
 The reader parses a file block by block with numpy. One pass finds a
 block's commas and newlines. Each key column codes its texts
@@ -108,7 +109,8 @@ def format_demand(value: float) -> str:
 
     Both forms read back exactly; the integer form keeps the sign of -0.0.
     This is the reference for the writer's number kernel, which writes the
-    same text, and the fallback for each value the kernel does not format.
+    same text. A block holding a value the kernel does not prove is written
+    whole by this function.
     """
     value = float(value)
     if value.is_integer():
@@ -208,43 +210,36 @@ def _formatted(values: np.ndarray, fmt: Callable[[float], str] | None) -> np.nda
     Integers of an int64 column and, in a float64 column written by
     :func:`format_demand` or ``str``, whole numbers below 2**53 and other
     numbers from 1e-4 to 2**51 are laid out by :func:`_shortest` and
-    :func:`_layout`. The formatter writes the rest, and every value whose
-    shortest digits :func:`_shortest` does not prove.
+    :func:`_layout`. If any value is outside that domain, or has shortest
+    digits :func:`_shortest` does not prove, the formatter writes them all.
     """
     n = len(values)
     if values.dtype == np.int64 and fmt is None:
         raw = values.view(np.uint64)
         neg = values < 0
         return _layout(neg, np.where(neg, -raw, raw), np.zeros(n, np.uint64), np.zeros(n, np.intp))
-    if values.dtype != np.float64 or fmt not in (None, format_demand):
-        return _padded(list(map(fmt or str, values.tolist())))
-    raw = values.view(np.uint64)
-    magnitude = raw & _MAGNITUDE
-    # Below 2**53 and whole, or else 0.5: no NaN reaches np.floor.
-    size = np.where(magnitude < _EXACT, np.abs(values), 0.5)
-    whole = np.floor(size) == size
-    other = ~whole & (magnitude >= _TINY) & (magnitude < _WIDE) & (raw & _FRACTION != 0)
-    integer = np.where(whole, size, 0).astype(np.uint64)
-    fraction = np.zeros(n, np.uint64)
-    # str writes a whole number with ".0", format_demand without.
-    places = whole.astype(np.intp) * (fmt is None)
-    rest = ~(whole | other)
-    at = np.flatnonzero(other)
-    if at.size:
-        mantissa = magnitude[at] & _FRACTION | np.uint64(2**52)
-        exponent = (magnitude[at] >> np.uint64(52)).astype(np.int64) - 1075
-        digits, places[at], unproved = _shortest(size[at], mantissa, exponent)
-        integer[at], fraction[at] = np.divmod(digits, _POW10[np.minimum(places[at], 19)])
-        rest[at[unproved]] = True
-    table = _layout(np.signbit(values), integer, fraction, places)
-    if rest.any():
-        rows = np.flatnonzero(rest)
-        texts = _padded(list(map(fmt or str, values[rows].tolist())))
-        width = max(table.shape[1], texts.shape[1])
-        table = np.pad(table, ((0, 0), (0, width - table.shape[1])), constant_values=0xFF)
-        table[rows] = 0xFF
-        table[rows, : texts.shape[1]] = texts
-    return table
+    if values.dtype == np.float64 and fmt in (None, format_demand):
+        raw = values.view(np.uint64)
+        magnitude = raw & _MAGNITUDE
+        # Below 2**53 and whole, or else 0.5: no NaN reaches np.floor.
+        size = np.where(magnitude < _EXACT, np.abs(values), 0.5)
+        whole = np.floor(size) == size
+        other = ~whole & (magnitude >= _TINY) & (magnitude < _WIDE) & (raw & _FRACTION != 0)
+        integer = np.where(whole, size, 0).astype(np.uint64)
+        fraction = np.zeros(n, np.uint64)
+        # str writes a whole number with ".0", format_demand without.
+        places = whole.astype(np.intp) * (fmt is None)
+        rest = ~(whole | other)
+        at = np.flatnonzero(other)
+        if at.size:
+            mantissa = magnitude[at] & _FRACTION | np.uint64(2**52)
+            exponent = (magnitude[at] >> np.uint64(52)).astype(np.int64) - 1075
+            digits, places[at], unproved = _shortest(size[at], mantissa, exponent)
+            integer[at], fraction[at] = np.divmod(digits, _POW10[np.minimum(places[at], 19)])
+            rest[at[unproved]] = True
+        if not rest.any():
+            return _layout(np.signbit(values), integer, fraction, places)
+    return _padded(list(map(fmt or str, values.tolist())))
 
 
 def _shortest(size: np.ndarray, mantissa: np.ndarray, exponent: np.ndarray):

@@ -27,7 +27,7 @@ import pytest
 import forecast_stability as fs
 from forecast_stability.cli import cli_main
 from forecast_stability.ensemble import component_seed, make_validation_windows
-from forecast_stability.metrics import postprocess, rmse
+from forecast_stability.metrics import EmptySample, postprocess, rmse
 
 BENCH_PANEL = fs.SynthConfig(
     n_series=100,
@@ -220,9 +220,12 @@ def test_c5_cv_grid_matches_brute_force_oracle():
 
 def test_c6_postprocessing_closure():
     with criterion(6, "mu = 0 implies sigma = 0 implies CV = 0; CV total and finite"):
-        for r in (1, 2, 3, 4):
+        with pytest.raises(EmptySample):
+            fs.cv_grid(np.ones((1, 1, 1)))
+        for r in (2, 3, 4):
             for sample in itertools.product(range(4), repeat=r):
-                cv, mean, std = fs.cv_cell(sample)
+                grid = fs.cv_grid(np.array(sample, dtype=float).reshape(r, 1, 1))
+                cv, mean, std = grid.cv[0, 0], grid.mean[0, 0], grid.std[0, 0]
                 assert math.isfinite(cv) and cv >= 0.0
                 if mean == 0.0:
                     assert all(v == 0 for v in sample)

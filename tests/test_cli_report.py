@@ -383,3 +383,68 @@ def test_report_single_format_writes_only_that_file(tmp_path):
     assert (rep / "table.csv").exists()
     assert not (rep / "report.json").exists()
     assert not list(rep.glob("*.svg"))
+
+
+def test_run_refuses_a_directory_that_holds_a_run(tmp_path, capsys):
+    config, out = write_experiment_config(tmp_path), tmp_path / "runs"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out / 'runs.csv'}: ")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("name", ["table.csv", "cv_hist_sn.svg", "rmse_distribution.svg"])
+def test_run_refuses_a_directory_that_holds_a_report(tmp_path, capsys, name):
+    out = tmp_path / "runs"
+    out.mkdir()
+    (out / name).write_text("")
+    config = write_experiment_config(tmp_path)
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out / name}: ")
+    assert [path.name for path in out.iterdir()] == [name]
+
+
+def test_run_accepts_a_directory_of_other_files(tmp_path):
+    out = tmp_path / "runs"
+    out.mkdir()
+    for name in ("notes.txt", "cv.csv.bak", "hist.svg"):
+        (out / name).write_text("kept")
+    config = write_experiment_config(tmp_path)
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "runs.csv").exists()
+    assert (out / "notes.txt").read_text() == "kept"
+
+
+@pytest.mark.parametrize(
+    ("label_b", "runs_b", "name"),
+    [("mean", 4, "cv.csv"), ("naive", 4, "rmse.csv")],
+    ids=["other-model", "other-run-count"],
+)
+def test_report_rejects_metrics_of_another_run(tmp_path, capsys, label_b, runs_b, name):
+    # Metrics of run A, then run B's files copied over A's: report must not
+    # describe A's numbers under B's manifest.
+    kinds = {
+        "naive": {"kind": "seasonal_naive", "params": {"period": 7}},
+        "mean": {"kind": "global_mean", "params": {}},
+    }
+    runs = {}
+    for side, label, run_count, seed in (("a", "naive", 3, 5), ("b", label_b, runs_b, 9)):
+        (tmp_path / side).mkdir()
+        config = write_experiment_config(
+            tmp_path / side, run_count, [{"label": label, "kind": kinds[label]}]
+        )
+        config.write_text(config.read_text().replace('"master_seed": 5', f'"master_seed": {seed}'))
+        runs[side] = tmp_path / side / "runs"
+        assert cli_main(["run", "--config", str(config), "--out", str(runs[side])]) == 0
+    assert cli_main(["metrics", "--runs", str(runs["a"])]) == 0
+    for copied in ("runs.csv", "actuals.csv", "manifest.json"):
+        (runs["a"] / copied).write_bytes((runs["b"] / copied).read_bytes())
+    before = sorted(path.name for path in runs["a"].iterdir())
+    capsys.readouterr()
+    assert cli_main(["report", "--runs", str(runs["a"])]) == 2
+    message = capsys.readouterr().err
+    assert message.startswith(f"error: {runs['a'] / name}: ")
+    assert str(runs["a"] / "manifest.json") in message
+    assert sorted(path.name for path in runs["a"].iterdir()) == before

@@ -5,7 +5,9 @@ for tier-1, with one key dropped or renamed or one value swapped for one of
 another type, NaN, infinity or a huge int. Run directories start from a
 complete pipeline's outputs with one byte or one comma-separated field
 changed. Where a stage exits 0, what it wrote reads back; where it exits 2,
-its message says where the fault is.
+its message says where the fault is. The stages also run in any order, with
+two configs, over one directory, and a report always names the models of
+the run its directory holds.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import re
@@ -23,6 +26,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from forecast_stability import load_long_csv, load_runs
 from forecast_stability.cli import cli_main
@@ -207,3 +217,73 @@ def test_a_bad_value_names_its_file_and_model(run_dir, tmp_path, command, name, 
     code, message = cli([command, "--runs", runs, "--out", tmp_path / "out"])
     assert code == 2
     assert message.startswith(f"{runs / name}: model {label!r}: "), message
+
+
+def test_stages_in_any_order_never_mix_two_runs(workloads):
+    """generate, run with two configs by turns, metrics and report over one
+    directory, in any order: every file in it names exactly the models of
+    the manifest beside it, and a report that exits 0 wrote its files."""
+
+    class Stages(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            self.tmp = Path(tempfile.mkdtemp())
+            self.runs = self.tmp / "runs"
+            configs = tiny_configs(workloads["sgd_refit"], self.tmp / "data.csv")
+            other = tiny_configs(workloads["wide_io"], self.tmp / "data.csv")["experiment.json"]
+            configs["other.json"] = {**other, "master_seed": 23}
+            for name, config in configs.items():
+                (self.tmp / name).write_text(json.dumps(config))
+            self.turns = itertools.cycle(["experiment.json", "other.json"])
+
+        def step(self, argv, reads_back):
+            def names_where(message):
+                return str(self.tmp) in message or bool(KEY_PATH.match(message))
+
+            stage(argv, reads_back, names_where)
+
+        @initialize()
+        def panel(self):
+            self.generate()
+
+        @rule()
+        def generate(self):
+            data = self.tmp / "data.csv"
+            self.step(["generate", "--config", self.tmp / "synth.json", "--out", data],
+                      lambda: load_long_csv(data))
+
+        @rule()
+        def run(self):
+            self.step(["run", "--config", self.tmp / next(self.turns), "--out", self.runs],
+                      lambda: load_runs(self.runs))
+
+        @rule()
+        def metrics(self):
+            self.step(["metrics", "--runs", self.runs], lambda: load_metrics_files(self.runs))
+
+        @rule()
+        def report(self):
+            def wrote_its_files():
+                assert (self.runs / "table.csv").exists() and (self.runs / REPORT_FILE).exists()
+
+            self.step(["report", "--runs", self.runs], wrote_its_files)
+
+        @invariant()
+        def one_experiment(self):
+            if not (self.runs / "manifest.json").exists():
+                return
+            manifest = json.loads((self.runs / "manifest.json").read_text())
+            labels = sorted(entry["label"] for entry in manifest["config"]["models"])
+            for name in ("runs.csv", "cv.csv", "rmse.csv", "table.csv"):
+                if (self.runs / name).exists():
+                    rows = (self.runs / name).read_text().splitlines()[1:]
+                    assert sorted({row.split(",")[0] for row in rows}) == labels, name
+            if (self.runs / REPORT_FILE).exists():
+                assert sorted(json.loads((self.runs / REPORT_FILE).read_text())["models"]) == labels
+
+        def teardown(self):
+            shutil.rmtree(self.tmp)
+
+    run_state_machine_as_test(
+        Stages, settings=settings(max_examples=50, stateful_step_count=12, deadline=None)
+    )

@@ -28,7 +28,6 @@ from forecast_stability import (
     AccuracyReport,
     CvGrid,
     ExperimentConfig,
-    ExperimentResult,
     GlobalMean,
     ModelEntry,
     SplitSpec,
@@ -41,7 +40,7 @@ from forecast_stability import (
 )
 from forecast_stability import tabular
 from forecast_stability.dataset import DatasetError
-from forecast_stability.harness import RaggedRuns, SchemaMismatch
+from forecast_stability.harness import ExperimentResult, RaggedRuns, SchemaMismatch
 from forecast_stability.report import (
     ReportError,
     load_metrics_files,
