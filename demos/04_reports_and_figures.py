@@ -58,7 +58,7 @@ result = run_experiment(cfg)
 grids, accuracy = {}, {}
 for label, forecasts in result.forecasts.items():
     grids[label] = cv_grid(forecasts)
-    accuracy[label] = accuracy_report(forecasts, result.actuals, label)
+    accuracy[label] = accuracy_report(forecasts, result.actuals)
 
 bundle = build_report_bundle(grids, accuracy, bins=40, clip_upper=0.5)
 print("CV quantile table (the report's headline summary):\n")

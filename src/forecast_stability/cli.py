@@ -1,8 +1,9 @@
 """Command-line pipeline: generate -> run -> metrics -> report.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
-stderr. ``run`` refuses an ``--out`` that already holds a file a stage
-writes, and ``report`` checks the metrics files' models and run count
+stderr. ``metrics`` and ``report`` read and write only the directory named
+by ``--runs``. ``run`` refuses an ``--out`` that already holds a file a
+stage writes, and ``report`` checks the metrics files' models and run count
 against the run's manifest, so a directory never mixes two experiments.
 ``report`` composes every output it was asked for before it writes any, in
 one loop, so a failing ``report`` writes no file.
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import codec
-from .dataset import write_long_csv
+from .dataset import synth_generate, write_long_csv
 from .errors import ForecastStabilityError
 from .harness import (
     ACTUALS_FILE,
@@ -75,12 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_met = sub.add_parser("metrics", help="compute cv.csv and rmse.csv from runs")
     p_met.add_argument("--runs", required=True, help="directory with runs.csv")
-    p_met.add_argument("--out", help="output directory (default: --runs)")
     p_met.set_defaults(func=_cmd_metrics)
 
     p_rep = sub.add_parser("report", help="emit tables, JSON, and SVG figures")
     p_rep.add_argument("--runs", required=True, help="directory with cv.csv/rmse.csv")
-    p_rep.add_argument("--out", help="output directory (default: --runs)")
     p_rep.add_argument(
         "--format",
         choices=("csv", "json", "svg", "all"),
@@ -128,8 +127,6 @@ def _read_json(path: str | Path) -> dict:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     cfg = synth_from_json(_read_json(args.config))
-    from .dataset import synth_generate
-
     panel = synth_generate(cfg)
     write_long_csv(panel, args.out)
     print(f"wrote {args.out} ({panel.n_series} series x {panel.length} days)")
@@ -153,23 +150,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    out_dir = args.out or args.runs
     forecast_sets, actuals = load_runs(args.runs)
     grids = {}
     accuracy = {}
     for label, fs in forecast_sets.items():
         try:
             grids[label] = (cv_grid(fs.values), fs.series_ids)
-            accuracy[label] = accuracy_report(fs.values, actuals, label)
+            accuracy[label] = accuracy_report(fs.values, actuals)
         except MetricsError as exc:
             raise type(exc)(f"{Path(args.runs) / RUNS_FILE}: model {label!r}: {exc}") from exc
-    write_metrics_files(grids, accuracy, out_dir)
-    print(f"wrote {out_dir}/cv.csv and rmse.csv for {len(grids)} models")
+    write_metrics_files(grids, accuracy, args.runs)
+    print(f"wrote {args.runs}/cv.csv and rmse.csv for {len(grids)} models")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    runs_dir, out_dir = Path(args.runs), Path(args.out or args.runs)
+    runs_dir = Path(args.runs)
     probs = _parse_probs(args.quantiles)
     grids, accuracy = load_metrics_files(runs_dir)
     cfg = _manifest_config(runs_dir)
@@ -190,21 +186,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
         outputs[REPORT_FILE] = report_to_json(bundle)
     if args.format in ("svg", "all"):
         outputs.update(emit_plots(bundle))
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in outputs.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
-    print(f"wrote {out_dir}: {', '.join(outputs)}")
+        (runs_dir / name).write_text(text, encoding="utf-8")
+    print(f"wrote {runs_dir}: {', '.join(outputs)}")
     return 0
 
 
 def _parse_probs(text: str) -> tuple[float, ...]:
     try:
-        probs = tuple(float(p) for p in text.split(","))
+        return tuple(float(p) for p in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad --quantiles value {text!r}") from exc
-    if not probs:
-        raise ValueError("--quantiles needs at least one probability")
-    return probs
 
 
 def _manifest_config(runs_dir: Path) -> ExperimentConfig | None:

@@ -147,6 +147,10 @@ class SynthConfig:
             raise ValueError("season_amplitude must be finite and >= 0")
         if not 0 <= self.noise_std < math.inf:
             raise ValueError("noise_std must be finite and >= 0")
+        # Box-Muller keeps each normal draw within sqrt(2 * 53 * ln 2) < 9,
+        # so this sum bounds every cell of the panel.
+        if not math.isfinite(hi + self.season_amplitude + 9 * self.noise_std):
+            raise ValueError("level_range max + season_amplitude + 9 * noise_std must be finite")
         if not (0.0 <= self.intermittency <= 1.0):
             raise ValueError("intermittency must lie in [0, 1]")
         object.__setattr__(self, "level_range", (float(lo), float(hi)))

@@ -103,7 +103,6 @@ class CvGrid:
 class AccuracyReport:
     """Per-run RMSE values for one model."""
 
-    model_label: str
     rmse_per_run: tuple[float, ...]
 
     def __post_init__(self):
@@ -188,14 +187,14 @@ def rmse(forecast: np.ndarray, actual: np.ndarray) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def accuracy_report(values: np.ndarray, actual: np.ndarray, label: str) -> AccuracyReport:
+def accuracy_report(values: np.ndarray, actual: np.ndarray) -> AccuracyReport:
     """RMSE of each post-processed run of an (R, M, H) grid against the test actuals."""
     grid = _run_grid(values, 1, "accuracy_report")
     actual = np.asarray(actual, dtype=np.float64)
     if actual.shape != grid.shape[1:]:
         raise ShapeMismatch(f"actuals shape {actual.shape} != forecast shape {grid.shape[1:]}")
     per_run = tuple(rmse(run, actual) for run in postprocess(grid))
-    return AccuracyReport(model_label=label, rmse_per_run=per_run)
+    return AccuracyReport(per_run)
 
 
 def quantiles(

@@ -200,7 +200,7 @@ def load_metrics_files(
         for m, model in enumerate(models)
     }
     accuracy = {
-        model: _named(rmse_path, model, AccuracyReport, model, tuple(rmse[m].tolist()))
+        model: _named(rmse_path, model, AccuracyReport, tuple(rmse[m].tolist()))
         for m, model in enumerate(rmse_models)
     }
     return grids, accuracy
@@ -378,7 +378,8 @@ def _rmse_distribution_svg(bundle: ReportBundle) -> str:
     vmin = min(all_values) if all_values else 0.0
     if vmax == vmin:
         vmax = vmin + 1.0
-    span = vmax - vmin
+    # Past 2**53, vmin + 1.0 rounds back to vmin.
+    span = vmax - vmin or 1.0
 
     def y_of(value: float) -> float:
         return _TOP + plot_h * (1.0 - (value - vmin) / span)

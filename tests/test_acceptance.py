@@ -455,7 +455,7 @@ def test_c9_quantile_table_fidelity():
     with criterion(9, "table columns are the 25/50/75/90 points at 3 decimals"):
         cv = np.array([[0.0, 0.1], [0.2, 0.3]])
         grid = fs.CvGrid(cv=cv, mean=np.ones_like(cv), std=cv.copy())
-        accuracy = {"model_a": fs.AccuracyReport("model_a", (1.0,))}
+        accuracy = {"model_a": fs.AccuracyReport((1.0,))}
         text = fs.emit_quantile_table(fs.build_report_bundle({"model_a": grid}, accuracy))
         lines = text.strip().splitlines()
         assert lines[0] == "model,q25,q50,q75,q90"

@@ -156,19 +156,19 @@ def test_report_outputs_are_byte_deterministic(tmp_path, capsys):
     out = tmp_path / "runs"
     cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
     cli_main(["metrics", "--runs", str(out)])
-    rep_a = tmp_path / "report_a"
-    rep_b = tmp_path / "report_b"
-    assert cli_main(["report", "--runs", str(out), "--out", str(rep_a)]) == 0
-    assert cli_main(["report", "--runs", str(out), "--out", str(rep_b)]) == 0
-    for name in ("table.csv", "report.json", "cv_hist_sn.svg", "rmse_distribution.svg"):
-        assert (rep_a / name).read_bytes() == (rep_b / name).read_bytes()
+    names = ("table.csv", "report.json", "cv_hist_sn.svg", "rmse_distribution.svg")
+    assert cli_main(["report", "--runs", str(out)]) == 0
+    first = {name: (out / name).read_bytes() for name in names}
+    assert cli_main(["report", "--runs", str(out)]) == 0
+    for name in names:
+        assert (out / name).read_bytes() == first[name]
 
 
 # ------------------------------------------------------------ table format
 
 def table_of(grids, **options):
     """The quantile table of ``grids``, each with one run's RMSE."""
-    accuracy = {label: AccuracyReport(label, (1.0,)) for label in grids}
+    accuracy = {label: AccuracyReport((1.0,)) for label in grids}
     return emit_quantile_table(build_report_bundle(grids, accuracy, **options))
 
 
@@ -212,7 +212,7 @@ def make_bundle(cv_values, rmse_values=(1.0, 2.0, 3.0), bins=4, clip=1.0):
     grid = grid_from_cv(cv_values)
     return build_report_bundle(
         {"m": grid},
-        {"m": AccuracyReport(model_label="m", rmse_per_run=tuple(rmse_values))},
+        {"m": AccuracyReport(rmse_per_run=tuple(rmse_values))},
         bins=bins,
         clip_upper=clip,
     )
@@ -253,11 +253,19 @@ def test_rmse_plot_has_point_per_run():
     assert sorted(float(p.get("data-rmse")) for p in points) == [1.0, 1.5, 2.0, 4.0]
 
 
+def test_rmse_plot_of_equal_values_past_float_integers():
+    # 1e24 + 1.0 == 1e24, so equal values this large once left the plot no span.
+    bundle = make_bundle(np.zeros((1, 2)), rmse_values=(1e24, 1e24))
+    root = ET.fromstring(emit_plots(bundle)["rmse_distribution.svg"])
+    points = [el for el in root.iter(f"{SVG_NS}circle") if el.get("class") == "pt"]
+    assert [float(p.get("data-rmse")) for p in points] == [1e24, 1e24]
+
+
 def test_svg_text_is_escaped_as_html_escape_does():
     label = "a<b&c>"
     bundle = build_report_bundle(
         {label: grid_from_cv(np.zeros((1, 2)))},
-        {label: AccuracyReport(model_label=label, rmse_per_run=(1.0, 2.0))},
+        {label: AccuracyReport(rmse_per_run=(1.0, 2.0))},
     )
     figures = emit_plots(bundle)
     title = f"CV distribution: {label} (excluded tail: 0)"
@@ -287,23 +295,28 @@ def metrics_dir(tmp_path):
     return out
 
 
+def contents(directory):
+    """Each file of ``directory`` by name, with its bytes."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
 @pytest.mark.parametrize("clip", ["nan", "inf"])
 def test_report_rejects_a_clip_that_is_not_finite(tmp_path, capsys, clip):
     runs = metrics_dir(tmp_path)
-    rep = tmp_path / "report"
-    assert cli_main(["report", "--runs", str(runs), "--out", str(rep), "--clip", clip]) == 2
+    before = contents(runs)
+    assert cli_main(["report", "--runs", str(runs), "--clip", clip]) == 2
     message = f"clip_upper must be positive and finite, got {float(clip)!r}"
     assert message in capsys.readouterr().err
-    assert not rep.exists()
+    assert contents(runs) == before
 
 
 @pytest.mark.parametrize("bins", ["561", str(10**8)])
 def test_report_rejects_more_bins_than_plot_pixels(tmp_path, capsys, bins):
     runs = metrics_dir(tmp_path)
-    rep = tmp_path / "report"
-    assert cli_main(["report", "--runs", str(runs), "--out", str(rep), "--bins", bins]) == 2
+    before = contents(runs)
+    assert cli_main(["report", "--runs", str(runs), "--bins", bins]) == 2
     assert "bin_count must be <= 560" in capsys.readouterr().err
-    assert not rep.exists()
+    assert contents(runs) == before
 
 
 @pytest.mark.parametrize(
@@ -312,14 +325,14 @@ def test_report_rejects_more_bins_than_plot_pixels(tmp_path, capsys, bins):
 )
 def test_report_rejects_quantiles_that_share_a_column(tmp_path, capsys, probs, pair):
     runs = metrics_dir(tmp_path)
-    rep = tmp_path / "report"
-    assert cli_main(["report", "--runs", str(runs), "--out", str(rep), "--quantiles", probs]) == 2
+    before = contents(runs)
+    assert cli_main(["report", "--runs", str(runs), "--quantiles", probs]) == 2
     assert f"quantile probabilities {pair} share the column q50" in capsys.readouterr().err
-    assert not rep.exists()
+    assert contents(runs) == before
     with pytest.raises(ReportError, match="share the column q50"):
         build_report_bundle(
             {"m": grid_from_cv([[0.1, 0.2]])},
-            {"m": AccuracyReport("m", (1.0,))},
+            {"m": AccuracyReport((1.0,))},
             probs=[float(p) for p in probs.split(",")],
         )
 
@@ -330,20 +343,20 @@ def test_report_rejects_quantiles_that_share_a_column(tmp_path, capsys, probs, p
 def test_report_rejects_a_corrupt_manifest(tmp_path, capsys, text):
     runs = metrics_dir(tmp_path)
     (runs / "manifest.json").write_text(text, encoding="utf-8")
-    rep = tmp_path / "report"
-    assert cli_main(["report", "--runs", str(runs), "--out", str(rep)]) == 2
+    before = contents(runs)
+    assert cli_main(["report", "--runs", str(runs)]) == 2
     assert f"error: {runs / 'manifest.json'}: " in capsys.readouterr().err
-    assert not rep.exists()
+    assert contents(runs) == before
 
 
 def test_report_names_a_manifest_that_is_not_utf8(tmp_path, capsys):
     runs = metrics_dir(tmp_path)
     manifest = runs / "manifest.json"
     manifest.write_bytes(manifest.read_bytes().replace(b"{", b"{\x93", 1))
-    rep = tmp_path / "report"
-    assert cli_main(["report", "--runs", str(runs), "--out", str(rep)]) == 2
+    before = contents(runs)
+    assert cli_main(["report", "--runs", str(runs)]) == 2
     assert capsys.readouterr().err == f"error: {manifest}:1: not UTF-8: byte 0x93 at column 2\n"
-    assert not rep.exists()
+    assert contents(runs) == before
 
 
 def test_report_rejects_labels_whose_figures_share_a_file(tmp_path, capsys):
@@ -353,13 +366,13 @@ def test_report_rejects_labels_whose_figures_share_a_file(tmp_path, capsys):
     runs = tmp_path / "runs"
     assert cli_main(["run", "--config", str(config), "--out", str(runs)]) == 0
     assert cli_main(["metrics", "--runs", str(runs)]) == 0
-    rep = tmp_path / "report"
-    assert cli_main(["report", "--runs", str(runs), "--out", str(rep)]) == 2
+    before = contents(runs)
+    assert cli_main(["report", "--runs", str(runs)]) == 2
     assert "'a b' and 'a_b' would both write cv_hist_a_b.svg" in capsys.readouterr().err
-    assert not rep.exists()
+    assert contents(runs) == before
     # Without figures, nothing collides.
-    assert cli_main(["report", "--runs", str(runs), "--out", str(rep), "--format", "csv"]) == 0
-    assert [path.name for path in rep.iterdir()] == ["table.csv"]
+    assert cli_main(["report", "--runs", str(runs), "--format", "csv"]) == 0
+    assert set(contents(runs)) - set(before) == {"table.csv"}
 
 
 def test_report_reads_train_length_from_an_optional_manifest(tmp_path):
@@ -378,21 +391,20 @@ def test_report_single_format_writes_only_that_file(tmp_path):
     out = tmp_path / "runs"
     cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
     cli_main(["metrics", "--runs", str(out)])
-    rep = tmp_path / "table_only"
-    assert cli_main(["report", "--runs", str(out), "--out", str(rep), "--format", "csv"]) == 0
-    assert (rep / "table.csv").exists()
-    assert not (rep / "report.json").exists()
-    assert not list(rep.glob("*.svg"))
+    assert cli_main(["report", "--runs", str(out), "--format", "csv"]) == 0
+    assert (out / "table.csv").exists()
+    assert not (out / "report.json").exists()
+    assert not list(out.glob("*.svg"))
 
 
 def test_run_refuses_a_directory_that_holds_a_run(tmp_path, capsys):
     config, out = write_experiment_config(tmp_path), tmp_path / "runs"
     assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
-    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    before = contents(out)
     capsys.readouterr()
     assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {out / 'runs.csv'}: ")
-    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert contents(out) == before
 
 
 @pytest.mark.parametrize("name", ["table.csv", "cv_hist_sn.svg", "rmse_distribution.svg"])
@@ -417,6 +429,12 @@ def test_run_accepts_a_directory_of_other_files(tmp_path):
     assert (out / "notes.txt").read_text() == "kept"
 
 
+KINDS = {
+    "naive": {"kind": "seasonal_naive", "params": {"period": 7}},
+    "mean": {"kind": "global_mean", "params": {}},
+}
+
+
 @pytest.mark.parametrize(
     ("label_b", "runs_b", "name"),
     [("mean", 4, "cv.csv"), ("naive", 4, "rmse.csv")],
@@ -425,15 +443,11 @@ def test_run_accepts_a_directory_of_other_files(tmp_path):
 def test_report_rejects_metrics_of_another_run(tmp_path, capsys, label_b, runs_b, name):
     # Metrics of run A, then run B's files copied over A's: report must not
     # describe A's numbers under B's manifest.
-    kinds = {
-        "naive": {"kind": "seasonal_naive", "params": {"period": 7}},
-        "mean": {"kind": "global_mean", "params": {}},
-    }
     runs = {}
     for side, label, run_count, seed in (("a", "naive", 3, 5), ("b", label_b, runs_b, 9)):
         (tmp_path / side).mkdir()
         config = write_experiment_config(
-            tmp_path / side, run_count, [{"label": label, "kind": kinds[label]}]
+            tmp_path / side, run_count, [{"label": label, "kind": KINDS[label]}]
         )
         config.write_text(config.read_text().replace('"master_seed": 5', f'"master_seed": {seed}'))
         runs[side] = tmp_path / side / "runs"
@@ -448,3 +462,32 @@ def test_report_rejects_metrics_of_another_run(tmp_path, capsys, label_b, runs_b
     assert message.startswith(f"error: {runs['a'] / name}: ")
     assert str(runs["a"] / "manifest.json") in message
     assert sorted(path.name for path in runs["a"].iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["metrics", "report"])
+def test_a_stage_writes_only_into_the_run_directory_it_reads(tmp_path, capsys, command):
+    # metrics and report take no --out, so b's numbers never land beside a's manifest.
+    runs = {}
+    for side, label in (("a", "naive"), ("b", "mean")):
+        (tmp_path / side).mkdir()
+        models = [{"label": label, "kind": KINDS[label]}]
+        config = write_experiment_config(tmp_path / side, models=models)
+        runs[side] = tmp_path / side / "runs"
+        assert cli_main(["run", "--config", str(config), "--out", str(runs[side])]) == 0
+        assert cli_main(["metrics", "--runs", str(runs[side])]) == 0
+        assert cli_main(["report", "--runs", str(runs[side])]) == 0
+    before = contents(runs["a"])
+    capsys.readouterr()
+    assert cli_main([command, "--help"]) == 0
+    assert "--out" not in capsys.readouterr().out
+    assert cli_main([command, "--runs", str(runs["b"]), "--out", str(runs["a"])]) == 1
+    assert contents(runs["a"]) == before
+
+
+@pytest.mark.parametrize("text", ["", "0.5,x"])
+def test_report_rejects_quantiles_that_are_not_numbers(tmp_path, capsys, text):
+    runs = metrics_dir(tmp_path)
+    before = contents(runs)
+    assert cli_main(["report", "--runs", str(runs), "--quantiles", text]) == 2
+    assert capsys.readouterr().err == f"error: bad --quantiles value {text!r}\n"
+    assert contents(runs) == before

@@ -158,7 +158,7 @@ def metrics(draw):
     rmse = st.lists(
         st.floats(min_value=0.0, allow_infinity=False), min_size=runs, max_size=runs
     )
-    accuracy = {label: AccuracyReport(label, tuple(draw(rmse))) for label in labels}
+    accuracy = {label: AccuracyReport(tuple(draw(rmse))) for label in labels}
     return grids, accuracy
 
 
@@ -169,7 +169,7 @@ THIRD_GRID = CvGrid(
 
 @settings(max_examples=60, deadline=None)
 @given(metrics())
-@example(({"m": (THIRD_GRID, ("itemA",))}, {"m": AccuracyReport("m", (1 / 3, 0.0))}))
+@example(({"m": (THIRD_GRID, ("itemA",))}, {"m": AccuracyReport((1 / 3, 0.0))}))
 def test_metrics_csv_round_trip(drawn):
     grids, accuracy = drawn
     with tempfile.TemporaryDirectory() as tmp:
@@ -328,7 +328,7 @@ def test_writers_reject_grids_they_could_not_read_back(tmp_path):
     with pytest.raises(RaggedRuns):
         persist_runs(ExperimentResult(one_run, np.zeros((1, 1)), ("x",), config), tmp_path)
     grids = {"a": (THIRD_GRID, ("x",)), "b": (THIRD_GRID, ("y",))}
-    accuracy = {label: AccuracyReport(label, (1.0,)) for label in grids}
+    accuracy = {label: AccuracyReport((1.0,)) for label in grids}
     with pytest.raises(ReportError):
         write_metrics_files(grids, accuracy, tmp_path)
     assert not any(tmp_path.iterdir())

@@ -207,6 +207,25 @@ def test_synth_config_validation():
         SynthConfig(n_series=2**63, length=1)
     with pytest.raises(ValueError, match="season_period"):
         SynthConfig(n_series=1, length=10, season_period=10**400)
+    for fields in (
+        {"noise_std": 1e308},
+        {"level_range": (0.0, 1e308), "season_amplitude": 1e308},
+        {"level_range": (0.0, 1e307), "noise_std": 2e307},
+    ):
+        with pytest.raises(ValueError, match="9 \\* noise_std must be finite"):
+            SynthConfig(n_series=3, length=40, **fields)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"level_range": (0.0, 1e308), "season_amplitude": 7e307},
+        {"level_range": (0.0, 1e307), "noise_std": 1e307},
+    ],
+)
+def test_synth_panel_at_the_float_bound_stays_finite(fields):
+    ds = synth_generate(SynthConfig(n_series=3, length=40, **fields))
+    assert np.all(np.isfinite(ds.values))
 
 
 def test_dataset_invariants():

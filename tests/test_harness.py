@@ -789,11 +789,15 @@ def test_ints_read_as_floats_and_bools_as_nothing_else():
             _set("models", 0, "kind", "params", "period", value=2**63 - 1),
             "models[0].kind.params: SeasonalNaive.period must be <= 10000",
         ),
+        (
+            _set("dataset", "synth", "noise_std", value=1e308),
+            "dataset.synth: level_range max + season_amplitude + 9 * noise_std must be finite",
+        ),
     ],
     ids=[
         "lags", "top-key", "run-count", "run-count-above-bound", "run-count-huge",
         "lags-above-bound", "hidden-dim-above-bound", "batch-size-above-bound",
-        "period-above-bound",
+        "period-above-bound", "panel-beyond-float-range",
     ],
 )
 def test_cli_run_rejects_bad_config(tmp_path, capsys, fault, message):
@@ -813,6 +817,25 @@ def test_cli_generate_rejects_bad_config(tmp_path, capsys):
     out = tmp_path / "data.csv"
     assert cli_main(["generate", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: n_series: expected int, got 200.7\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "synth",
+    [
+        {"noise_std": 1e308},
+        {"level_range": [0, 1e308], "season_amplitude": 1e308},
+    ],
+    ids=["noise", "level-and-season"],
+)
+def test_cli_generate_rejects_a_panel_beyond_float_range(tmp_path, capsys, synth):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_series": 3, "length": 40, **synth}))
+    out = tmp_path / "data.csv"
+    assert cli_main(["generate", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config: level_range max + season_amplitude + 9 * noise_std must be finite\n"
+    )
     assert not out.exists()
 
 

@@ -261,19 +261,19 @@ def test_rmse_permutation_invariance():
 
 def test_accuracy_report_from_a_run_grid():
     runs = np.stack([np.array([[3.0, 5.0]]), np.array([[1.0, 1.0]])])
-    report = accuracy_report(runs, np.array([[1.0, 1.0]]), "m")
+    report = accuracy_report(runs, np.array([[1.0, 1.0]]))
     assert report.rmse_per_run[0] == pytest.approx(math.sqrt(10.0), abs=1e-12)
     assert report.rmse_per_run[1] == 0.0
 
 
 def test_accuracy_report_requires_a_three_dimensional_grid():
     with pytest.raises(ShapeMismatch):
-        accuracy_report(np.ones((2, 3)), np.ones((2, 3)), "m")
+        accuracy_report(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_accuracy_report_requires_a_run():
     with pytest.raises(EmptySample):
-        accuracy_report(np.ones((0, 1, 2)), np.ones((1, 2)), "m")
+        accuracy_report(np.ones((0, 1, 2)), np.ones((1, 2)))
 
 
 # --------------------------------------------------------------- quantiles
@@ -353,7 +353,7 @@ def test_histogram_errors():
 
 def test_accuracy_report_validation():
     with pytest.raises(ValueError):
-        AccuracyReport(model_label="m", rmse_per_run=(-1.0,))
+        AccuracyReport(rmse_per_run=(-1.0,))
 
 
 def test_cv_grid_type_rejects_inconsistent_zero_mean():
