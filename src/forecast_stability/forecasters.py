@@ -15,10 +15,16 @@ and whether it is ``seeded`` (unseen by the codec and ``asdict``), and the
 with a leading run axis, whose per-run results are bit-identical to
 fitting each seed alone. All runs' parameters sit in one (R, P) buffer,
 updated in place from an (R, P) gradient buffer: the same
-``w - scale * g`` per element as a lone run. One ``np.take`` gathers every
-run's windows and targets for a few batches, and each step reads them in
-place; BLAS reads a matrix through its strides, so products over these
-views have the bits of products over contiguous copies.
+``w - scale * g`` per element as a lone run. The scaled panel is read as
+one overlapping record of ``lags + 1`` values per start offset, a window's
+lags then its target; one fancy index of these records gathers every run's
+windows for a few batches, and each step reads them in place. Each kind
+builds the temporaries of a step, and every view of them and of the
+parameters that the step reads, once per batch size, so a step makes only
+its numpy calls. Products read a batch's lags through rows of ``lags + 1``
+values: for up to 3 lags, OpenBLAS sums ``xb.T @ err`` over such rows in
+another order than over a contiguous (batch, lags) copy, so a run's bits
+are those of a per-run loop over the same rows.
 
 Learned models pool training windows across series after per-series mean
 scaling, so series of different magnitudes share one set of weights;
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import ClassVar, Mapping
+from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
@@ -127,16 +133,17 @@ MAX_HIDDEN_DIM = 256
 # so its temporaries grow with the panel.
 MAX_BATCH_SIZE = 1024
 
-# Batches gathered by one np.take in the SGD loop: few, so the gathered
-# windows stay small (about 160 KiB for 10 runs of batch 32 and 7 lags).
+# Batches whose records one fancy index gathers in the SGD loop: few, so the
+# gathered windows stay small (about 160 KiB for 10 runs of batch 32 and 7
+# lags) and no copy of the window matrix is made.
 _CHUNK_BATCHES = 8
 
 
 class _Learned:
     """Base of the kinds trained by mini-batch SGD: the batched loop and
     recursive prediction. Each kind supplies ``param_names``, ``_init`` (one
-    run's initial parameters), ``_temps`` and ``_grad`` (one step of every
-    run) and ``_predict_one``.
+    run's initial parameters), ``_step`` (one step of every run) and
+    ``_predict_one``.
     """
 
     seeded: ClassVar[bool] = True
@@ -184,15 +191,19 @@ class _Learned:
             [part.reshape(len(seeds), *shape) for part, shape in zip(np.split(b, splits, 1), shapes)]
             for b in (params, grads)
         )
-        temps = {}  # batch size -> the step's temporaries
+        steps = {}  # batch size -> (step size, its grad)
         index_type = np.int32 if flat.size <= np.iinfo(np.int32).max else np.intp
         # Offset in ``flat`` of row k: window k % per_series of series k // per_series.
         row_starts = np.arange(n, dtype=index_type)
         row_starts += row_starts // per_series * self.lags
         # starts[r, i]: offset in ``flat`` of run r's i-th window this epoch.
         starts = np.empty((len(seeds), n), dtype=index_type)
-        # A window's lags, then its target.
-        columns = np.arange(self.lags + 1, dtype=index_type)
+        # records[k]: the lags + 1 values from flat[k] on, a window's lags
+        # then its target, as one record over ``flat``'s own memory.
+        width = self.lags + 1
+        records = np.ndarray(
+            (flat.size - self.lags,), np.dtype((np.void, 8 * width)), flat, 0, (8,)
+        )
         rows = _CHUNK_BATCHES * self.batch_size
         # A diverging run overflows to inf/NaN quietly; it is reported once, below.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -200,16 +211,16 @@ class _Learned:
                 for row, rng in zip(starts, rngs):
                     np.take(row_starts, rng.permutation(n), out=row)
                 for first in range(0, n, rows):
-                    chunk = np.take(flat, starts[:, first : first + rows, None] + columns)
+                    chunk = records[starts[:, first : first + rows]]
+                    chunk = chunk.view(np.float64).reshape(*chunk.shape, width)
                     xs, ys = chunk[:, :, :-1], chunk[:, :, -1]
                     for at in range(0, chunk.shape[1], self.batch_size):
                         xb = xs[:, at : at + self.batch_size]
                         size = xb.shape[1]
-                        if size not in temps:
-                            temps[size] = self._temps(len(seeds), size)
-                        scale = self._grad(
-                            param_views, grad_views, xb, ys[:, at : at + size], temps[size]
-                        )
+                        if size not in steps:
+                            steps[size] = self._step(param_views, grad_views, size)
+                        scale, grad = steps[size]
+                        grad(xb, ys[:, at : at + size])
                         np.multiply(scale, grads, out=grads)
                         np.subtract(params, grads, out=params)
 
@@ -242,10 +253,13 @@ class _Learned:
             return np.stack(steps, axis=1) * state["scales"][:, None]
 
 
-# A ``_grad`` fills the gradient views of every run and returns the step
-# size. Each product is one np.matmul over the run axis, a vector taken as
-# an (R, n, 1) view: numpy makes the same BLAS call for each run's slab as
-# for one run's product, so every run's bits match.
+# A ``_step`` allocates the temporaries of one step of ``batch`` rows,
+# builds every view of them and of the parameter and gradient views that the
+# step reads, and returns the step size and ``grad(xb, yb)``, which fills the
+# gradient views of every run with numpy calls alone. Each product is one
+# np.matmul over the run axis, a vector taken as an (R, n, 1) view: numpy
+# makes the same BLAS call for each run's slab as for one run's product, so
+# every run's bits match.
 
 
 @dataclass(frozen=True)
@@ -262,17 +276,20 @@ class LinearAR(_Learned):
     def _init(self, rng: Rng) -> tuple:
         return rng.normals(self.lags) * (0.1 / np.sqrt(self.lags)), 0.0
 
-    def _temps(self, runs: int, batch: int) -> tuple[np.ndarray, ...]:
-        return (np.empty((runs, batch)),)
+    def _step(self, params, grads, batch: int) -> tuple[float, Callable]:
+        (w, b), (g_w, g_b) = params, grads
+        err = np.empty((len(b), batch))
+        w_col, b_col, g_w_col = w[:, :, None], b[:, None], g_w[:, :, None]
+        err_col = err[:, :, None]
 
-    def _grad(self, params, grads, xb: np.ndarray, yb: np.ndarray, temps) -> float:
-        (w, b), (g_w, g_b), (err,) = params, grads, temps
-        np.matmul(xb, w[:, :, None], out=err[:, :, None])
-        err += b[:, None]
-        err -= yb
-        np.matmul(xb.transpose(0, 2, 1), err[:, :, None], out=g_w[:, :, None])
-        np.add.reduce(err, axis=1, out=g_b)
-        return 2.0 * self.learning_rate / xb.shape[1]
+        def grad(xb: np.ndarray, yb: np.ndarray) -> None:
+            np.matmul(xb, w_col, out=err_col)
+            np.add(err, b_col, out=err)
+            np.subtract(err, yb, out=err)
+            np.matmul(xb.transpose(0, 2, 1), err_col, out=g_w_col)
+            np.add.reduce(err, axis=1, out=g_b)
+
+        return 2.0 * self.learning_rate / batch, grad
 
     def _predict_one(self, state: dict[str, np.ndarray], window: np.ndarray) -> np.ndarray:
         return window @ state["weights"] + float(state["bias"])
@@ -297,34 +314,39 @@ class TinyMLP(_Learned):
         w2 = rng.normals(self.hidden_dim) * np.sqrt(1.0 / self.hidden_dim)
         return w1, np.zeros(self.hidden_dim), w2, 0.0
 
-    def _temps(self, runs: int, batch: int) -> tuple[np.ndarray, ...]:
+    def _step(self, params, grads, batch: int) -> tuple[float, Callable]:
+        (w1, b1, w2, b2), (g_w1, g_b1, g_w2, g_b2) = params, grads
         # Hidden-layer arrays are batch-major, (batch, run, hidden): their
         # elementwise steps run over contiguous memory, and the sum of
         # d_hidden over the batch adds whole rows in batch order, as one
         # run's sum does.
-        by_batch = (batch, runs, self.hidden_dim)
-        return np.empty(by_batch), np.empty(by_batch), np.empty(by_batch), np.empty((runs, batch))
+        by_batch = (batch, len(b2), self.hidden_dim)
+        hidden, slope, d_hidden = np.empty(by_batch), np.empty(by_batch), np.empty(by_batch)
+        d_out = np.empty((len(b2), batch))
+        by_run, d_hidden_by_run = hidden.transpose(1, 0, 2), d_hidden.transpose(1, 0, 2)
+        hidden_t = by_run.transpose(0, 2, 1)
+        d_out_col, d_out_by_batch = d_out[:, :, None], d_out.T[:, :, None]
+        w2_col, b2_col, g_w2_col = w2[:, :, None], b2[:, None], g_w2[:, :, None]
+        mean = 2.0 / batch
 
-    def _grad(self, params, grads, xb: np.ndarray, yb: np.ndarray, temps) -> float:
-        (w1, b1, w2, b2), (g_w1, g_b1, g_w2, g_b2) = params, grads
-        hidden, slope, d_hidden, d_out = temps
-        by_run = hidden.transpose(1, 0, 2)
-        np.matmul(xb, w1, out=by_run)
-        hidden += b1
-        np.tanh(hidden, out=hidden)
-        np.matmul(by_run, w2[:, :, None], out=d_out[:, :, None])
-        d_out += b2[:, None]
-        d_out -= yb
-        d_out *= 2.0 / xb.shape[1]
-        np.multiply(d_out.T[:, :, None], w2, out=d_hidden)
-        np.multiply(hidden, hidden, out=slope)
-        np.subtract(1.0, slope, out=slope)
-        d_hidden *= slope
-        np.matmul(xb.transpose(0, 2, 1), d_hidden.transpose(1, 0, 2), out=g_w1)
-        np.add.reduce(d_hidden, axis=0, out=g_b1)
-        np.matmul(by_run.transpose(0, 2, 1), d_out[:, :, None], out=g_w2[:, :, None])
-        np.add.reduce(d_out, axis=1, out=g_b2)
-        return self.learning_rate
+        def grad(xb: np.ndarray, yb: np.ndarray) -> None:
+            np.matmul(xb, w1, out=by_run)
+            np.add(hidden, b1, out=hidden)
+            np.tanh(hidden, out=hidden)
+            np.matmul(by_run, w2_col, out=d_out_col)
+            np.add(d_out, b2_col, out=d_out)
+            np.subtract(d_out, yb, out=d_out)
+            np.multiply(d_out, mean, out=d_out)
+            np.multiply(d_out_by_batch, w2, out=d_hidden)
+            np.multiply(hidden, hidden, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            np.multiply(d_hidden, slope, out=d_hidden)
+            np.matmul(xb.transpose(0, 2, 1), d_hidden_by_run, out=g_w1)
+            np.add.reduce(d_hidden, axis=0, out=g_b1)
+            np.matmul(hidden_t, d_out_col, out=g_w2_col)
+            np.add.reduce(d_out, axis=1, out=g_b2)
+
+        return self.learning_rate, grad
 
     def _predict_one(self, state: dict[str, np.ndarray], window: np.ndarray) -> np.ndarray:
         hidden = np.tanh(window @ state["w1"] + state["b1"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import html
 import json
 import xml.etree.ElementTree as ET
@@ -163,6 +164,25 @@ def test_report_outputs_are_byte_deterministic(tmp_path, capsys):
     for name in names:
         assert (out / name).read_bytes() == first[name]
 
+
+
+def test_cli_main_leaves_the_caller_heap_unfrozen(tmp_path, capsys):
+    # Only a stage process's main() freezes its heap; tests, demos and the
+    # benchmark's traced pass call cli_main in their own process.
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({"n_series": 3, "length": 40, "seed": 17}))
+    cfg_path = write_experiment_config(tmp_path)
+    out = tmp_path / "runs"
+    frozen = gc.get_freeze_count()
+    for argv, code in (
+        (["generate", "--config", str(synth), "--out", str(tmp_path / "data.csv")], 0),
+        (["run", "--config", str(cfg_path), "--out", str(out)], 0),
+        (["metrics", "--runs", str(out)], 0),
+        (["report", "--runs", str(out)], 0),
+        (["metrics", "--runs", str(tmp_path / "missing")], 2),
+    ):
+        assert cli_main(argv) == code, argv
+        assert gc.get_freeze_count() == frozen, argv
 
 # ------------------------------------------------------------ table format
 

@@ -104,13 +104,19 @@ def test_batched_fit_equals_fitting_each_seed_alone(kind, seeds):
 
 
 def reference_sgd(kind, values, seed):
-    """One seed's SGD as a plain per-run loop over a copied lag matrix."""
+    """One seed's SGD as a plain per-run loop over a copied window matrix.
+
+    Each row of the matrix holds a window's lags, then its target, as the
+    fit reads them. A batch's lags are a view of its rows: for lags <= 3,
+    OpenBLAS sums ``xb.T @ err`` over a contiguous (batch, lags) copy in
+    another order than over rows of lags + 1 values, so the last bits of
+    some runs would differ from the fit's.
+    """
     scales = values.mean(axis=1)
     scales[scales == 0.0] = 1.0
     scaled = values / scales[:, None]
-    windows = np.lib.stride_tricks.sliding_window_view(scaled, kind.lags, axis=1)
-    x = windows[:, :-1, :].reshape(-1, kind.lags).copy()
-    y = scaled[:, kind.lags :].reshape(-1).copy()
+    windows = np.lib.stride_tricks.sliding_window_view(scaled, kind.lags + 1, axis=1)
+    rows = windows.reshape(-1, kind.lags + 1).copy()
     rng = Rng(seed)
     if isinstance(kind, LinearAR):
         w = rng.normals(kind.lags) * (0.1 / np.sqrt(kind.lags))
@@ -123,10 +129,11 @@ def reference_sgd(kind, values, seed):
         w2 = rng.normals(kind.hidden_dim) * np.sqrt(1.0 / kind.hidden_dim)
         b2 = 0.0
     for _ in range(kind.epochs):
-        perm = np.argsort(rng.u64_array(len(y)), kind="stable")
-        for start in range(0, len(y), kind.batch_size):
+        perm = np.argsort(rng.u64_array(len(rows)), kind="stable")
+        for start in range(0, len(rows), kind.batch_size):
             idx = perm[start : start + kind.batch_size]
-            xb, yb = x[idx], y[idx]
+            batch = rows[idx]
+            xb, yb = batch[:, :-1], batch[:, -1]
             if isinstance(kind, LinearAR):
                 err = xb @ w + b - yb
                 scale = 2.0 * kind.learning_rate / idx.size
@@ -155,6 +162,28 @@ def test_batched_fit_equals_the_per_run_reference_loop(kind):
         for seed, model in zip(seeds, fit(kind, panel, seeds)):
             for key, want in reference_sgd(kind, panel.values, seed).items():
                 assert np.array_equal(model.state[key], want), key
+
+
+# Record gathers at their edges, as (lags, panel length, batch size) over
+# noisy_panel's 6 series. Batches of 8 make chunks of 64 rows.
+RECORD_EDGES = {
+    "16-byte records": (1, 50, 8),
+    "one window per series": (4, 5, 8),
+    "fewer rows than one chunk": (3, 12, 8),
+    "328-byte records": (40, 50, 4),
+}
+
+
+@pytest.mark.parametrize("seeds", [(11,), tuple(range(100, 110))], ids=["R=1", "R=10"])
+@pytest.mark.parametrize("edge", RECORD_EDGES.values(), ids=RECORD_EDGES.keys())
+@pytest.mark.parametrize("cls", [LinearAR, TinyMLP])
+def test_record_gather_edges_equal_the_per_run_reference_loop(cls, edge, seeds):
+    lags, length, batch_size = edge
+    kind = cls(lags=lags, epochs=3, learning_rate=0.05, batch_size=batch_size)
+    panel = make_panel(noisy_panel().values[:, :length])
+    for seed, model in zip(seeds, fit(kind, panel, seeds)):
+        for key, want in reference_sgd(kind, panel.values, seed).items():
+            assert np.array_equal(model.state[key], want), key
 
 
 def test_deterministic_kinds_share_one_state_across_seeds():

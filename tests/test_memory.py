@@ -1,4 +1,4 @@
-"""Peak memory of the CSV codec and the panel generator, traced by tracemalloc.
+"""Peak memory of the CSV codec, panel generator and SGD fit, traced by tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
 every grid, index and temporary that a call holds at once. Each bound sits
@@ -10,8 +10,9 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from forecast_stability import SynthConfig, synth_generate, tabular
+from forecast_stability import LinearAR, SynthConfig, TinyMLP, fit, synth_generate, tabular
 
 ERRORS = tabular.Errors(*(ValueError,) * 5)
 
@@ -120,3 +121,15 @@ def test_synth_generate_holds_a_few_panels():
     )
     panel_bytes = cfg.n_series * cfg.length * 8
     assert traced_peak(synth_generate, cfg) < 4 * panel_bytes
+
+
+@pytest.mark.parametrize("cls", [LinearAR, TinyMLP])
+def test_seeded_fit_holds_less_than_half_a_window_matrix(cls):
+    # 50 x (400 - 40) training rows of 41 values: a materialized window
+    # matrix would hold 5.9 MB. The fit gathers a few batches of windows at
+    # a time, which with the panel, its scaled copy and each run's shuffle
+    # comes to about a sixth of that for three runs.
+    kind = cls(lags=40, epochs=1)
+    panel = synth_generate(SynthConfig(n_series=50, length=400, seed=3))
+    rows = panel.n_series * (panel.length - kind.lags)
+    assert traced_peak(fit, kind, panel, (1, 2, 3)) < rows * (kind.lags + 1) * 8 / 2
