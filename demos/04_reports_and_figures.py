@@ -60,11 +60,11 @@ for label, forecasts in result.forecasts.items():
     grids[label] = cv_grid(forecasts)
     accuracy[label] = accuracy_report(forecasts, result.actuals)
 
-bundle = build_report_bundle(grids, accuracy, bins=40, clip_upper=0.5)
+report = build_report_bundle(grids, accuracy, bins=40, clip_upper=0.5)
 print("CV quantile table (the report's headline summary):\n")
-print(emit_quantile_table(bundle))
+print(emit_quantile_table(report))
 
-figures = emit_plots(bundle)
+figures = emit_plots(report)
 out_dir.mkdir(exist_ok=True)
 print(f"figures written to {out_dir}/:")
 for name, svg in figures.items():

@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
 stderr. ``metrics`` and ``report`` read and write only the directory named
-by ``--runs``. ``run`` refuses an ``--out`` that already holds a file a
-stage writes, and ``report`` checks the metrics files' models and run count
-against the run's manifest, so a directory never mixes two experiments.
-``report`` composes every output it was asked for before it writes any, in
-one loop, so a failing ``report`` writes no file.
+by ``--runs``. ``run`` refuses, before any fit, an ``--out`` that cannot be
+a directory or already holds a file a stage writes, and ``report`` checks
+the metrics files' models and run count against the run's manifest, so a
+directory never mixes two experiments. ``report`` composes every output it
+was asked for before it writes any, in one loop, so a failing ``report``
+writes no file.
 """
 
 from __future__ import annotations
@@ -144,6 +145,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     held += sorted(out.glob("cv_hist_*.svg"))
     if held:
         raise FileExistsError(f"{held[0]}: --out already holds the output of a run")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"{out}: --out cannot be a directory: {exc.strerror}") from None
     result = run_experiment(cfg)
     persist_runs(result, args.out)
     print(
@@ -175,7 +180,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     cfg = _manifest_config(runs_dir)
     if cfg is not None:
         _check_against_manifest(runs_dir, cfg, grids, accuracy)
-    bundle = build_report_bundle(
+    report = build_report_bundle(
         {label: grid for label, (grid, _) in grids.items()},
         accuracy,
         probs=probs,
@@ -185,11 +190,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     outputs = {}
     if args.format in ("csv", "all"):
-        outputs[TABLE_FILE] = emit_quantile_table(bundle)
+        outputs[TABLE_FILE] = emit_quantile_table(report)
     if args.format in ("json", "all"):
-        outputs[REPORT_FILE] = report_to_json(bundle)
+        outputs[REPORT_FILE] = report_to_json(report)
     if args.format in ("svg", "all"):
-        outputs.update(emit_plots(bundle))
+        outputs.update(emit_plots(report))
     for name, text in outputs.items():
         (runs_dir / name).write_text(text, encoding="utf-8")
     print(f"wrote {runs_dir}: {', '.join(outputs)}")

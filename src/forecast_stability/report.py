@@ -1,10 +1,13 @@
 """Report composition: quantile tables, histograms, and SVG figures.
 
 :func:`build_report_bundle` computes everything a report shows, once per
-model; :func:`emit_quantile_table`, :func:`report_to_json` and
-:func:`emit_plots` render the bundle as text and write no file, so a caller
-can compose every output before writing any. Each is a deterministic, pure
-transformation: identical inputs produce byte-identical CSV, JSON, and SVG.
+model, as the report.json document ``{"metadata": {...}, "models": {label:
+{...}}}``; :func:`emit_quantile_table`, :func:`report_to_json` and
+:func:`emit_plots` render it as text, reading it by key, and write no file,
+so a caller can compose every output before writing any. Each is a
+deterministic, pure transformation: identical inputs produce byte-identical
+CSV, JSON, and SVG, and so does report.json read back, but for the order of
+quantile columns whose names do not sort in probability order.
 Figures are self-contained static SVG composed by hand, with no external
 assets, so outputs stay diffable and golden-testable. Histogram count axes
 use a log-like scale (bar length proportional to log10(1 + count)) because
@@ -16,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -29,7 +31,6 @@ from .metrics import (
     CvGrid,
     DEFAULT_QUANTILES,
     EmptyInput,
-    Histogram,
     histogram,
     quantiles,
 )
@@ -51,48 +52,6 @@ class ReportError(ForecastStabilityError):
 _CSV_ERRORS = tabular.Errors(*(ReportError,) * 5)
 
 
-@dataclass(frozen=True)
-class ModelReport:
-    """Summary of one model: CV quantiles, CV histogram, per-run RMSE."""
-
-    label: str
-    quantile_values: tuple[float, ...]
-    cv_median: float
-    cv_histogram: Histogram
-    rmse_per_run: tuple[float, ...]
-    n_series: int
-    horizon: int
-
-    def __post_init__(self):
-        qs = self.quantile_values
-        if any(b < a for a, b in zip(qs, qs[1:])):
-            raise ValueError(f"{self.label}: quantile row is not non-decreasing")
-        covered = self.cv_histogram.total_count + self.cv_histogram.excluded
-        if covered != self.n_series * self.horizon:
-            raise ValueError(
-                f"{self.label}: histogram covers {covered} cells, "
-                f"expected {self.n_series * self.horizon}"
-            )
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    """Per-model reports, sorted by label, plus the experiment shape they came from.
-
-    ``probs`` are the ascending probabilities of every model's
-    ``quantile_values``. Raises :class:`EmptyInput` when there is no model.
-    """
-
-    models: tuple[ModelReport, ...]
-    probs: tuple[float, ...]
-    run_count: int
-    train_length: int | None = None
-
-    def __post_init__(self):
-        if not self.models:
-            raise EmptyInput("no models to report on")
-
-
 def build_report_bundle(
     grids: Mapping[str, CvGrid],
     accuracy: Mapping[str, AccuracyReport],
@@ -100,47 +59,61 @@ def build_report_bundle(
     bins: int = DEFAULT_BINS,
     clip_upper: float = DEFAULT_CLIP,
     train_length: int | None = None,
-) -> ReportBundle:
-    """Assemble the full report state from per-model grids and accuracy.
+) -> dict:
+    """The report.json document of per-model grids and accuracy.
 
-    Two probabilities whose column names are equal raise :class:`ReportError`.
+    ``models`` maps each label, in sorted order, to its grid's shape, its CV
+    quantiles by column name (probabilities ascending), CV median and CV
+    histogram, and the RMSE of each run; ``metadata`` holds the most runs of
+    any model and ``train_length``. No model raises :class:`EmptyInput`, and
+    two probabilities whose column names are equal raise :class:`ReportError`.
     """
     if set(grids) != set(accuracy):
         raise ReportError(f"cv models {sorted(grids)} != rmse models {sorted(accuracy)}")
-    sorted_probs = _sorted_probs(probs)
-    models = []
+    columns = _columns(probs)
+    if not grids:
+        raise EmptyInput("no models to report on")
+    models = {}
     for label in sorted(grids):
         flat = grids[label].cv.reshape(-1)
         # One sort of the grid gives the quantile row and the median.
-        *values, median = quantiles(flat, sorted_probs + (0.5,))
+        *values, median = quantiles(flat, (*columns.values(), 0.5))
+        hist = histogram(flat, bins, clip_upper)
         n_series, horizon = grids[label].shape
-        models.append(
-            ModelReport(label, tuple(values), median, histogram(flat, bins, clip_upper),
-                        accuracy[label].rmse_per_run, n_series, horizon)
-        )
-    run_count = max((len(m.rmse_per_run) for m in models), default=0)
-    return ReportBundle(tuple(models), sorted_probs, run_count, train_length)
+        models[label] = {
+            "n_series": n_series,
+            "horizon": horizon,
+            "cv_quantiles": dict(zip(columns, values)),
+            "cv_median": median,
+            "cv_histogram": {
+                "bins": [{"lower": lo, "upper": hi, "count": n} for lo, hi, n in hist.bins],
+                "excluded": hist.excluded,
+            },
+            "rmse_per_run": list(accuracy[label].rmse_per_run),
+        }
+    run_count = max(len(model["rmse_per_run"]) for model in models.values())
+    return {"metadata": {"run_count": run_count, "train_length": train_length}, "models": models}
 
 
-def emit_quantile_table(bundle: ReportBundle) -> str:
+def emit_quantile_table(report: Mapping) -> str:
     """CSV table of CV quantiles, one row per model, 3-decimal values.
 
     Default columns are the 25/50/75/90 percent points; rows are sorted by
     model label.
     """
-    columns = tuple(_prob_column(p) for p in bundle.probs)
+    models = report["models"]
+    columns = tuple(next(iter(models.values()))["cv_quantiles"])
     schema = tabular.Schema((tabular.MODEL,), columns, "{:.3f}".format)
-    labels = [m.label for m in bundle.models]
-    table = np.array([m.quantile_values for m in bundle.models])
-    return tabular.csv_text(schema, (labels,), tuple(table.T))
+    table = np.array([[model["cv_quantiles"][c] for c in columns] for model in models.values()])
+    return tabular.csv_text(schema, (list(models),), tuple(table.T))
 
 
 def _prob_column(p: float) -> str:
     return f"q{100 * p:g}"
 
 
-def _sorted_probs(probs: Sequence[float]) -> tuple[float, ...]:
-    """The probabilities in ascending order; their column names must differ."""
+def _columns(probs: Sequence[float]) -> dict[str, float]:
+    """Each probability by its column name, ascending; the names must differ."""
     named: dict[str, float] = {}
     for p in sorted(probs):
         column = _prob_column(p)
@@ -149,7 +122,7 @@ def _sorted_probs(probs: Sequence[float]) -> tuple[float, ...]:
                 f"quantile probabilities {named[column]!r} and {p!r} share the column {column}"
             )
         named[column] = p
-    return tuple(named.values())
+    return named
 
 
 def write_metrics_files(
@@ -214,41 +187,16 @@ def _named(path: Path, model: str, build, *args):
         raise ReportError(f"{path}: model {model!r}: {exc}") from exc
 
 
-def report_to_json(bundle: ReportBundle) -> str:
-    """Full-precision JSON form of a report bundle; key order is fixed."""
-    obj = {
-        "metadata": {
-            "run_count": bundle.run_count,
-            "train_length": bundle.train_length,
-        },
-        "models": {
-            m.label: {
-                "n_series": m.n_series,
-                "horizon": m.horizon,
-                "cv_quantiles": {
-                    _prob_column(p): v for p, v in zip(bundle.probs, m.quantile_values)
-                },
-                "cv_median": m.cv_median,
-                "cv_histogram": {
-                    "bins": [
-                        {"lower": lo, "upper": hi, "count": count}
-                        for lo, hi, count in m.cv_histogram.bins
-                    ],
-                    "excluded": m.cv_histogram.excluded,
-                },
-                "rmse_per_run": list(m.rmse_per_run),
-            }
-            for m in bundle.models
-        },
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def report_to_json(report: Mapping) -> str:
+    """The report.json text of a report document: full precision, keys sorted."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def slugify(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
 
 
-def emit_plots(bundle: ReportBundle) -> dict[str, str]:
+def emit_plots(report: Mapping) -> dict[str, str]:
     """One CV histogram SVG per model plus an RMSE distribution SVG, by file name.
 
     Histogram bars carry their count in a ``data-count`` attribute, the
@@ -258,13 +206,13 @@ def emit_plots(bundle: ReportBundle) -> dict[str, str]:
     """
     figures: dict[str, str] = {}
     owners: dict[str, str] = {}
-    for model in bundle.models:
-        name = f"cv_hist_{slugify(model.label)}.svg"
-        owner = owners.setdefault(name, model.label)
-        if owner != model.label:
-            raise ReportError(f"models {owner!r} and {model.label!r} would both write {name}")
-        figures[name] = _cv_histogram_svg(model)
-    figures[RMSE_FIGURE] = _rmse_distribution_svg(bundle)
+    for label, model in report["models"].items():
+        name = f"cv_hist_{slugify(label)}.svg"
+        owner = owners.setdefault(name, label)
+        if owner != label:
+            raise ReportError(f"models {owner!r} and {label!r} would both write {name}")
+        figures[name] = _cv_histogram_svg(label, model)
+    figures[RMSE_FIGURE] = _rmse_distribution_svg(report["models"])
     return figures
 
 
@@ -331,10 +279,10 @@ def _log_height(count: int, max_count: int, plot_height: float) -> float:
     return plot_height * math.log10(1 + count) / math.log10(1 + max_count)
 
 
-def _cv_histogram_svg(model: ModelReport) -> str:
+def _cv_histogram_svg(label: str, model: Mapping) -> str:
     plot_h = _HEIGHT - _TOP - 50
     base = _TOP + plot_h
-    bins = model.cv_histogram.bins
+    bins = [(b["lower"], b["upper"], b["count"]) for b in model["cv_histogram"]["bins"]]
     clip_upper = bins[-1][1]
     max_count = max(count for _, _, count in bins)
 
@@ -354,26 +302,26 @@ def _cv_histogram_svg(model: ModelReport) -> str:
             _element("rect", class_="bar", data_count=count, x=x, y=base - bar_h,
                      width=max(bar_w - 0.5, 0.5), height=bar_h)
         )
-    median_x = _LEFT + _PLOT_W * min(model.cv_median, clip_upper) / clip_upper
+    median = model["cv_median"]
+    median_x = _LEFT + _PLOT_W * min(median, clip_upper) / clip_upper
     body.append(
-        _element("line", class_="median", data_median=repr(model.cv_median),
+        _element("line", class_="median", data_median=repr(median),
                  x1=median_x, y1=_TOP, x2=median_x, y2=base)
     )
     body.extend(_axes(plot_h))
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x, label = _LEFT + _PLOT_W * frac, f"{frac * clip_upper:g}"
-        body.append(_element("text", label, x=x, y=base + 16, text_anchor="middle"))
+        x, tick = _LEFT + _PLOT_W * frac, f"{frac * clip_upper:g}"
+        body.append(_element("text", tick, x=x, y=base + 16, text_anchor="middle"))
     body.append(_element("text", "coefficient of variation", x=_LEFT + _PLOT_W / 2,
                          y=_HEIGHT - 12, text_anchor="middle"))
-    title = f"CV distribution: {model.label} (excluded tail: {model.cv_histogram.excluded})"
+    title = f"CV distribution: {label} (excluded tail: {model['cv_histogram']['excluded']})"
     return _svg(title, body, plot_h, "cell count (log scale)")
 
 
-def _rmse_distribution_svg(bundle: ReportBundle) -> str:
+def _rmse_distribution_svg(models: Mapping[str, Mapping]) -> str:
     plot_h = _HEIGHT - _TOP - 60
     base = _TOP + plot_h
-    models = bundle.models
-    all_values = [v for m in models for v in m.rmse_per_run]
+    all_values = [v for model in models.values() for v in model["rmse_per_run"]]
     vmax = max(all_values) if all_values else 1.0
     vmin = min(all_values) if all_values else 0.0
     if vmax == vmin:
@@ -386,12 +334,13 @@ def _rmse_distribution_svg(bundle: ReportBundle) -> str:
 
     body = []
     slot_w = _PLOT_W / len(models)
-    for k, model in enumerate(models):
+    for k, (label, model) in enumerate(models.items()):
         center = _LEFT + slot_w * (k + 0.5)
-        runs = len(model.rmse_per_run)
+        rmse = model["rmse_per_run"]
+        runs = len(rmse)
         if not runs:
             continue
-        lo, q1, q2, q3, hi = quantiles(model.rmse_per_run, (0.0, 0.25, 0.5, 0.75, 1.0))
+        lo, q1, q2, q3, hi = quantiles(rmse, (0.0, 0.25, 0.5, 0.75, 1.0))
         box_w = slot_w * 0.4
         left, right = center - box_w / 2, center + box_w / 2
         body += [
@@ -400,12 +349,12 @@ def _rmse_distribution_svg(bundle: ReportBundle) -> str:
                      height=max(y_of(q1) - y_of(q3), 0.5)),
             _element("line", class_="whisker", x1=left, y1=y_of(q2), x2=right, y2=y_of(q2)),
         ]
-        for run_id, value in enumerate(model.rmse_per_run):
+        for run_id, value in enumerate(rmse):
             # deterministic strip: spread points by run id
             offset = (run_id / (runs - 1) - 0.5) if runs > 1 else 0.0
             x, y = center + offset * box_w * 0.8, y_of(value)
             body.append(_element("circle", class_="pt", data_rmse=repr(value), cx=x, cy=y, r=2))
-        body.append(_element("text", model.label, x=center, y=base + 16, text_anchor="middle"))
+        body.append(_element("text", label, x=center, y=base + 16, text_anchor="middle"))
     for frac in (0.0, 0.5, 1.0):
         value = vmin + span * frac
         body.append(

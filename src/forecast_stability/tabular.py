@@ -46,7 +46,8 @@ it copies no grid, and long key texts shorten a block to about
 ``BLOCK_BYTES``. The reader holds per row each key's code (4 bytes), each
 number and the row's cell index (8 bytes each), per cell one flag and the
 float64 grids, and per distinct key text its words and fold. Parsing a
-block holds a few times its bytes.
+block, ``BLOCK_BYTES`` plus the rest of its last line, holds a few times
+its bytes.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# The block reader parses at most this many bytes at once, unless one line
-# is longer, and a block the writer builds holds about as many key bytes;
+# The block reader parses this many bytes plus the rest of a line at once,
+# and a block the writer builds holds about as many key bytes;
 # the writer builds, and the reader indexes, at most this many rows at once.
 BLOCK_BYTES = 256 * 1024
 BLOCK_ROWS = 8192
@@ -569,19 +570,12 @@ def _read_blocks(path: Path, schema: Schema):
 def _blocks(fh: BinaryIO) -> Iterator[bytes]:
     """The rest of ``fh`` in blocks of whole lines, each ending with a newline.
 
-    A block holds at most ``BLOCK_BYTES``, unless one line is longer.
+    A block is ``BLOCK_BYTES`` plus the rest of its last line.
     """
-    rest = b""
-    # A line longer than a block doubles the read until it ends.
-    while chunk := fh.read(BLOCK_BYTES - len(rest) if len(rest) < BLOCK_BYTES else len(rest)):
-        block = rest + chunk
-        end = block.rfind(b"\n") + 1
-        if end:
-            yield block[:end]
-        rest = block[end:]
-    if rest:
-        # The last line may lack its newline.
-        yield rest + b"\n"
+    while block := fh.read(BLOCK_BYTES):
+        block += fh.readline()
+        # Only the last line of the file may lack its newline.
+        yield block if block.endswith(b"\n") else block + b"\n"
 
 
 # Zeros before a block let the last 24 bytes of any field be read as three

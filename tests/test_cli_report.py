@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from forecast_stability import build_report_bundle, emit_plots, emit_quantile_table
+from forecast_stability import cli
 from forecast_stability.cli import cli_main
 from forecast_stability.metrics import (
     AccuracyReport,
@@ -16,7 +17,7 @@ from forecast_stability.metrics import (
     EmptyInput,
     histogram,
 )
-from forecast_stability.report import ReportBundle, ReportError, load_metrics_files
+from forecast_stability.report import ReportError, load_metrics_files
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -223,7 +224,7 @@ def test_quantile_table_custom_probs():
 
 def test_empty_table_rejected():
     with pytest.raises(EmptyInput):
-        emit_quantile_table(ReportBundle(models=(), probs=(0.5,), run_count=0))
+        emit_quantile_table(build_report_bundle({}, {}))
 
 
 # ------------------------------------------------------------------- plots
@@ -296,15 +297,15 @@ def test_svg_text_is_escaped_as_html_escape_does():
 def test_bundle_conservation_enforced():
     cv = np.array([[0.1, 0.5, 3.0]])
     bundle = make_bundle(cv, bins=5, clip=1.0)
-    model = bundle.models[0]
-    assert model.cv_histogram.total_count + model.cv_histogram.excluded == 3
+    cv_histogram = bundle["models"]["m"]["cv_histogram"]
+    assert sum(b["count"] for b in cv_histogram["bins"]) + cv_histogram["excluded"] == 3
 
 
 def test_empty_bundle_rejected():
     with pytest.raises(EmptyInput):
         build_report_bundle({}, {})
     with pytest.raises(EmptyInput):
-        emit_plots(ReportBundle(models=(), probs=(0.5,), run_count=0))
+        emit_plots(build_report_bundle({}, {}))
 
 
 def metrics_dir(tmp_path):
@@ -449,10 +450,42 @@ def test_run_accepts_a_directory_of_other_files(tmp_path):
     assert (out / "notes.txt").read_text() == "kept"
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-a-file"])
+def test_run_refuses_an_out_that_cannot_be_a_directory_before_any_fit(
+    tmp_path, capsys, monkeypatch, sub
+):
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / sub
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("a fit ran"))
+    config = write_experiment_config(tmp_path)
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: --out cannot be a directory: ")
+    assert afile.read_text() == "kept"
+
+
 KINDS = {
     "naive": {"kind": "seasonal_naive", "params": {"period": 7}},
     "mean": {"kind": "global_mean", "params": {}},
 }
+
+
+def test_report_json_renders_the_table_and_figures_written_beside_it(tmp_path):
+    # The default probabilities' column names sort in probability order.
+    models = [
+        {"label": "sn", "kind": KINDS["naive"]},
+        {"label": "lar", "kind": {"kind": "linear_ar", "params": {"lags": 4, "epochs": 2}}},
+    ]
+    config, runs = write_experiment_config(tmp_path, models=models), tmp_path / "runs"
+    assert cli_main(["run", "--config", str(config), "--out", str(runs)]) == 0
+    assert cli_main(["metrics", "--runs", str(runs)]) == 0
+    assert cli_main(["report", "--runs", str(runs)]) == 0
+    report = json.loads((runs / "report.json").read_text(encoding="utf-8"))
+    figures = emit_plots(report)
+    assert sorted(figures) == sorted(path.name for path in runs.glob("*.svg"))
+    for name, svg in figures.items():
+        assert (runs / name).read_bytes() == svg.encode("utf-8"), name
+    assert (runs / "table.csv").read_bytes() == emit_quantile_table(report).encode("utf-8")
 
 
 @pytest.mark.parametrize(
