@@ -44,12 +44,12 @@ components = (SeasonalNaive(period=7), GlobalMean(), linear, mlp)
 # with the same weights each seed would get on its own.
 train, _ = split(synth_generate(panel_cfg), split_spec)
 seeds = (0, 1, 2)
-specs = fit_ensemble(components, train, split_spec.horizon, n_windows=2, seeds=seeds)
+weights = fit_ensemble(components, train, split_spec.horizon, n_windows=2, seeds=seeds)
 print("learned convex weights, one column per seed:")
 print(f"  {'':<14} " + " ".join(f"seed {seed:<2}" for seed in seeds))
 for index, kind in enumerate(components):
-    weights = " ".join(f"{spec.weights[index]:>7.3f}" for spec in specs)
-    print(f"  {type(kind).__name__:<14} {weights}")
+    column = " ".join(f"{weight:>7.3f}" for weight in weights[:, index])
+    print(f"  {type(kind).__name__:<14} {column}")
 
 # Now the stability comparison: every model refit 10 times, seeds varying.
 cfg = ExperimentConfig(

@@ -16,7 +16,6 @@ from .dataset import (
     write_long_csv,
 )
 from .ensemble import (
-    EnsembleSpec,
     fit_ensemble,
     make_validation_windows,
     predict_ensemble,
@@ -60,7 +59,6 @@ __all__ = [
     "CsvSource",
     "CvGrid",
     "EnsembleRequest",
-    "EnsembleSpec",
     "ExperimentConfig",
     "FittedForecaster",
     "ForecasterKind",

@@ -123,11 +123,21 @@ def main() -> None:
 def _read_json(path: str | Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except UnicodeDecodeError:
         raise _not_utf8(ValueError, Path(path)) from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object that refuses a key written twice rather than keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -16,7 +16,6 @@ the quantity that is actually reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,30 +50,6 @@ class LengthMismatch(EnsembleError):
 
 class DominanceViolation(EnsembleError):
     """The greedy selection scored worse than its best single component."""
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Components plus convex weights learned on validation windows."""
-
-    components: tuple[ForecasterKind, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        components = tuple(self.components)
-        weights = tuple(float(w) for w in self.weights)
-        if len(components) != len(weights):
-            raise LengthMismatch(
-                f"{len(components)} components but {len(weights)} weights"
-            )
-        if not components:
-            raise ValueError("ensemble needs at least one component")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"weights sum to {sum(weights)!r}, expected 1")
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "weights", weights)
 
 
 def component_seed(master: int, index: int) -> int:
@@ -112,13 +87,15 @@ def fit_ensemble(
     n_windows: int = DEFAULT_WINDOWS,
     seeds: tuple[int, ...] = (0,),
     iterations: int = DEFAULT_ITERATIONS,
-) -> tuple[EnsembleSpec, ...]:
+) -> np.ndarray:
     """Learn convex weights by greedy forward selection with replacement.
 
-    Returns one spec per seed, in seed order. Run ``r`` fits component
-    ``j`` with seed ``component_seed(seeds[r], j)`` on each validation
-    window; each (component, window) pair is fit once for all runs, and
-    the specs equal those of fitting each seed alone. Selection scores a
+    Returns a read-only float64 matrix of shape ``(len(seeds),
+    len(components))``: row ``r`` holds run ``r``'s weights, its selection
+    counts over their sum. Run ``r`` fits component ``j`` with seed
+    ``component_seed(seeds[r], j)`` on each validation window; each
+    (component, window) pair is fit once for all runs, and each row equals
+    the one of fitting that seed alone. Selection scores a
     candidate multiset by post-processing the average of its raw forecasts
     and taking RMSE against the held-out blocks, pooled over all windows.
     Greedy rounds stop as soon as no addition strictly improves the score,
@@ -148,17 +125,15 @@ def fit_ensemble(
                 stacked[models] = np.stack([predict(model, horizon) for model in models])
             forecasts[run].append(stacked[models])
 
-    specs = []
+    counts = np.empty((len(seeds), len(components)), dtype=np.int64)
     for run, run_forecasts in enumerate(forecasts):
         try:
-            counts = _select(run_forecasts, actual, iterations)
+            counts[run] = _select(run_forecasts, actual, iterations)
         except MetricsError as exc:
             raise Diverged(f"validation forecasts cannot be scored: {exc}", (run,)) from exc
-        total = sum(counts)
-        specs.append(
-            EnsembleSpec(components=components, weights=tuple(c / total for c in counts))
-        )
-    return tuple(specs)
+    weights = counts / counts.sum(axis=1, keepdims=True)
+    weights.flags.writeable = False
+    return weights
 
 
 def _select(forecasts: list[np.ndarray], actual: np.ndarray, iterations: int) -> list[int]:
@@ -196,25 +171,37 @@ def _select(forecasts: list[np.ndarray], actual: np.ndarray, iterations: int) ->
 
 
 def predict_ensemble(
-    specs: Sequence[EnsembleSpec],
+    components: Sequence[ForecasterKind],
+    weights: np.ndarray,
     fitted: Sequence[Sequence[FittedForecaster]],
     horizon: int,
 ) -> tuple[np.ndarray, ...]:
     """One raw forecast per run: the weighted sum of its component predictions.
 
-    ``fitted[r]`` holds run ``r``'s fitted components in the order of
-    ``specs[r].components``. A model shared by several runs is predicted once.
+    ``weights`` is a (runs, components) matrix, as :func:`fit_ensemble`
+    returns, whose rows are convex. ``fitted[r]`` holds run ``r``'s fitted
+    components in the order of ``components``. Every check runs before any
+    prediction, and a model shared by several runs is predicted once.
     """
-    if len(fitted) != len(specs):
-        raise LengthMismatch(f"{len(specs)} specs but fitted models for {len(fitted)} runs")
+    components = tuple(components)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2 or weights.shape[1] != len(components):
+        raise LengthMismatch(f"{len(components)} components but weights of shape {weights.shape}")
+    if len(weights) != len(fitted):
+        raise LengthMismatch(f"{len(weights)} weight rows but fitted models for {len(fitted)} runs")
+    for run, (row, models) in enumerate(zip(weights, fitted)):
+        if (row < 0).any():
+            raise ValueError(f"run {run}: weights must be nonnegative")
+        if not abs(row.sum() - 1.0) <= _WEIGHT_TOL:
+            raise ValueError(f"run {run}: weights sum to {row.sum()!r}, expected 1")
+        kinds = tuple(model.kind for model in models)
+        if kinds != components:
+            raise LengthMismatch(f"run {run}: fitted kinds {kinds!r} do not match {components!r}")
     predicted: dict[FittedForecaster, np.ndarray] = {}
     combined = []
-    for spec, models in zip(specs, fitted):
-        kinds = tuple(model.kind for model in models)
-        if kinds != spec.components:
-            raise LengthMismatch(f"fitted kinds {kinds!r} do not match {spec.components!r}")
+    for row, models in zip(weights, fitted):
         total = None
-        for weight, model in zip(spec.weights, models):
+        for weight, model in zip(row, models):
             if model not in predicted:
                 predicted[model] = predict(model, horizon)
             term = weight * predicted[model]

@@ -255,7 +255,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 raw = {model: predict(model, horizon) for model in dict.fromkeys(keys)}
             else:
                 request = entry.ensemble
-                specs = fit_ensemble(
+                weights = fit_ensemble(
                     request.components,
                     train,
                     horizon,
@@ -268,8 +268,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     for index, kind in enumerate(request.components)
                 ]
                 fitted = list(zip(*by_component))
-                keys = list(zip(specs, fitted))
-                raw = dict(zip(keys, predict_ensemble(specs, fitted, horizon)))
+                keys = [(tuple(row), models) for row, models in zip(weights, fitted)]
+                combined = predict_ensemble(request.components, weights, fitted, horizon)
+                raw = dict(zip(keys, combined))
             delivered: dict = {}
             for run_id, key in enumerate(keys):
                 if key not in delivered:

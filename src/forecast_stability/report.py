@@ -6,8 +6,7 @@ model, as the report.json document ``{"metadata": {...}, "models": {label:
 :func:`emit_plots` render it as text, reading it by key, and write no file,
 so a caller can compose every output before writing any. Each is a
 deterministic, pure transformation: identical inputs produce byte-identical
-CSV, JSON, and SVG, and so does report.json read back, but for the order of
-quantile columns whose names do not sort in probability order.
+CSV, JSON, and SVG, and so does report.json read back.
 Figures are self-contained static SVG composed by hand, with no external
 assets, so outputs stay diffable and golden-testable. Histogram count axes
 use a log-like scale (bar length proportional to log10(1 + count)) because
@@ -98,11 +97,11 @@ def build_report_bundle(
 def emit_quantile_table(report: Mapping) -> str:
     """CSV table of CV quantiles, one row per model, 3-decimal values.
 
-    Default columns are the 25/50/75/90 percent points; rows are sorted by
-    model label.
+    Default columns are the 25/50/75/90 percent points, in ascending
+    probability order; rows are sorted by model label.
     """
     models = report["models"]
-    columns = tuple(next(iter(models.values()))["cv_quantiles"])
+    columns = tuple(sorted(next(iter(models.values()))["cv_quantiles"], key=lambda c: float(c[1:])))
     schema = tabular.Schema((tabular.MODEL,), columns, "{:.3f}".format)
     table = np.array([[model["cv_quantiles"][c] for c in columns] for model in models.values()])
     return tabular.csv_text(schema, (list(models),), tuple(table.T))

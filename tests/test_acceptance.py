@@ -155,9 +155,9 @@ def test_c4_ensemble_validation_dominance():
         )
         horizon, n_windows = 14, 2
         for seed in (0, 1, 2, 3, 4):
-            spec = fs.fit_ensemble(
+            (weights,) = fs.fit_ensemble(
                 list(BENCH_COMPONENTS), panel, horizon, n_windows=n_windows, seeds=(seed,)
-            )[0]
+            )
             # independent recomputation through the public fit/predict API
             windows = make_validation_windows(panel, horizon, n_windows)
             actual = np.stack([held for _, held in windows])
@@ -170,7 +170,7 @@ def test_c4_ensemble_validation_dominance():
                     )
                 )
             singles = [rmse(postprocess(fc), actual) for fc in raw]
-            combined = sum(w * fc for w, fc in zip(spec.weights, raw))
+            combined = sum(w * fc for w, fc in zip(weights, raw))
             ensemble_score = rmse(postprocess(combined), actual)
             assert ensemble_score <= min(singles) + 1e-9, (seed, ensemble_score, singles)
 

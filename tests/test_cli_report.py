@@ -380,6 +380,29 @@ def test_report_names_a_manifest_that_is_not_utf8(tmp_path, capsys):
     assert contents(runs) == before
 
 
+@pytest.mark.parametrize("command", ["generate", "run", "report"])
+def test_cli_refuses_a_json_key_written_twice(tmp_path, capsys, command):
+    # Read with the last value of each key, every file here would run.
+    if command == "generate":
+        path, key = tmp_path / "synth.json", "seed"
+        path.write_text('{"n_series": 2, "length": 30, "seed": 1, "seed": 2}')
+        argv = ["generate", "--config", str(path), "--out", str(tmp_path / "data.csv")]
+    elif command == "run":
+        path, key = write_experiment_config(tmp_path), "master_seed"
+        path.write_text(path.read_text().replace('"master_seed": 5', '"master_seed": 6, "master_seed": 5'))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "runs")]
+    else:
+        runs = metrics_dir(tmp_path)
+        path, key = runs / "manifest.json", "run_count"
+        path.write_text(path.read_text().replace('"run_count": 2', '"run_count": 9, "run_count": 2'))
+        argv = ["report", "--runs", str(runs)]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: duplicate key {key!r}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_report_rejects_labels_whose_figures_share_a_file(tmp_path, capsys):
     kind = {"kind": "seasonal_naive", "params": {"period": 7}}
     models = [{"label": label, "kind": kind} for label in ("a b", "a_b")]
@@ -471,7 +494,8 @@ KINDS = {
 
 
 def test_report_json_renders_the_table_and_figures_written_beside_it(tmp_path):
-    # The default probabilities' column names sort in probability order.
+    # The default probabilities' column names sort in probability order;
+    # those of 0.05 and 0.25, q5 and q25, do not.
     models = [
         {"label": "sn", "kind": KINDS["naive"]},
         {"label": "lar", "kind": {"kind": "linear_ar", "params": {"lags": 4, "epochs": 2}}},
@@ -479,13 +503,16 @@ def test_report_json_renders_the_table_and_figures_written_beside_it(tmp_path):
     config, runs = write_experiment_config(tmp_path, models=models), tmp_path / "runs"
     assert cli_main(["run", "--config", str(config), "--out", str(runs)]) == 0
     assert cli_main(["metrics", "--runs", str(runs)]) == 0
-    assert cli_main(["report", "--runs", str(runs)]) == 0
-    report = json.loads((runs / "report.json").read_text(encoding="utf-8"))
-    figures = emit_plots(report)
-    assert sorted(figures) == sorted(path.name for path in runs.glob("*.svg"))
-    for name, svg in figures.items():
-        assert (runs / name).read_bytes() == svg.encode("utf-8"), name
-    assert (runs / "table.csv").read_bytes() == emit_quantile_table(report).encode("utf-8")
+    for quantiles in ([], ["--quantiles", "0.05,0.25"]):
+        assert cli_main(["report", "--runs", str(runs), *quantiles]) == 0
+        report = json.loads((runs / "report.json").read_text(encoding="utf-8"))
+        figures = emit_plots(report)
+        assert sorted(figures) == sorted(path.name for path in runs.glob("*.svg"))
+        for name, svg in figures.items():
+            assert (runs / name).read_bytes() == svg.encode("utf-8"), name
+        table = emit_quantile_table(report)
+        assert (runs / "table.csv").read_bytes() == table.encode("utf-8")
+    assert table.startswith("model,q5,q25\n")
 
 
 @pytest.mark.parametrize(

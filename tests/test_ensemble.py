@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from forecast_stability import (
-    EnsembleSpec,
     GlobalMean,
     LinearAR,
     SeasonalNaive,
@@ -60,17 +59,17 @@ def test_insufficient_history_for_windows():
 
 def test_single_component_gets_weight_one():
     panel = make_panel(np.arange(1, 31, dtype=float))
-    spec = fit_ensemble([GlobalMean()], panel, horizon=5, n_windows=2, seeds=(0,))[0]
-    assert spec.weights == (1.0,)
+    weights = fit_ensemble([GlobalMean()], panel, horizon=5, n_windows=2, seeds=(0,))[0]
+    assert tuple(weights) == (1.0,)
 
 
 def test_perfect_component_dominates():
     # seasonal naive reproduces a pure period-2 cycle exactly; the mean does not
     panel = make_panel(np.array([4.0, 10.0] * 12))
-    spec = fit_ensemble(
+    weights = fit_ensemble(
         [SeasonalNaive(period=2), GlobalMean()], panel, horizon=2, n_windows=2, seeds=(0,)
     )[0]
-    assert spec.weights == (1.0, 0.0)
+    assert tuple(weights) == (1.0, 0.0)
 
 
 def test_greedy_weights_match_brute_force_grid():
@@ -78,7 +77,7 @@ def test_greedy_weights_match_brute_force_grid():
     # exactly [10, 0] (seasonal naive) and [5, 5] (mean), actuals [7, 3]
     panel = make_panel(np.array([10.0, 0.0, 7.0, 3.0]))
     components = [SeasonalNaive(period=2), GlobalMean()]
-    spec = fit_ensemble(components, panel, horizon=2, n_windows=1, seeds=(0,))[0]
+    weights = fit_ensemble(components, panel, horizon=2, n_windows=1, seeds=(0,))[0]
 
     forecast_a = np.array([[10.0, 0.0]])
     forecast_b = np.array([[5.0, 5.0]])
@@ -89,10 +88,10 @@ def test_greedy_weights_match_brute_force_grid():
         score = rmse(postprocess(w * forecast_a + (1 - w) * forecast_b), actual)
         if best_score is None or score < best_score:
             best_w, best_score = w, score
-    assert abs(spec.weights[0] - best_w) <= 0.05 + 1e-12
+    assert abs(weights[0] - best_w) <= 0.05 + 1e-12
 
 
-def _pooled_validation_scores(components, panel, horizon, n_windows, seed, spec):
+def _pooled_validation_scores(components, panel, horizon, n_windows, seed, weights):
     """Independent recomputation of pooled validation RMSE for the learned
     weights and for each single component, via the public fit/predict API."""
     windows = make_validation_windows(panel, horizon, n_windows)
@@ -104,7 +103,7 @@ def _pooled_validation_scores(components, panel, horizon, n_windows, seed, spec)
             np.stack([predict(fit(kind, inner, (seed_j,))[0], horizon) for inner, _ in windows])
         )
     singles = [rmse(postprocess(fc), actual) for fc in raw]
-    combined = sum(w * fc for w, fc in zip(spec.weights, raw))
+    combined = sum(w * fc for w, fc in zip(weights, raw))
     return rmse(postprocess(combined), actual), singles
 
 
@@ -128,11 +127,11 @@ def test_simplex_and_dominance_on_random_panels(seed):
         LinearAR(lags=4, epochs=5, learning_rate=0.05, batch_size=8),
         TinyMLP(lags=4, hidden_dim=4, epochs=5, learning_rate=0.05, batch_size=8),
     ]
-    spec = fit_ensemble(components, panel, horizon=7, n_windows=2, seeds=(seed,))[0]
-    assert all(w >= 0 for w in spec.weights)
-    assert abs(sum(spec.weights) - 1.0) <= 1e-12
+    weights = fit_ensemble(components, panel, horizon=7, n_windows=2, seeds=(seed,))[0]
+    assert all(w >= 0 for w in weights)
+    assert abs(sum(weights) - 1.0) <= 1e-12
     ensemble_score, single_scores = _pooled_validation_scores(
-        components, panel, 7, 2, seed, spec
+        components, panel, 7, 2, seed, weights
     )
     assert ensemble_score <= min(single_scores) + 1e-9
 
@@ -148,11 +147,15 @@ def test_batched_specs_equal_fitting_each_seed_alone():
         TinyMLP(lags=4, hidden_dim=4, epochs=3, learning_rate=0.05, batch_size=8),
     ]
     seeds = (0, 1, 2, 3, 4)
-    specs = fit_ensemble(components, panel, horizon=7, n_windows=2, seeds=seeds)
-    assert specs == tuple(
-        fit_ensemble(components, panel, horizon=7, n_windows=2, seeds=(seed,))[0]
-        for seed in seeds
-    )
+    weights = fit_ensemble(components, panel, horizon=7, n_windows=2, seeds=seeds)
+    assert weights.shape == (len(seeds), len(components))
+    assert weights.dtype == np.float64
+    assert not weights.flags.writeable
+    alone = [fit_ensemble(components, panel, horizon=7, n_windows=2, seeds=(seed,)) for seed in seeds]
+    assert np.array_equal(weights, np.vstack(alone))
+    # Without a seeded component, every run selects the same weights.
+    deterministic = fit_ensemble(components[:2], panel, horizon=7, n_windows=2, seeds=seeds)
+    assert all(np.array_equal(row, deterministic[0]) for row in deterministic)
 
 
 def test_dominance_violation_is_a_typed_error(monkeypatch):
@@ -173,10 +176,7 @@ def test_weight_one_recovers_component():
         fit(GlobalMean(), constant_panel(2), (0,))[0],
         fit(GlobalMean(), constant_panel(4), (0,))[0],
     ]
-    spec = EnsembleSpec(
-        components=(GlobalMean(), GlobalMean()), weights=(1.0, 0.0)
-    )
-    (out,) = predict_ensemble([spec], [fitted], 3)
+    (out,) = predict_ensemble((GlobalMean(), GlobalMean()), [[1.0, 0.0]], [fitted], 3)
     assert np.array_equal(out, predict(fitted[0], 3))
 
 
@@ -185,8 +185,8 @@ def test_even_weights_average():
         fit(GlobalMean(), constant_panel(2), (0,))[0],
         fit(GlobalMean(), constant_panel(4), (0,))[0],
     ]
-    spec = EnsembleSpec(components=(GlobalMean(), GlobalMean()), weights=(0.5, 0.5))
-    assert predict_ensemble([spec], [fitted], 1)[0].tolist() == [[3.0]]
+    components = (GlobalMean(), GlobalMean())
+    assert predict_ensemble(components, [[0.5, 0.5]], [fitted], 1)[0].tolist() == [[3.0]]
 
 
 def test_uneven_weights_arithmetic():
@@ -194,8 +194,8 @@ def test_uneven_weights_arithmetic():
         fit(GlobalMean(), constant_panel(0), (0,))[0],
         fit(GlobalMean(), constant_panel(8), (0,))[0],
     ]
-    spec = EnsembleSpec(components=(GlobalMean(), GlobalMean()), weights=(0.25, 0.75))
-    assert predict_ensemble([spec], [fitted], 1)[0].tolist() == [[6.0]]
+    components = (GlobalMean(), GlobalMean())
+    assert predict_ensemble(components, [[0.25, 0.75]], [fitted], 1)[0].tolist() == [[6.0]]
 
 
 def test_convexity_bound_on_cells():
@@ -207,39 +207,38 @@ def test_convexity_bound_on_cells():
         GlobalMean(),
         LinearAR(lags=3, epochs=4, learning_rate=0.05, batch_size=8),
     )
-    spec = fit_ensemble(list(components), panel, horizon=5, n_windows=2, seeds=(3,))[0]
+    weights = fit_ensemble(list(components), panel, horizon=5, n_windows=2, seeds=(3,))
     fitted = [
         fit(kind, panel, (component_seed(3, j),))[0] for j, kind in enumerate(components)
     ]
     stacked = np.stack([predict(f, 5) for f in fitted])
-    (out,) = predict_ensemble([spec], [fitted], 5)
+    (out,) = predict_ensemble(components, weights, [fitted], 5)
     assert np.all(out >= stacked.min(axis=0) - 1e-9)
     assert np.all(out <= stacked.max(axis=0) + 1e-9)
 
 
 def test_misaligned_fitted_models_rejected():
     fitted = [fit(GlobalMean(), constant_panel(2), (0,))[0]]
-    spec = EnsembleSpec(components=(GlobalMean(), GlobalMean()), weights=(0.5, 0.5))
+    components, row = (GlobalMean(), GlobalMean()), [0.5, 0.5]
     with pytest.raises(LengthMismatch):
-        predict_ensemble([spec], [fitted], 2)
+        predict_ensemble(components, [row], [fitted], 2)
     with pytest.raises(LengthMismatch):
-        predict_ensemble([spec, spec], [fitted * 2], 2)
+        predict_ensemble(components, [row, row], [fitted * 2], 2)
     wrong_kind = [
         fit(SeasonalNaive(period=2), constant_panel(2), (0,))[0],
         fit(GlobalMean(), constant_panel(2), (0,))[0],
     ]
     with pytest.raises(LengthMismatch):
-        predict_ensemble([spec], [wrong_kind], 2)
+        predict_ensemble(components, [row], [wrong_kind], 2)
 
 
-# -------------------------------------------------------------------- spec
+# ----------------------------------------------------------------- weights
 
 def test_spec_validation():
+    fitted = [fit(GlobalMean(), constant_panel(2), (0,))[0]]
     with pytest.raises(ValueError):
-        EnsembleSpec(components=(GlobalMean(),), weights=(0.5,))  # not convex
+        predict_ensemble((GlobalMean(),), [[0.5]], [fitted], 2)  # not convex
     with pytest.raises(ValueError):
-        EnsembleSpec(
-            components=(GlobalMean(), GlobalMean()), weights=(-1.0, 2.0)
-        )
+        predict_ensemble((GlobalMean(), GlobalMean()), [[-1.0, 2.0]], [fitted * 2], 2)
     with pytest.raises(LengthMismatch):
-        EnsembleSpec(components=(GlobalMean(),), weights=(0.5, 0.5))
+        predict_ensemble((GlobalMean(),), [[0.5, 0.5]], [fitted], 2)

@@ -228,12 +228,12 @@ def test_run_experiment_predicts_once_per_distinct_state(monkeypatch):
         calls["postprocess"] += 1
         return real_postprocess(raw)
 
-    def counting_predict_ensemble(specs, fitted, horizon):
+    def counting_predict_ensemble(components, weights, fitted, horizon):
         calls["predict_ensemble"] += 1
         # only the component predictions, not those of validation windows
         with monkeypatch.context() as patch:
             patch.setattr(ensemble, "predict", counting_component_predict)
-            return real_predict_ensemble(specs, fitted, horizon)
+            return real_predict_ensemble(components, weights, fitted, horizon)
 
     monkeypatch.setattr(harness, "predict", counting_predict)
     monkeypatch.setattr(harness, "postprocess", counting_postprocess)
