@@ -32,10 +32,10 @@ cfg = ExperimentConfig(
     ),
     split=SplitSpec(train_length=186, horizon=14),
     models=(
-        ModelEntry(label="seasonal_naive", forecaster=SeasonalNaive(period=7)),
+        ModelEntry(label="seasonal_naive", model=SeasonalNaive(period=7)),
         ModelEntry(
             label="linear_ar",
-            forecaster=LinearAR(lags=7, epochs=3, learning_rate=0.05, batch_size=32),
+            model=LinearAR(lags=7, epochs=3, learning_rate=0.05, batch_size=32),
         ),
     ),
     run_count=10,

@@ -56,9 +56,9 @@ cfg = ExperimentConfig(
     dataset=panel_cfg,
     split=split_spec,
     models=(
-        ModelEntry(label="linear_ar", forecaster=linear),
-        ModelEntry(label="tiny_mlp", forecaster=mlp),
-        ModelEntry(label="ensemble", ensemble=EnsembleRequest(components=components)),
+        ModelEntry(label="linear_ar", model=linear),
+        ModelEntry(label="tiny_mlp", model=mlp),
+        ModelEntry(label="ensemble", model=EnsembleRequest(components=components)),
     ),
     run_count=10,
     master_seed=0,

@@ -1,11 +1,12 @@
 """Experiment orchestration: seeded refit runs on fixed inputs.
 
 An experiment fixes a dataset, a train/test split, and a roster of models,
-then fits every model R times varying nothing but the seed. Per-run seeds
-are ``derive_seed(master_seed, fnv1a64(label) XOR run_id)``, so each
-model's seed stream is independent of roster order and the whole
-experiment is a pure function of its config. The R runs of an entry are
-fit in one batched call per model. Forecasts are post-processed
+then fits every model R times varying nothing but the seed. Each roster
+entry, a ``ModelEntry``, labels one model: a forecaster kind or an ensemble
+request. Per-run seeds are ``derive_seed(master_seed, fnv1a64(label) XOR
+run_id)``, so each model's seed stream is independent of roster order and
+the whole experiment is a pure function of its config. The R runs of an
+entry are fit in one batched call per model. Forecasts are post-processed
 (clipped, rounded) before they are recorded: stability and accuracy both
 describe the numbers a planner would actually receive. A result holds one
 (R, M, H) grid of them per model, the shape ``load_runs`` returns.
@@ -110,17 +111,14 @@ class EnsembleRequest:
 
 @dataclass(frozen=True)
 class ModelEntry:
-    """One labelled model in the experiment roster."""
+    """One labelled model in the experiment roster: a forecaster kind or an ensemble."""
 
     label: str
-    forecaster: ForecasterKind | None = None
-    ensemble: EnsembleRequest | None = None
+    model: ForecasterKind | EnsembleRequest
 
     def __post_init__(self):
-        if (self.forecaster is None) == (self.ensemble is None):
-            raise ValueError(
-                f"model {self.label!r} must set exactly one of forecaster/ensemble"
-            )
+        if not isinstance(self.model, ForecasterKind | EnsembleRequest):
+            raise ValueError(f"model {self.label!r} must be a forecaster kind or an ensemble")
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,8 @@ class ExperimentResult:
 
     ``forecasts`` maps each roster label, in roster order, to a read-only
     (run_count, M, H) grid of post-processed int64 forecasts, run r at
-    index r. Raises :class:`RaggedRuns` when the grids do not fit the config.
+    index r; ``actuals`` is a read-only, finite (M, H) float64 grid. Raises
+    :class:`RaggedRuns` when the grids do not fit the config.
     """
 
     forecasts: dict[str, np.ndarray]
@@ -192,7 +191,14 @@ class ExperimentResult:
         labels = [entry.label for entry in self.config.models]
         if list(self.forecasts) != labels:
             raise RaggedRuns(f"forecasts are for models {list(self.forecasts)}, not {labels}")
-        shape = (self.config.run_count, len(self.series_ids), self.actuals.shape[1])
+        shape = (self.config.run_count, len(self.series_ids), self.config.split.horizon)
+        actuals = np.array(self.actuals, dtype=np.float64)
+        if actuals.shape != shape[1:]:
+            raise RaggedRuns(f"actuals must be a {shape[1:]} grid, not a {actuals.shape} grid")
+        if not np.isfinite(actuals).all():
+            raise RaggedRuns("actuals must be finite")
+        actuals.flags.writeable = False
+        object.__setattr__(self, "actuals", actuals)
         grids = {label: np.array(grid) for label, grid in self.forecasts.items()}
         for label, grid in grids.items():
             if grid.shape != shape or grid.dtype != np.int64 or np.any(grid < 0):
@@ -250,11 +256,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         try:
             # keys[r] is equal for runs with the same forecast; raw maps each
             # key to its raw forecast.
-            if entry.forecaster is not None:
-                keys = fit_on_train(entry.forecaster, seeds)
-                raw = {model: predict(model, horizon) for model in dict.fromkeys(keys)}
-            else:
-                request = entry.ensemble
+            if isinstance(entry.model, EnsembleRequest):
+                request = entry.model
                 weights = fit_ensemble(
                     request.components,
                     train,
@@ -271,6 +274,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 keys = [(tuple(row), models) for row, models in zip(weights, fitted)]
                 combined = predict_ensemble(request.components, weights, fitted, horizon)
                 raw = dict(zip(keys, combined))
+            else:
+                keys = fit_on_train(entry.model, seeds)
+                raw = {model: predict(model, horizon) for model in dict.fromkeys(keys)}
             delivered: dict = {}
             for run_id, key in enumerate(keys):
                 if key not in delivered:
@@ -400,11 +406,11 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
 
 
 def _model_to_json(entry: ModelEntry) -> dict:
-    if entry.forecaster is not None:
-        return {"label": entry.label, "kind": kind_to_json(entry.forecaster)}
-    ensemble = asdict(entry.ensemble)
-    ensemble["components"] = [kind_to_json(kind) for kind in entry.ensemble.components]
-    return {"label": entry.label, "ensemble": ensemble}
+    if isinstance(entry.model, EnsembleRequest):
+        ensemble = asdict(entry.model)
+        ensemble["components"] = [kind_to_json(kind) for kind in entry.model.components]
+        return {"label": entry.label, "ensemble": ensemble}
+    return {"label": entry.label, "kind": kind_to_json(entry.model)}
 
 
 def synth_from_json(obj: Mapping, where: str = "") -> SynthConfig:
@@ -437,11 +443,8 @@ def _dataset_from_json(obj: object, where: str) -> CsvSource | SynthConfig:
 def _model_from_json(obj: object, where: str) -> ModelEntry:
     # {"label": ..., "kind": {...}} or {"label": ..., "ensemble": {...}}
     tag, value, rest = codec.tagged(obj, where, "kind", "ensemble")
-    if tag == "kind":
-        kind = kind_from_json(value, f"{where}.kind")
-        return codec.from_json(ModelEntry, rest, where, forecaster=kind, ensemble=None)
-    ensemble = _ensemble_from_json(value, f"{where}.ensemble")
-    return codec.from_json(ModelEntry, rest, where, forecaster=None, ensemble=ensemble)
+    read = kind_from_json if tag == "kind" else _ensemble_from_json
+    return codec.from_json(ModelEntry, rest, where, model=read(value, f"{where}.{tag}"))
 
 
 def _ensemble_from_json(obj: object, where: str) -> EnsembleRequest:

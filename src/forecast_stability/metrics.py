@@ -112,18 +112,6 @@ class AccuracyReport:
         object.__setattr__(self, "rmse_per_run", values)
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Equal-width counts over [0, clip_upper], plus the excluded tail."""
-
-    bins: tuple[tuple[float, float, int], ...]
-    excluded: int
-
-    @property
-    def total_count(self) -> int:
-        return sum(count for _, _, count in self.bins)
-
-
 def postprocess(raw: np.ndarray) -> np.ndarray:
     """Clip negatives to zero, then round to the nearest whole unit.
 
@@ -225,12 +213,14 @@ def quantiles(
 
 def histogram(
     values: Sequence[float] | np.ndarray, bin_count: int, clip_upper: float
-) -> Histogram:
+) -> dict:
     """Equal-width histogram over [0, clip_upper] with a clipped tail.
 
-    Values above ``clip_upper`` are excluded and counted separately (the
-    long right tail of CV distributions is clipped for display). Bins are
-    half-open [lo, hi) except the final bin, which is closed. Raises
+    Returns report.json's ``cv_histogram`` object: ``{"bins": [{"lower",
+    "upper", "count"}, ...], "excluded": n}``. Values above ``clip_upper``
+    are excluded and counted separately (the long right tail of CV
+    distributions is clipped for display). Bins are half-open [lower,
+    upper) except the final bin, which is closed. Raises
     :class:`NonFiniteInput` on NaN or infinity and :class:`OutOfRange` on
     a negative value.
     """
@@ -248,12 +238,11 @@ def histogram(
     if not 0 < clip_upper < math.inf:
         raise ValueError(f"clip_upper must be positive and finite, got {clip_upper!r}")
     kept = data[data <= clip_upper]
-    excluded = int(data.size - kept.size)
     idx = np.floor(kept * bin_count / clip_upper).astype(np.int64)
     idx = np.clip(idx, 0, bin_count - 1)
     counts = np.bincount(idx, minlength=bin_count)
-    bins = tuple(
-        (i * clip_upper / bin_count, (i + 1) * clip_upper / bin_count, int(counts[i]))
-        for i in range(bin_count)
-    )
-    return Histogram(bins=bins, excluded=excluded)
+    edges = [i * clip_upper / bin_count for i in range(bin_count + 1)]
+    bins = [
+        {"lower": lo, "upper": hi, "count": int(n)} for lo, hi, n in zip(edges, edges[1:], counts)
+    ]
+    return {"bins": bins, "excluded": int(data.size - kept.size)}

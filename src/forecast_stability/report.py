@@ -64,8 +64,8 @@ def build_report_bundle(
     ``models`` maps each label, in sorted order, to its grid's shape, its CV
     quantiles by column name (probabilities ascending), CV median and CV
     histogram, and the RMSE of each run; ``metadata`` holds the most runs of
-    any model and ``train_length``. No model raises :class:`EmptyInput`, and
-    two probabilities whose column names are equal raise :class:`ReportError`.
+    any model and ``train_length``. No model raises :class:`EmptyInput`; no
+    probability, or two whose column names are equal, raise :class:`ReportError`.
     """
     if set(grids) != set(accuracy):
         raise ReportError(f"cv models {sorted(grids)} != rmse models {sorted(accuracy)}")
@@ -77,17 +77,13 @@ def build_report_bundle(
         flat = grids[label].cv.reshape(-1)
         # One sort of the grid gives the quantile row and the median.
         *values, median = quantiles(flat, (*columns.values(), 0.5))
-        hist = histogram(flat, bins, clip_upper)
         n_series, horizon = grids[label].shape
         models[label] = {
             "n_series": n_series,
             "horizon": horizon,
             "cv_quantiles": dict(zip(columns, values)),
             "cv_median": median,
-            "cv_histogram": {
-                "bins": [{"lower": lo, "upper": hi, "count": n} for lo, hi, n in hist.bins],
-                "excluded": hist.excluded,
-            },
+            "cv_histogram": histogram(flat, bins, clip_upper),
             "rmse_per_run": list(accuracy[label].rmse_per_run),
         }
     run_count = max(len(model["rmse_per_run"]) for model in models.values())
@@ -112,7 +108,7 @@ def _prob_column(p: float) -> str:
 
 
 def _columns(probs: Sequence[float]) -> dict[str, float]:
-    """Each probability by its column name, ascending; the names must differ."""
+    """Each probability by its column name, ascending; at least one, and no two names equal."""
     named: dict[str, float] = {}
     for p in sorted(probs):
         column = _prob_column(p)
@@ -121,6 +117,8 @@ def _columns(probs: Sequence[float]) -> dict[str, float]:
                 f"quantile probabilities {named[column]!r} and {p!r} share the column {column}"
             )
         named[column] = p
+    if not named:
+        raise ReportError("no quantile probabilities to report")
     return named
 
 
@@ -134,10 +132,17 @@ def write_metrics_files(
     cv.csv is ``model,item_id,h,cv,mean,std`` (the per-grid schema keyed by
     model); rmse.csv is ``model,run_id,rmse``. Floats carry round-trip
     precision so reports rebuilt from these files match in-memory results
-    exactly. All models share one (item, h) grid and one run count.
+    exactly. All models share one (item, h) grid and one run count, and
+    both mappings hold the same models; else :class:`ReportError` is raised
+    before any write.
     """
     if not grids or not accuracy:
         raise EmptyInput("no models to write")
+    if set(grids) != set(accuracy):
+        raise ReportError(f"cv models {sorted(grids)} != rmse models {sorted(accuracy)}")
+    runs = {label: len(report.rmse_per_run) for label, report in accuracy.items()}
+    if len(set(runs.values())) != 1:
+        raise ReportError(f"every model needs the same run count, got {runs}")
     labels = list(grids)
     ids = tuple(grids[labels[0]][1])
     if any(tuple(grid_ids) != ids for _, grid_ids in grids.values()):

@@ -154,6 +154,8 @@ def csv_text(schema: Schema, axes, columns) -> str:
 
 
 def _write(out: BinaryIO, schema: Schema, axes, columns) -> None:
+    if not schema.values:
+        raise ValueError("a schema needs at least one value column")
     shape = tuple(len(axis) for axis in axes)
     if any(column.shape != shape for column in columns):
         raise ValueError(f"columns must have the axis lengths {shape}")

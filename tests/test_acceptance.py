@@ -68,8 +68,8 @@ def deterministic_experiment():
         dataset=BENCH_PANEL,
         split=BENCH_SPLIT,
         models=(
-            fs.ModelEntry(label="seasonal_naive", forecaster=fs.SeasonalNaive(period=7)),
-            fs.ModelEntry(label="global_mean", forecaster=fs.GlobalMean()),
+            fs.ModelEntry(label="seasonal_naive", model=fs.SeasonalNaive(period=7)),
+            fs.ModelEntry(label="global_mean", model=fs.GlobalMean()),
         ),
         run_count=RUNS,
         master_seed=0,
@@ -86,11 +86,11 @@ def stochastic_experiment():
         dataset=BENCH_PANEL,
         split=BENCH_SPLIT,
         models=(
-            fs.ModelEntry(label="linear_ar", forecaster=BENCH_LAR),
-            fs.ModelEntry(label="tiny_mlp", forecaster=BENCH_MLP),
+            fs.ModelEntry(label="linear_ar", model=BENCH_LAR),
+            fs.ModelEntry(label="tiny_mlp", model=BENCH_MLP),
             fs.ModelEntry(
                 label="ensemble",
-                ensemble=fs.EnsembleRequest(components=BENCH_COMPONENTS, n_windows=2),
+                model=fs.EnsembleRequest(components=BENCH_COMPONENTS, n_windows=2),
             ),
         ),
         run_count=RUNS,
@@ -449,6 +449,38 @@ def test_sgd_outputs_match_golden_digests(tmp_path, capsys):
     outputs = run_pipeline(tmp_path, run_cli, SGD_SYNTH, SGD_EXPERIMENT, SGD_RUN_OUTPUTS)
     digests = {name: hashlib.sha256(payload).hexdigest() for name, payload in outputs.items()}
     assert digests == SGD_GOLDEN_SHA256
+
+
+def _blas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _blas_dynamic_arch(), reason="needs a DYNAMIC_ARCH OpenBLAS")
+def test_goldens_hold_under_other_blas_kernels(tmp_path):
+    # Raw SGD forecasts differ in their last bits between kernels; the
+    # delivered, rounded outputs must not.
+    goldens = [
+        f"{__file__}::{test.__name__}"
+        for test in (test_c8_outputs_match_golden_digests, test_sgd_outputs_match_golden_digests)
+    ]
+    cores = set()
+    for kernel in ("Prescott", "SkylakeX"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_VERBOSE": "2"}
+        child = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+             f"--basetemp={tmp_path / kernel}", *goldens],
+            cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True,
+        )
+        output = child.stdout + child.stderr
+        assert child.returncode == 0, f"{kernel}:\n{output}"
+        assert "2 passed" in child.stdout, f"{kernel}:\n{output}"
+        cores.update(line for line in output.splitlines() if line.startswith("Core: "))
+    assert len(cores) == 2, cores  # each forced kernel was the one in use
 
 
 def test_c9_quantile_table_fidelity():

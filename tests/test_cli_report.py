@@ -227,6 +227,13 @@ def test_empty_table_rejected():
         emit_quantile_table(build_report_bundle({}, {}))
 
 
+def test_no_quantile_probabilities_rejected():
+    # With no value column the table would read "model\na," and could not be read back.
+    grids = {"a": grid_from_cv(np.zeros((1, 2)))}
+    with pytest.raises(ReportError, match="no quantile probabilities"):
+        table_of(grids, probs=())
+
+
 # ------------------------------------------------------------------- plots
 
 def make_bundle(cv_values, rmse_values=(1.0, 2.0, 3.0), bins=4, clip=1.0):
@@ -252,8 +259,8 @@ def test_svg_bar_counts_match_histogram():
     ]
     counts = [int(el.get("data-count")) for el in bars]
     expected = histogram(cv.reshape(-1), 4, 1.0)
-    assert counts == [c for _, _, c in expected.bins]
-    assert sum(counts) + expected.excluded == cv.size
+    assert counts == [b["count"] for b in expected["bins"]]
+    assert sum(counts) + expected["excluded"] == cv.size
 
 
 def test_svg_median_line_at_left_edge_for_all_zero_cv():

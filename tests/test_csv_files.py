@@ -117,7 +117,7 @@ def experiment_results(draw):
     config = ExperimentConfig(
         dataset=SynthConfig(n_series=len(ids), length=horizon + 1),
         split=SplitSpec(train_length=1, horizon=horizon),
-        models=tuple(ModelEntry(label, forecaster=GlobalMean()) for label in labels),
+        models=tuple(ModelEntry(label, model=GlobalMean()) for label in labels),
         run_count=runs,
     )
     grids = dict(zip(labels, forecasts))
@@ -321,7 +321,7 @@ def test_writers_reject_grids_they_could_not_read_back(tmp_path):
     config = ExperimentConfig(
         dataset=SynthConfig(n_series=1, length=2),
         split=SplitSpec(train_length=1, horizon=1),
-        models=(ModelEntry(label="m", forecaster=GlobalMean()),),
+        models=(ModelEntry(label="m", model=GlobalMean()),),
         run_count=2,
     )
     one_run = {"m": np.zeros((1, 1, 1), np.int64)}
@@ -335,6 +335,29 @@ def test_writers_reject_grids_they_could_not_read_back(tmp_path):
 
 
 # The block writer against a row-by-row csv.writer.
+
+
+def test_metrics_writer_rejects_other_models_before_any_write(tmp_path):
+    out = tmp_path / "metrics"
+    grids = {"a": (THIRD_GRID, ("x",))}
+    with pytest.raises(ReportError, match=r"cv models \['a'\] != rmse models \['b'\]"):
+        write_metrics_files(grids, {"b": AccuracyReport((1.0, 2.0))}, out)
+    assert not out.exists()
+
+
+def test_metrics_writer_rejects_ragged_run_counts_before_any_write(tmp_path):
+    out = tmp_path / "metrics"
+    grids = {"a": (THIRD_GRID, ("x",)), "b": (THIRD_GRID, ("x",))}
+    accuracy = {"a": AccuracyReport((1.0, 2.0)), "b": AccuracyReport((1.0,))}
+    with pytest.raises(ReportError, match=r"same run count, got \{'a': 2, 'b': 1\}"):
+        write_metrics_files(grids, accuracy, out)
+    assert not out.exists()
+
+
+def test_writer_rejects_a_schema_with_no_value_column(tmp_path):
+    schema = tabular.Schema((tabular.MODEL,), ())
+    with pytest.raises(ValueError, match="at least one value column"):
+        tabular.csv_text(schema, (["a"],), ())
 
 
 def reference_csv_text(schema, axes, columns):

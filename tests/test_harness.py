@@ -84,7 +84,7 @@ def test_run_seed_is_label_hash_xor_run():
 
 
 def test_deterministic_model_runs_are_identical():
-    cfg = small_config([ModelEntry(label="sn", forecaster=SeasonalNaive(period=7))])
+    cfg = small_config([ModelEntry(label="sn", model=SeasonalNaive(period=7))])
     result = run_experiment(cfg)
     runs = result.forecasts["sn"]
     assert len(runs) == 3
@@ -95,10 +95,10 @@ def test_deterministic_model_runs_are_identical():
 def test_experiment_is_pure_function_of_config():
     cfg = small_config(
         [
-            ModelEntry(label="sn", forecaster=SeasonalNaive(period=7)),
+            ModelEntry(label="sn", model=SeasonalNaive(period=7)),
             ModelEntry(
                 label="lar",
-                forecaster=LinearAR(lags=4, epochs=4, learning_rate=0.05, batch_size=8),
+                model=LinearAR(lags=4, epochs=4, learning_rate=0.05, batch_size=8),
             ),
         ]
     )
@@ -128,7 +128,7 @@ def test_stochastic_model_shows_variance_across_runs():
         models=(
             ModelEntry(
                 label="lar",
-                forecaster=LinearAR(lags=4, epochs=4, learning_rate=0.05, batch_size=8),
+                model=LinearAR(lags=4, epochs=4, learning_rate=0.05, batch_size=8),
             ),
         ),
         run_count=10,
@@ -152,10 +152,10 @@ def test_fixed_input_contract_across_runs(monkeypatch):
     monkeypatch.setattr(harness, "fit", recording_fit)
     cfg = small_config(
         [
-            ModelEntry(label="sn", forecaster=SeasonalNaive(period=7)),
+            ModelEntry(label="sn", model=SeasonalNaive(period=7)),
             ModelEntry(
                 label="lar",
-                forecaster=LinearAR(lags=4, epochs=2, learning_rate=0.05, batch_size=8),
+                model=LinearAR(lags=4, epochs=2, learning_rate=0.05, batch_size=8),
             ),
         ]
     )
@@ -184,11 +184,11 @@ def test_run_experiment_fits_once_per_entry_and_component(monkeypatch):
     lar = LinearAR(lags=4, epochs=2, learning_rate=0.05, batch_size=8)
     cfg = small_config(
         [
-            ModelEntry(label="sn", forecaster=SeasonalNaive(period=7)),
-            ModelEntry(label="lar", forecaster=lar),
+            ModelEntry(label="sn", model=SeasonalNaive(period=7)),
+            ModelEntry(label="lar", model=lar),
             ModelEntry(
                 label="ens",
-                ensemble=EnsembleRequest(
+                model=EnsembleRequest(
                     components=(SeasonalNaive(period=7), GlobalMean(), lar), n_windows=2
                 ),
             ),
@@ -243,10 +243,10 @@ def test_run_experiment_predicts_once_per_distinct_state(monkeypatch):
     mixed = EnsembleRequest(components=(SeasonalNaive(period=7), lar))
     cfg = small_config(
         [
-            ModelEntry(label="sn", forecaster=SeasonalNaive(period=7)),
-            ModelEntry(label="lar", forecaster=lar),
-            ModelEntry(label="det", ensemble=deterministic),
-            ModelEntry(label="mix", ensemble=mixed),
+            ModelEntry(label="sn", model=SeasonalNaive(period=7)),
+            ModelEntry(label="lar", model=lar),
+            ModelEntry(label="det", model=deterministic),
+            ModelEntry(label="mix", model=mixed),
         ]
     )
     result = run_experiment(cfg)
@@ -272,7 +272,7 @@ def test_run_experiment_predicts_once_per_distinct_state(monkeypatch):
 def test_seed_collisions_are_rejected(monkeypatch, tmp_path, capsys):
     # Hashes 0 and 1 differ in the lowest bit: run 1 of "a" is run 0 of "b".
     monkeypatch.setattr(harness, "fnv1a64", {"a": 0, "b": 1}.__getitem__)
-    models = [ModelEntry(label, forecaster=GlobalMean()) for label in ("a", "b")]
+    models = [ModelEntry(label, model=GlobalMean()) for label in ("a", "b")]
     seed = derive_seed(5, 1)
     message = rf"^model 'a' run 1 and model 'b' run 0 share seed {seed}$"
     with pytest.raises(ValueError, match=message):
@@ -289,14 +289,14 @@ def test_seed_collisions_are_rejected(monkeypatch, tmp_path, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_model_names_label_run_and_seed():
     # finite but huge weights: predict overflows and postprocess rejects it
-    cfg = small_config([ModelEntry(label="lar", forecaster=LinearAR(learning_rate=50))])
+    cfg = small_config([ModelEntry(label="lar", model=LinearAR(learning_rate=50))])
     seeds = [run_seed(5, "lar", r) for r in range(3)]
     with pytest.raises(Diverged, match=rf"^model 'lar', run 0 \(seed {seeds[0]}\): ") as info:
         run_experiment(cfg)
     assert info.value.runs == (0,)
     # non-finite weights: the batched fit names every run
     cfg = small_config(
-        [ModelEntry(label="mlp", forecaster=TinyMLP(learning_rate=50, batch_size=8))]
+        [ModelEntry(label="mlp", model=TinyMLP(learning_rate=50, batch_size=8))]
     )
     seeds = [run_seed(5, "mlp", r) for r in range(3)]
     with pytest.raises(Diverged) as info:
@@ -306,18 +306,18 @@ def test_diverging_model_names_label_run_and_seed():
     assert str(info.value).startswith(f"model 'mlp', {runs}: tiny_mlp diverged")
     # in an ensemble, a component's validation forecasts cannot be scored
     request = EnsembleRequest(components=(SeasonalNaive(period=7), LinearAR(learning_rate=50)))
-    cfg = small_config([ModelEntry(label="ens", ensemble=request)])
+    cfg = small_config([ModelEntry(label="ens", model=request)])
     seed = run_seed(5, "ens", 0)
     with pytest.raises(Diverged, match=rf"^model 'ens', run 0 \(seed {seed}\): validation"):
         run_experiment(cfg)
 
 
 def test_fit_and_ensemble_errors_name_the_model(monkeypatch):
-    cfg = small_config([ModelEntry(label="sn", forecaster=SeasonalNaive(period=1000))])
+    cfg = small_config([ModelEntry(label="sn", model=SeasonalNaive(period=1000))])
     with pytest.raises(InsufficientHistory, match=r"^model 'sn': need at least 1000 .* have 33$"):
         run_experiment(cfg)
     request = EnsembleRequest(components=(SeasonalNaive(period=1000), GlobalMean()))
-    cfg = small_config([ModelEntry(label="ens", ensemble=request)])
+    cfg = small_config([ModelEntry(label="ens", model=request)])
     with pytest.raises(InsufficientHistory, match=r"^model 'ens': need at least 1000 .* have 19$"):
         run_experiment(cfg)
 
@@ -330,10 +330,10 @@ def test_fit_and_ensemble_errors_name_the_model(monkeypatch):
 
 
 def test_seed_isolation_under_model_reordering():
-    entry_a = ModelEntry(label="sn", forecaster=SeasonalNaive(period=7))
+    entry_a = ModelEntry(label="sn", model=SeasonalNaive(period=7))
     entry_b = ModelEntry(
         label="lar",
-        forecaster=LinearAR(lags=4, epochs=4, learning_rate=0.05, batch_size=8),
+        model=LinearAR(lags=4, epochs=4, learning_rate=0.05, batch_size=8),
     )
     forward = run_experiment(small_config([entry_a, entry_b])).forecasts
     reverse = run_experiment(small_config([entry_b, entry_a])).forecasts
@@ -347,7 +347,7 @@ def test_ensemble_entry_runs_end_to_end():
         [
             ModelEntry(
                 label="ens",
-                ensemble=EnsembleRequest(
+                model=EnsembleRequest(
                     components=(
                         SeasonalNaive(period=7),
                         GlobalMean(),
@@ -371,7 +371,7 @@ def test_csv_dataset_source(tmp_path):
     cfg = ExperimentConfig(
         dataset=CsvSource(path=str(path)),
         split=SplitSpec(train_length=33, horizon=7),
-        models=(ModelEntry(label="gm", forecaster=GlobalMean()),),
+        models=(ModelEntry(label="gm", model=GlobalMean()),),
         run_count=2,
         master_seed=0,
     )
@@ -384,10 +384,10 @@ def test_csv_dataset_source(tmp_path):
 def test_persist_and_load_round_trip(tmp_path):
     cfg = small_config(
         [
-            ModelEntry(label="sn", forecaster=SeasonalNaive(period=7)),
+            ModelEntry(label="sn", model=SeasonalNaive(period=7)),
             ModelEntry(
                 label="lar",
-                forecaster=LinearAR(lags=4, epochs=3, learning_rate=0.05, batch_size=8),
+                model=LinearAR(lags=4, epochs=3, learning_rate=0.05, batch_size=8),
             ),
         ]
     )
@@ -408,8 +408,8 @@ def test_runs_csv_row_count(tmp_path):
         dataset=panel_cfg,
         split=SplitSpec(train_length=10, horizon=2),
         models=(
-            ModelEntry(label="a", forecaster=GlobalMean()),
-            ModelEntry(label="b", forecaster=SeasonalNaive(period=2)),
+            ModelEntry(label="a", model=GlobalMean()),
+            ModelEntry(label="b", model=SeasonalNaive(period=2)),
         ),
         run_count=2,
         master_seed=0,
@@ -423,8 +423,8 @@ def test_runs_csv_row_count(tmp_path):
 def test_runs_csv_is_sorted(tmp_path):
     cfg = small_config(
         [
-            ModelEntry(label="zeta", forecaster=GlobalMean()),
-            ModelEntry(label="alpha", forecaster=SeasonalNaive(period=7)),
+            ModelEntry(label="zeta", model=GlobalMean()),
+            ModelEntry(label="alpha", model=SeasonalNaive(period=7)),
         ],
         run_count=2,
     )
@@ -438,7 +438,7 @@ def test_runs_csv_is_sorted(tmp_path):
 
 
 def test_persist_empty_experiment_rejected(tmp_path):
-    cfg = small_config([ModelEntry(label="sn", forecaster=SeasonalNaive(period=7))])
+    cfg = small_config([ModelEntry(label="sn", model=SeasonalNaive(period=7))])
     result = run_experiment(cfg)
     with pytest.raises(RaggedRuns):
         ExperimentResult({}, result.actuals, result.series_ids, cfg)
@@ -464,19 +464,35 @@ def test_persist_empty_experiment_rejected(tmp_path):
          "negative"],
 )
 def test_result_grids_must_match_the_config(change):
-    cfg = small_config([ModelEntry(label, forecaster=GlobalMean()) for label in "ab"])
+    cfg = small_config([ModelEntry(label, model=GlobalMean()) for label in "ab"])
     grids = {label: np.zeros((3, 2, 7), np.int64) for label in "ab"}
     actuals = np.zeros((2, 7))
     result = ExperimentResult(grids, actuals, ("x", "y"), cfg)
     assert not result.forecasts["a"].flags.writeable
     grids["a"][0, 0, 0] = 1  # the result holds a copy
     assert result.forecasts["a"][0, 0, 0] == 0
+    assert not result.actuals.flags.writeable
+    actuals[0, 0] = 1
+    assert result.actuals[0, 0] == 0
     with pytest.raises(RaggedRuns):
         ExperimentResult(change(grids), actuals, ("x", "y"), cfg)
 
 
+@pytest.mark.parametrize(
+    "actuals",
+    [np.zeros((3, 7)), np.zeros((2, 6)), np.zeros(14), np.array([[np.nan] * 7, [0.0] * 7])],
+    ids=["series", "horizon", "flat", "nan"],
+)
+def test_result_actuals_must_be_a_finite_series_by_horizon_grid(tmp_path, actuals):
+    cfg = small_config([ModelEntry("a", GlobalMean())])
+    grids = {"a": np.zeros((3, 2, 7), np.int64)}
+    with pytest.raises(RaggedRuns, match="actuals"):
+        persist_runs(ExperimentResult(grids, actuals, ("x", "y"), cfg), tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
 def test_load_runs_missing_actuals(tmp_path):
-    cfg = small_config([ModelEntry(label="sn", forecaster=SeasonalNaive(period=7))])
+    cfg = small_config([ModelEntry(label="sn", model=SeasonalNaive(period=7))])
     persist_runs(run_experiment(cfg), tmp_path)
     (tmp_path / "actuals.csv").unlink()
     with pytest.raises(FileNotFoundError):
@@ -484,7 +500,7 @@ def test_load_runs_missing_actuals(tmp_path):
 
 
 def test_load_runs_detects_missing_cell(tmp_path):
-    cfg = small_config([ModelEntry(label="sn", forecaster=SeasonalNaive(period=7))])
+    cfg = small_config([ModelEntry(label="sn", model=SeasonalNaive(period=7))])
     persist_runs(run_experiment(cfg), tmp_path)
     runs_path = tmp_path / "runs.csv"
     lines = runs_path.read_text().strip().splitlines()
@@ -501,7 +517,7 @@ def test_load_runs_rejects_bad_header(tmp_path):
 
 
 def test_manifest_contents(tmp_path):
-    cfg = small_config([ModelEntry(label="sn", forecaster=SeasonalNaive(period=7))])
+    cfg = small_config([ModelEntry(label="sn", model=SeasonalNaive(period=7))])
     persist_runs(run_experiment(cfg), tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(manifest) == {"config", "seeds", "provenance", "created_at"}
@@ -526,10 +542,10 @@ def test_config_json_round_trip():
         dataset=SYNTH,
         split=SplitSpec(train_length=33, horizon=7),
         models=(
-            ModelEntry(label="sn", forecaster=SeasonalNaive(period=7)),
+            ModelEntry(label="sn", model=SeasonalNaive(period=7)),
             ModelEntry(
                 label="ens",
-                ensemble=EnsembleRequest(
+                model=EnsembleRequest(
                     components=(SeasonalNaive(period=7), GlobalMean()), n_windows=2
                 ),
             ),
@@ -576,7 +592,7 @@ def test_config_json_round_trip_csv_source():
     cfg = ExperimentConfig(
         dataset=CsvSource(path="panel.csv", fill_missing=True),
         split=SplitSpec(train_length=10, horizon=2),
-        models=(ModelEntry(label="gm", forecaster=GlobalMean()),),
+        models=(ModelEntry(label="gm", model=GlobalMean()),),
         run_count=2,
     )
     assert config_from_json(config_to_json(cfg)) == cfg
@@ -592,18 +608,16 @@ def test_config_json_round_trip_csv_source():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        small_config([ModelEntry(label="sn", forecaster=SeasonalNaive())], run_count=1)
+        small_config([ModelEntry(label="sn", model=SeasonalNaive())], run_count=1)
     with pytest.raises(ValueError):
         small_config(
             [
-                ModelEntry(label="dup", forecaster=SeasonalNaive()),
-                ModelEntry(label="dup", forecaster=GlobalMean()),
+                ModelEntry(label="dup", model=SeasonalNaive()),
+                ModelEntry(label="dup", model=GlobalMean()),
             ]
         )
-    with pytest.raises(ValueError):
-        ModelEntry(label="both", forecaster=GlobalMean(), ensemble=None) and ModelEntry(
-            label="neither"
-        )
+    with pytest.raises(ValueError, match="model 'x' must be a forecaster kind or an ensemble"):
+        ModelEntry("x", None)
     with pytest.raises(ValueError):
         config_from_json({"dataset": {}, "split": {}, "models": []})
 
@@ -733,8 +747,8 @@ CONFIG_FAULTS = {
 def test_valid_config_json_reads():
     cfg = config_from_json(copy.deepcopy(VALID_JSON))
     assert cfg.dataset == SynthConfig(n_series=3, length=40, seed=17)
-    assert cfg.models[1].forecaster == LinearAR(lags=4, epochs=2)
-    assert cfg.models[2].ensemble == EnsembleRequest(components=(GlobalMean(),), n_windows=2)
+    assert cfg.models[1].model == LinearAR(lags=4, epochs=2)
+    assert cfg.models[2].model == EnsembleRequest(components=(GlobalMean(),), n_windows=2)
     assert config_from_json(_with_csv(dict)(VALID_JSON)).dataset == CsvSource("data.csv")
 
 
@@ -943,12 +957,7 @@ def experiment_configs(draw):
     ensembles = st.builds(
         EnsembleRequest, components=st.lists(KINDS, min_size=1, max_size=4), n_windows=POSITIVE
     )
-    models = [
-        ModelEntry(label, ensemble=draw(ensembles))
-        if draw(st.booleans())
-        else ModelEntry(label, forecaster=draw(KINDS))
-        for label in labels
-    ]
+    models = [ModelEntry(label, draw(KINDS | ensembles)) for label in labels]
     csv_sources = st.builds(CsvSource, path=TEXT, fill_missing=st.booleans())
     return ExperimentConfig(
         dataset=draw(synth_configs() | csv_sources),

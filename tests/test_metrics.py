@@ -319,27 +319,41 @@ def test_quantiles_reject_values_that_are_not_finite(bad):
 
 def test_histogram_hand_placed():
     hist = histogram([0.0, 0.5, 1.0], bin_count=2, clip_upper=1.0)
-    assert hist.bins == ((0.0, 0.5, 1), (0.5, 1.0, 2))
-    assert hist.excluded == 0
+    assert hist == {
+        "bins": [
+            {"lower": 0.0, "upper": 0.5, "count": 1},
+            {"lower": 0.5, "upper": 1.0, "count": 2},
+        ],
+        "excluded": 0,
+    }
 
 
 def test_histogram_all_above_clip():
     hist = histogram([2.0, 3.0, 9.9], bin_count=4, clip_upper=1.0)
-    assert all(count == 0 for _, _, count in hist.bins)
-    assert hist.excluded == 3
+    assert all(b["count"] == 0 for b in hist["bins"])
+    assert hist["excluded"] == 3
 
 
 def test_histogram_single_zero_value():
     hist = histogram([0.0], bin_count=1, clip_upper=1.0)
-    assert hist.bins == ((0.0, 1.0, 1),)
-    assert hist.excluded == 0
+    assert hist == {"bins": [{"lower": 0.0, "upper": 1.0, "count": 1}], "excluded": 0}
 
 
 def test_histogram_conservation():
     rng = np.random.default_rng(5)
     values = rng.uniform(0, 2, size=500).tolist()
     hist = histogram(values, bin_count=7, clip_upper=1.0)
-    assert hist.total_count + hist.excluded == 500
+    assert sum(b["count"] for b in hist["bins"]) + hist["excluded"] == 500
+
+
+def test_histogram_edges_are_each_index_times_the_clip_over_the_bin_count():
+    hist = histogram([0.1], bin_count=7, clip_upper=0.3)
+    lowers = [b["lower"] for b in hist["bins"]]
+    uppers = [b["upper"] for b in hist["bins"]]
+    assert lowers == [i * 0.3 / 7 for i in range(7)]
+    assert uppers == [(i + 1) * 0.3 / 7 for i in range(7)]
+    assert all(type(b["count"]) is int for b in hist["bins"])
+    assert type(hist["excluded"]) is int
 
 
 def test_histogram_errors():
