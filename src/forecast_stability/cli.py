@@ -19,6 +19,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+# First of the package: compiling the largest module before the others fill
+# the heap keeps each stage's peak RSS lower.
+from .tabular import _not_utf8
 from . import codec
 from .dataset import synth_generate, write_long_csv
 from .errors import ForecastStabilityError
@@ -50,7 +53,6 @@ from .report import (
     report_to_json,
     write_metrics_files,
 )
-from .tabular import _not_utf8
 
 # What the stages write into a runs directory, besides each cv_hist_*.svg.
 PIPELINE_FILES = (

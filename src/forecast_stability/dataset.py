@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tabular
 from .errors import ForecastStabilityError
 from .seeding import Rng
 
@@ -50,11 +49,6 @@ class EmptyFile(DatasetError):
 
 class SplitOutOfRange(DatasetError):
     pass
-
-
-_CSV_ERRORS = tabular.Errors(
-    MissingColumn, DatasetError, EmptyFile, DuplicateCell, NonDailyGap
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,9 +158,10 @@ def load_long_csv(path: str | Path, fill_missing: bool = False) -> TimeSeriesDat
     is true, in which case it becomes 0.0 (retail exports commonly omit
     zero-demand rows).
     """
-    (ids, dates), (demand,) = tabular.read_csv(
-        path, tabular.DATASET, _CSV_ERRORS, fill_missing
-    )
+    from . import tabular
+
+    errors = tabular.Errors(MissingColumn, DatasetError, EmptyFile, DuplicateCell, NonDailyGap)
+    (ids, dates), (demand,) = tabular.read_csv(path, tabular.DATASET, errors, fill_missing)
     return TimeSeriesDataset(ids, dt.date.fromordinal(dates.start), demand)
 
 
@@ -176,6 +171,8 @@ def write_long_csv(ds: TimeSeriesDataset, path: str | Path) -> None:
     Demand values are emitted with round-trip precision so that
     ``load_long_csv(write_long_csv(ds))`` reproduces the panel exactly.
     """
+    from . import tabular
+
     dates = range(ds.start_date.toordinal(), ds.start_date.toordinal() + ds.length)
     tabular.write_csv(path, tabular.DATASET, (ds.series_ids, dates), (ds.values,))
 

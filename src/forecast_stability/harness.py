@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import codec, tabular
+from . import codec
 from .dataset import (
     SplitSpec,
     SynthConfig,
@@ -79,11 +79,6 @@ class SchemaMismatch(HarnessError):
 
 class RaggedRuns(HarnessError):
     pass
-
-
-_CSV_ERRORS = tabular.Errors(
-    SchemaMismatch, SchemaMismatch, EmptyExperiment, SchemaMismatch, RaggedRuns
-)
 
 
 @dataclass(frozen=True)
@@ -311,11 +306,11 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
     the system and machine, and the sha256 of the config's canonical JSON
     text. ``created_at`` is its only field that a rerun does not reproduce.
     """
-    # Here, not at the top: importing the package need not pay for platform,
-    # and the package sets __version__ only after it imports this module.
+    # Here, not at the top: parsing a config need not pay for platform or
+    # the CSV module.
     import platform
 
-    from . import __version__
+    from . import __version__, tabular
 
     # The interpreter's own sha256 (named _sha2 from Python 3.12): hashlib
     # loads OpenSSL, about 3.7 MB more of the run stage's peak RSS.
@@ -369,11 +364,14 @@ def load_runs(path: str | Path) -> tuple[dict[str, ForecastSet], np.ndarray]:
     grid, that every forecast is a nonnegative whole number, as
     ``persist_runs`` writes them, and that actuals align with the forecasts.
     """
+    from . import tabular
+
+    errors = tabular.Errors(
+        SchemaMismatch, SchemaMismatch, EmptyExperiment, SchemaMismatch, RaggedRuns
+    )
     runs_path = Path(path) / RUNS_FILE
     actuals_path = Path(path) / ACTUALS_FILE
-    (models, run_ids, ids, steps), (forecasts,) = tabular.read_csv(
-        runs_path, tabular.RUNS, _CSV_ERRORS
-    )
+    (models, run_ids, ids, steps), (forecasts,) = tabular.read_csv(runs_path, tabular.RUNS, errors)
     # One run at a time keeps the temporaries small.
     for (m, model), r in product(enumerate(models), run_ids):
         block = forecasts[m, r]
@@ -384,7 +382,7 @@ def load_runs(path: str | Path) -> tuple[dict[str, ForecastSet], np.ndarray]:
                 f"{runs_path}: cell {model},{r},{ids[i]},{steps[t]}: "
                 f"forecast {float(block[i, t])!r} is not a nonnegative whole number"
             )
-    axes, (actuals,) = tabular.read_csv(actuals_path, tabular.ACTUALS, _CSV_ERRORS)
+    axes, (actuals,) = tabular.read_csv(actuals_path, tabular.ACTUALS, errors)
     if (ids, steps) != axes:
         raise RaggedRuns(
             f"{runs_path}: the (item, h) grid does not match that of {actuals_path}"

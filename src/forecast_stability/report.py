@@ -132,21 +132,29 @@ def write_metrics_files(
     cv.csv is ``model,item_id,h,cv,mean,std`` (the per-grid schema keyed by
     model); rmse.csv is ``model,run_id,rmse``. Floats carry round-trip
     precision so reports rebuilt from these files match in-memory results
-    exactly. All models share one (item, h) grid and one run count, and
-    both mappings hold the same models; else :class:`ReportError` is raised
-    before any write.
+    exactly. All models share one (item, h) grid and one run count of at
+    least 1, and both mappings hold the same models; else
+    :class:`ReportError` is raised before any write.
     """
     if not grids or not accuracy:
         raise EmptyInput("no models to write")
     if set(grids) != set(accuracy):
         raise ReportError(f"cv models {sorted(grids)} != rmse models {sorted(accuracy)}")
     runs = {label: len(report.rmse_per_run) for label, report in accuracy.items()}
-    if len(set(runs.values())) != 1:
-        raise ReportError(f"every model needs the same run count, got {runs}")
+    if 0 in runs.values() or len(set(runs.values())) != 1:
+        raise ReportError(
+            f"{RMSE_FILE}: every model needs at least one run and the same run count, got {runs}"
+        )
     labels = list(grids)
-    ids = tuple(grids[labels[0]][1])
-    if any(tuple(grid_ids) != ids for _, grid_ids in grids.values()):
-        raise ReportError("every model's cv grid must cover the same items")
+    first, ids = grids[labels[0]][0], tuple(grids[labels[0]][1])
+    for label, (grid, grid_ids) in grids.items():
+        if grid.shape != first.shape:
+            raise ReportError(
+                f"{CV_FILE}: model {labels[0]!r} has a {first.shape} cv grid, "
+                f"but model {label!r} a {grid.shape} one"
+            )
+        if tuple(grid_ids) != ids:
+            raise ReportError("every model's cv grid must cover the same items")
     stats = [
         np.stack([getattr(grids[label][0], stat) for label in labels])
         for stat in tabular.CV.values
@@ -155,7 +163,7 @@ def write_metrics_files(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    steps = range(1, stats[0].shape[2] + 1)
+    steps = range(1, first.shape[1] + 1)
     tabular.write_csv(out_dir / CV_FILE, tabular.CV, (labels, ids, steps), stats)
     rmse_axes = (list(accuracy), range(rmse.shape[1]))
     tabular.write_csv(out_dir / RMSE_FILE, tabular.RMSE, rmse_axes, (rmse,))

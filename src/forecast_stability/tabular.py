@@ -136,9 +136,13 @@ RMSE = Schema((MODEL, RUN), ("rmse",))
 
 
 def write_csv(path: str | Path, schema: Schema, axes, columns) -> None:
-    """Write a dense grid to ``path``; see :func:`csv_text`."""
+    """Write a dense grid to ``path``; see :func:`csv_text`.
+
+    A grid that fails its checks raises before the file is opened.
+    """
+    chunks = _chunks(schema, axes, columns)
     with Path(path).open("wb") as fh:
-        _write(fh, schema, axes, columns)
+        fh.writelines(chunks)
 
 
 def csv_text(schema: Schema, axes, columns) -> str:
@@ -148,12 +152,11 @@ def csv_text(schema: Schema, axes, columns) -> str:
     order and are written sorted. Each array in ``columns`` is shaped by
     the axis lengths.
     """
-    out = io.BytesIO()
-    _write(out, schema, axes, columns)
-    return out.getvalue().decode("utf-8")
+    return b"".join(_chunks(schema, axes, columns)).decode("utf-8")
 
 
-def _write(out: BinaryIO, schema: Schema, axes, columns) -> None:
+def _chunks(schema: Schema, axes, columns) -> Iterator[bytes]:
+    """Check a grid, then return its file's bytes: the header, then a block of rows at a time."""
     if not schema.values:
         raise ValueError("a schema needs at least one value column")
     shape = tuple(len(axis) for axis in axes)
@@ -176,25 +179,30 @@ def _write(out: BinaryIO, schema: Schema, axes, columns) -> None:
     terminator = "\r\n" if any("\r" in label for label in labels) else "\n"
     header = io.StringIO()
     csv.writer(header, lineterminator=terminator).writerow(schema.header)
-    out.write(header.getvalue().encode("utf-8"))
     # A row is its key texts, each followed by a comma, then its value texts,
     # each followed by a comma or, last, the terminator; values need no quotes.
     tables = [_padded(_quoted(texts, terminator)) for texts in fields]
     ends = [b","] * (len(columns) - 1) + [terminator.encode()]
+    ends = [np.frombuffer(end, np.uint8) for end in ends]
     n_rows = math.prod(shape)
     step = min(BLOCK_ROWS, max(BLOCK_BYTES // (sum(t.shape[1] for t in tables) or 1), 1))
-    for first in range(0, n_rows, step):
-        index = np.unravel_index(np.arange(first, min(first + step, n_rows)), shape)
-        cell = tuple(map(np.take, orders, index))
-        parts = [np.take(table, i, axis=0) for table, i in zip(tables, index)]
-        for column, end in zip(columns, ends):
-            values = column[cell]
-            bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-            table = _formatted(bits.view(values.dtype), schema.fmt)
-            parts.append(np.take(table, inverse, axis=0))
-            parts.append(np.broadcast_to(np.frombuffer(end, np.uint8), (len(values), len(end))))
-        record = np.concatenate(parts, axis=1)
-        out.write(record[record != 0xFF].tobytes())
+
+    def blocks() -> Iterator[bytes]:
+        yield header.getvalue().encode("utf-8")
+        for first in range(0, n_rows, step):
+            index = np.unravel_index(np.arange(first, min(first + step, n_rows)), shape)
+            cell = tuple(map(np.take, orders, index))
+            parts = [np.take(table, i, axis=0) for table, i in zip(tables, index)]
+            for column, end in zip(columns, ends):
+                values = column[cell]
+                bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+                table = _formatted(bits.view(values.dtype), schema.fmt)
+                parts.append(np.take(table, inverse, axis=0))
+                parts.append(np.broadcast_to(end, (len(values), len(end))))
+            record = np.concatenate(parts, axis=1)
+            yield record[record != 0xFF].tobytes()
+
+    return blocks()
 
 
 _ONE, _TEN = np.uint64(1), np.uint64(10)

@@ -354,6 +354,39 @@ def test_metrics_writer_rejects_ragged_run_counts_before_any_write(tmp_path):
     assert not out.exists()
 
 
+def test_metrics_writer_rejects_a_model_with_no_runs_before_any_write(tmp_path):
+    # The reader refuses an rmse.csv with no data rows, so the writer must not make one.
+    out = tmp_path / "metrics"
+    grids = {"a": (THIRD_GRID, ("x",))}
+    with pytest.raises(ReportError, match=r"rmse\.csv: every model needs at least one run"):
+        write_metrics_files(grids, {"a": AccuracyReport(())}, out)
+    assert not out.exists()
+
+
+def test_metrics_writer_rejects_cv_grids_of_other_shapes_before_any_write(tmp_path):
+    out = tmp_path / "metrics"
+    wider = CvGrid(cv=np.zeros((1, 3)), mean=np.zeros((1, 3)), std=np.zeros((1, 3)))
+    grids = {"a": (THIRD_GRID, ("x",)), "b": (wider, ("x",))}
+    accuracy = {label: AccuracyReport((1.0, 2.0)) for label in grids}
+    with pytest.raises(
+        ReportError, match=r"cv\.csv: model 'a' has a \(1, 2\) cv grid, but model 'b' a \(1, 3\)"
+    ):
+        write_metrics_files(grids, accuracy, out)
+    assert not out.exists()
+
+
+def test_write_csv_checks_the_grid_before_it_opens_the_file(tmp_path):
+    axes, wrong = (["a"], range(2)), (np.zeros((1, 3)),)
+    with pytest.raises(ValueError, match=r"columns must have the axis lengths \(1, 2\)"):
+        tabular.write_csv(tmp_path / "new.csv", tabular.RMSE, axes, wrong)
+    assert not (tmp_path / "new.csv").exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"model,run_id,rmse\na,0,1\n")
+    with pytest.raises(ValueError, match="duplicate model labels"):
+        tabular.write_csv(kept, tabular.RMSE, (["a", "a"], range(1)), (np.zeros((2, 1)),))
+    assert kept.read_bytes() == b"model,run_id,rmse\na,0,1\n"
+
+
 def test_writer_rejects_a_schema_with_no_value_column(tmp_path):
     schema = tabular.Schema((tabular.MODEL,), ())
     with pytest.raises(ValueError, match="at least one value column"):

@@ -8,6 +8,10 @@ tier-1.
 
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,22 @@ def test_traced_pass_on_a_small_workload_has_no_failed_checks(perfbench, tmp_pat
     assert run.checks.failures == []
     assert run.checks.attempted >= 20
     assert record["metrics"]["seeding.permutation.calls"] > 0
+
+
+def test_setup_probe_loads_neither_the_csv_nor_the_report_module(perfbench, tmp_path):
+    # The benchmark's setup_s probe imports the package and parses a config;
+    # neither needs the CSV or report code, whose compiling it would time.
+    bench, workloads = perfbench
+    probe = bench.SETUP_CODE + "import sys\nprint(sorted(sys.modules))\n"
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    for workload in workloads.WORKLOADS.values():
+        work = tmp_path / workload.name
+        workload.write_inputs(11, work)
+        done = subprocess.run(
+            [sys.executable, "-c", probe], cwd=work, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
+        assert "forecast_stability.harness" in loaded
+        assert not loaded & {"forecast_stability.tabular", "forecast_stability.report"}
