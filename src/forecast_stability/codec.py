@@ -59,8 +59,7 @@ def items(value: object, where: str) -> list[tuple[str, object]]:
 def read(tp, value: object, where: str):
     """``value`` checked as a ``tp``: bool, int, float, str, tuple or dataclass."""
     if typing.get_origin(tp) is tuple:
-        args, pairs = typing.get_args(tp), items(value, where)
-        types = args[:1] * len(pairs) if args[1:] == (Ellipsis,) else args
+        types, pairs = typing.get_args(tp), items(value, where)
         if len(types) != len(pairs):
             raise fault(where, f"expected {len(types)} items, got {len(pairs)}")
         return tuple(read(t, v, path) for t, (path, v) in zip(types, pairs))

@@ -103,8 +103,7 @@ class SeasonalNaive:
         return {"season": values[:, -self.period :].copy()}
 
     def _predict(self, state: dict[str, np.ndarray], horizon: int) -> np.ndarray:
-        season = state["season"]
-        return np.stack([season[:, h % self.period] for h in range(horizon)], axis=1)
+        return state["season"][:, np.arange(horizon) % self.period]
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,7 @@ class _Learned:
         ]
 
     def _predict(self, state: dict[str, np.ndarray], horizon: int) -> np.ndarray:
-        window = state["window"].copy()
+        window = state["window"]
         steps = []
         # Huge finite weights overflow quietly; postprocess rejects the result.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -172,9 +172,9 @@ class ExperimentResult:
     """Each model's delivered forecasts plus the held-out actuals they are judged against.
 
     ``forecasts`` maps each roster label, in roster order, to a read-only
-    (run_count, M, H) grid of post-processed int64 forecasts, run r at
-    index r; ``actuals`` is a read-only, finite (M, H) float64 grid. Raises
-    :class:`RaggedRuns` when the grids do not fit the config.
+    (run_count, M, H) grid of post-processed int64 forecasts, run r at index
+    r, stacked here once; ``actuals`` is a read-only, finite (M, H) float64
+    grid. Raises :class:`RaggedRuns` when the grids do not fit the config.
     """
 
     forecasts: dict[str, np.ndarray]
@@ -229,12 +229,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     bit-identical to fitting each seed alone. Fits on train are memoized by
     (kind, seed), with no seed for a deterministic kind. An entry predicts
     each distinct model once and post-processes each distinct forecast
+    once. The panel is freed after the split; the result stacks each grid
     once. Raises on the first failure without emitting partial results; a
     fit or ensemble error names the label, and a :class:`Diverged` error
     also the run ids and seeds of the runs that blew up.
     """
-    panel = load_panel(cfg.dataset)
-    train, actuals = split(panel, cfg.split)
+    train, actuals = split(load_panel(cfg.dataset), cfg.split)
     horizon = cfg.split.horizon
     fits: dict[tuple, FittedForecaster] = {}
 
@@ -252,23 +252,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             # keys[r] is equal for runs with the same forecast; raw maps each
             # key to its raw forecast.
             if isinstance(entry.model, EnsembleRequest):
-                request = entry.model
+                components = entry.model.components
                 weights = fit_ensemble(
-                    request.components,
+                    components,
                     train,
                     horizon,
-                    request.n_windows,
+                    entry.model.n_windows,
                     seeds,
                     cfg.ensemble_iterations,
                 )
-                by_component = [
+                fitted = list(zip(*(
                     fit_on_train(kind, tuple(component_seed(seed, index) for seed in seeds))
-                    for index, kind in enumerate(request.components)
-                ]
-                fitted = list(zip(*by_component))
+                    for index, kind in enumerate(components)
+                )))
                 keys = [(tuple(row), models) for row, models in zip(weights, fitted)]
-                combined = predict_ensemble(request.components, weights, fitted, horizon)
-                raw = dict(zip(keys, combined))
+                raw = dict(zip(keys, predict_ensemble(components, weights, fitted, horizon)))
             else:
                 keys = fit_on_train(entry.model, seeds)
                 raw = {model: predict(model, horizon) for model in dict.fromkeys(keys)}
@@ -286,7 +284,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             raise Diverged(f"model {entry.label!r}, {runs}: {exc}", exc.runs) from exc
         except (ForecasterError, EnsembleError) as exc:
             raise type(exc)(f"model {entry.label!r}: {exc}") from exc
-        forecasts[entry.label] = np.stack([delivered[key] for key in keys])
+        forecasts[entry.label] = [delivered[key] for key in keys]
     return ExperimentResult(
         forecasts=forecasts,
         actuals=actuals,

@@ -83,13 +83,12 @@ class CvGrid:
         for name, arr in (("cv", cv), ("mean", mean), ("std", std)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
+            arr.flags.writeable = False
         if np.any(cv < 0):
             raise ValueError("cv must be nonnegative")
         zero_mean = mean == 0
         if np.any(std[zero_mean] != 0) or np.any(cv[zero_mean] != 0):
             raise ValueError("zero mean must imply zero std and zero cv")
-        for arr in (cv, mean, std):
-            arr.flags.writeable = False
         object.__setattr__(self, "cv", cv)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
@@ -199,16 +198,13 @@ def quantiles(
         raise EmptyInput("quantiles of an empty sample are undefined")
     if not np.isfinite(data).all():
         raise NonFiniteInput("quantiles need finite values")
-    out = []
     for p in probs:
         if not (0.0 <= p <= 1.0):
             raise ProbOutOfRange(f"quantile prob {p} outside [0, 1]")
-        pos = p * (data.size - 1)
-        lo = math.floor(pos)
-        hi = math.ceil(pos)
-        frac = pos - lo
-        out.append(float(data[lo] + (data[hi] - data[lo]) * frac))
-    return out
+    pos = np.array(probs, dtype=np.float64) * (data.size - 1)
+    floor = np.floor(pos)
+    low, high = data[floor.astype(np.intp)], data[np.ceil(pos).astype(np.intp)]
+    return (low + (high - low) * (pos - floor)).tolist()
 
 
 def histogram(

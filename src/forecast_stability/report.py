@@ -103,15 +103,11 @@ def emit_quantile_table(report: Mapping) -> str:
     return tabular.csv_text(schema, (list(models),), tuple(table.T))
 
 
-def _prob_column(p: float) -> str:
-    return f"q{100 * p:g}"
-
-
 def _columns(probs: Sequence[float]) -> dict[str, float]:
     """Each probability by its column name, ascending; at least one, and no two names equal."""
     named: dict[str, float] = {}
     for p in sorted(probs):
-        column = _prob_column(p)
+        column = f"q{100 * p:g}"
         if column in named:
             raise ReportError(
                 f"quantile probabilities {named[column]!r} and {p!r} share the column {column}"

@@ -119,15 +119,19 @@ def format_demand(value: float) -> str:
     return repr(value)
 
 
+def _day(text: str) -> int:
+    """Day number of a date written ``YYYY-MM-DD``, the one form every supported Python reads."""
+    day = dt.date.fromisoformat(text)
+    if day.isoformat() != text:  # From Python 3.11, also 20200102 or 2020-W01-5.
+        raise ValueError(text)
+    return day.toordinal()
+
+
 MODEL = Key("model")
 ITEM = Key("item_id")
 RUN = Key("run_id", parse=int, origin=0)
 STEP = Key("h", parse=int, origin=1)
-DATE = Key(
-    "date",
-    parse=lambda text: dt.date.fromisoformat(text).toordinal(),
-    show=lambda day: dt.date.fromordinal(day).isoformat(),
-)
+DATE = Key("date", parse=_day, show=lambda day: dt.date.fromordinal(day).isoformat())
 DATASET = Schema((ITEM, DATE), ("demand",), format_demand)
 RUNS = Schema((MODEL, RUN, ITEM, STEP), ("value",))
 ACTUALS = Schema((ITEM, STEP), ("value",), format_demand)
@@ -148,9 +152,9 @@ def write_csv(path: str | Path, schema: Schema, axes, columns) -> None:
 def csv_text(schema: Schema, axes, columns) -> str:
     """The CSV text of a dense grid.
 
-    ``axes`` gives each key's labels or integers; labels may come in any
-    order and are written sorted. Each array in ``columns`` is shaped by
-    the axis lengths.
+    ``axes`` gives each key's labels, in any order and written sorted, or
+    integers counting up by one from the key's origin. Each array in
+    ``columns`` is shaped by the axis lengths, none of them 0.
     """
     return b"".join(_chunks(schema, axes, columns)).decode("utf-8")
 
@@ -162,6 +166,9 @@ def _chunks(schema: Schema, axes, columns) -> Iterator[bytes]:
     shape = tuple(len(axis) for axis in axes)
     if any(column.shape != shape for column in columns):
         raise ValueError(f"columns must have the axis lengths {shape}")
+    # The reader refuses these: no data rows, or integers that skip or start off their origin.
+    if 0 in shape:
+        raise ValueError(f"no data rows: the axis lengths are {shape}")
     fields, labels, orders = [], [], []
     for key, axis in zip(schema.keys, axes):
         if key.parse is None:
@@ -171,6 +178,9 @@ def _chunks(schema: Schema, axes, columns) -> Iterator[bytes]:
             fields.append([axis[i] for i in order])
             labels.extend(axis)
         else:
+            origin = axis[0] if key.origin is None else key.origin
+            if list(axis) != list(range(origin, origin + len(axis))):
+                raise ValueError(f"{key.name} values must count up by one from {origin}")
             order = range(len(axis))
             fields.append([key.show(v) for v in axis])
         orders.append(np.array(order, dtype=np.intp))

@@ -331,7 +331,31 @@ def test_writers_reject_grids_they_could_not_read_back(tmp_path):
     accuracy = {label: AccuracyReport((1.0,)) for label in grids}
     with pytest.raises(ReportError):
         write_metrics_files(grids, accuracy, tmp_path)
+    # The reader refuses a file with no data rows.
+    no_series = TimeSeriesDataset((), dt.date(2020, 1, 1), np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="no data rows"):
+        write_long_csv(no_series, tmp_path / "data.csv")
+    # It lays run ids out from 0, steps from 1 and dates from the first, up by one.
+    grid = np.zeros((1, 2))
+    for run_ids, steps in [(range(1, 3), [1]), ([0, 5], [1]), (range(2), [2])]:
+        axes, column = (["a"], run_ids, ["x"], steps), grid.reshape(1, 2, 1, 1)
+        with pytest.raises(ValueError, match="must count up by one"):
+            tabular.write_csv(tmp_path / "runs.csv", tabular.RUNS, axes, (column,))
+    for days in ([738000, 738002], [738001, 738000]):
+        with pytest.raises(ValueError, match=r"date values must count up by one from 73800"):
+            tabular.write_csv(tmp_path / "data.csv", tabular.DATASET, (["x"], days), (grid,))
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("item", ["A", '"A"'], ids=["by-blocks", "by-rows"])
+@pytest.mark.parametrize("day", ["20200102", "2020-W01-5", "2020-1-02"])
+def test_dataset_reader_takes_only_the_dates_it_writes(tmp_path, item, day):
+    # From Python 3.11 on, date.fromisoformat also reads the first two, so a
+    # file would load on one supported Python and not on another.
+    path = tmp_path / "data.csv"
+    path.write_text(f"item_id,date,demand\n{item},2020-01-01,1\n{item},{day},2\n")
+    with pytest.raises(DatasetError, match=rf"data\.csv:3: bad date '{day}'"):
+        load_long_csv(path)
 
 
 # The block writer against a row-by-row csv.writer.
@@ -434,7 +458,7 @@ def grids(draw):
             first = key.origin
             if first is None:
                 first = draw(st.dates(max_value=dt.date(9000, 1, 1))).toordinal()
-            axes.append(range(first, first + draw(st.integers(0, 3))))
+            axes.append(range(first, first + draw(st.integers(1, 3))))
     shape = tuple(len(axis) for axis in axes)
     if schema is tabular.RUNS and draw(st.booleans()):
         column = hnp.arrays(np.int64, shape, elements=st.integers(0, 2**63 - 1))

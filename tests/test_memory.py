@@ -1,4 +1,4 @@
-"""Peak memory of the CSV codec, panel generator and SGD fit, traced by tracemalloc.
+"""Peak memory of the CSV codec, panel generator, SGD fit and experiment run, traced by tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
 every grid, index and temporary that a call holds at once. Each bound sits
@@ -12,7 +12,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from forecast_stability import LinearAR, SynthConfig, TinyMLP, fit, synth_generate, tabular
+from forecast_stability import (
+    EnsembleRequest,
+    ExperimentConfig,
+    GlobalMean,
+    LinearAR,
+    ModelEntry,
+    SeasonalNaive,
+    SplitSpec,
+    SynthConfig,
+    TinyMLP,
+    fit,
+    run_experiment,
+    synth_generate,
+    tabular,
+)
 
 ERRORS = tabular.Errors(*(ValueError,) * 5)
 
@@ -133,3 +147,25 @@ def test_seeded_fit_holds_less_than_half_a_window_matrix(cls):
     panel = synth_generate(SynthConfig(n_series=50, length=400, seed=3))
     rows = panel.n_series * (panel.length - kind.lags)
     assert traced_peak(fit, kind, panel, (1, 2, 3)) < rows * (kind.lags + 1) * 8 / 2
+
+
+def test_run_experiment_holds_the_panel_and_each_grid_once():
+    # The peak is inside fit_ensemble: train and the two validation windows
+    # come to nearly three panels, and scoring them to 3.7. Keeping the
+    # loaded panel beside them, and R stacked copies of each deterministic
+    # entry's one forecast, held 5.4.
+    components = (SeasonalNaive(period=7), GlobalMean())
+    cfg = ExperimentConfig(
+        dataset=SynthConfig(
+            n_series=200, length=400, season_amplitude=15.0, noise_std=5.0, intermittency=0.3
+        ),
+        split=SplitSpec(train_length=386, horizon=14),
+        models=(
+            ModelEntry("seasonal_naive", components[0]),
+            ModelEntry("global_mean", components[1]),
+            ModelEntry("ensemble", EnsembleRequest(components, n_windows=2)),
+        ),
+        run_count=10,
+    )
+    panel_bytes = cfg.dataset.n_series * cfg.dataset.length * 8
+    assert traced_peak(run_experiment, cfg) < 4.5 * panel_bytes
