@@ -46,12 +46,12 @@ result = run_experiment(cfg)
 runs = len(result.forecasts) * cfg.run_count
 print(f"executed {runs} seeded runs on a fixed 40x186 training panel\n")
 
-for label, tensor in result.forecasts.items():
+for entry, tensor in zip(cfg.models, result.forecasts):
     grid = cv_grid(tensor)
     q25, q50, q75, q90 = quantiles(grid.cv.reshape(-1))
     cells = grid.cv.size
     nonzero = int((grid.cv > 0).sum())
-    print(f"{label}")
+    print(entry.label)
     print(f"  CV quantiles: q25={q25:.3f} q50={q50:.3f} q75={q75:.3f} q90={q90:.3f}")
     print(f"  cells with any seed-variance: {nonzero}/{cells}")
     # one concrete cell: the same (series, step) across the 10 runs

@@ -66,7 +66,7 @@ cfg = ExperimentConfig(
 result = run_experiment(cfg)
 
 print("\nmedian CV over 10 seeded refits (lower = more stable):")
-for label in ("linear_ar", "tiny_mlp", "ensemble"):
-    grid = cv_grid(result.forecasts[label])
+for entry, runs in zip(cfg.models, result.forecasts):
+    grid = cv_grid(runs)
     q50 = quantiles(grid.cv.reshape(-1), [0.5])[0]
-    print(f"  {label:<10} {q50:.4f}")
+    print(f"  {entry.label:<10} {q50:.4f}")

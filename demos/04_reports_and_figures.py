@@ -56,9 +56,9 @@ cfg = ExperimentConfig(
 result = run_experiment(cfg)
 
 grids, accuracy = {}, {}
-for label, forecasts in result.forecasts.items():
-    grids[label] = cv_grid(forecasts)
-    accuracy[label] = accuracy_report(forecasts, result.actuals)
+for entry, forecasts in zip(cfg.models, result.forecasts):
+    grids[entry.label] = cv_grid(forecasts)
+    accuracy[entry.label] = accuracy_report(forecasts, result.actuals)
 
 report = build_report_bundle(grids, accuracy, bins=40, clip_upper=0.5)
 print("CV quantile table (the report's headline summary):\n")

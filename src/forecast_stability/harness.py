@@ -8,8 +8,8 @@ run_id)``, so each model's seed stream is independent of roster order and
 the whole experiment is a pure function of its config. The R runs of an
 entry are fit in one batched call per model. Forecasts are post-processed
 (clipped, rounded) before they are recorded: stability and accuracy both
-describe the numbers a planner would actually receive. A result holds one
-(R, M, H) grid of them per model, the shape ``load_runs`` returns.
+describe the numbers a planner would actually receive. A result holds them
+as one (models, R, M, H) grid in roster order, the grid ``runs.csv`` stores.
 
 Persistence is plain CSV plus a JSON manifest; see ``persist_runs``.
 """
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import codec
 from .dataset import (
+    MAX_PANEL_CELLS,
     SplitSpec,
     SynthConfig,
     TimeSeriesDataset,
@@ -171,38 +172,36 @@ class ForecastSet:
 class ExperimentResult:
     """Each model's delivered forecasts plus the held-out actuals they are judged against.
 
-    ``forecasts`` maps each roster label, in roster order, to a read-only
-    (run_count, M, H) grid of post-processed int64 forecasts, run r at index
-    r, stacked here once; ``actuals`` is a read-only, finite (M, H) float64
-    grid. Raises :class:`RaggedRuns` when the grids do not fit the config.
+    ``forecasts`` is one read-only (models, run_count, M, H) int64 grid in
+    roster order, stacked here once; ``actuals`` is a read-only, finite
+    (M, H) float64 grid. Raises :class:`RaggedRuns` when either does not fit.
     """
 
-    forecasts: dict[str, np.ndarray]
+    forecasts: np.ndarray
     actuals: np.ndarray
     series_ids: tuple[str, ...]
     config: ExperimentConfig
 
     def __post_init__(self):
-        labels = [entry.label for entry in self.config.models]
-        if list(self.forecasts) != labels:
-            raise RaggedRuns(f"forecasts are for models {list(self.forecasts)}, not {labels}")
-        shape = (self.config.run_count, len(self.series_ids), self.config.split.horizon)
+        cfg = self.config
+        shape = (len(cfg.models), cfg.run_count, len(self.series_ids), cfg.split.horizon)
         actuals = np.array(self.actuals, dtype=np.float64)
-        if actuals.shape != shape[1:]:
-            raise RaggedRuns(f"actuals must be a {shape[1:]} grid, not a {actuals.shape} grid")
+        if actuals.shape != shape[2:]:
+            raise RaggedRuns(f"actuals must be a {shape[2:]} grid, not a {actuals.shape} grid")
         if not np.isfinite(actuals).all():
             raise RaggedRuns("actuals must be finite")
         actuals.flags.writeable = False
         object.__setattr__(self, "actuals", actuals)
-        grids = {label: np.array(grid) for label, grid in self.forecasts.items()}
-        for label, grid in grids.items():
-            if grid.shape != shape or grid.dtype != np.int64 or np.any(grid < 0):
-                raise RaggedRuns(
-                    f"model {label!r}: forecasts must be a {shape} grid of nonnegative "
-                    f"int64, not a {grid.shape} grid of {grid.dtype}"
-                )
-            grid.flags.writeable = False
-        object.__setattr__(self, "forecasts", grids)
+        try:
+            grid = np.array(self.forecasts)
+        except ValueError as exc:
+            raise RaggedRuns(f"forecasts do not stack into one grid: {exc}") from None
+        if grid.shape != shape or grid.dtype != np.int64:
+            raise RaggedRuns(f"forecasts must be {shape} int64, not {grid.shape} {grid.dtype}")
+        if (negative := np.flatnonzero((grid < 0).any(axis=(1, 2, 3)))).size:
+            raise RaggedRuns(f"model {cfg.models[negative[0]].label!r}: negative forecasts")
+        grid.flags.writeable = False
+        object.__setattr__(self, "forecasts", grid)
 
 
 def run_seed(master_seed: int, label: str, run_id: int) -> int:
@@ -229,13 +228,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     bit-identical to fitting each seed alone. Fits on train are memoized by
     (kind, seed), with no seed for a deterministic kind. An entry predicts
     each distinct model once and post-processes each distinct forecast
-    once. The panel is freed after the split; the result stacks each grid
-    once. Raises on the first failure without emitting partial results; a
-    fit or ensemble error names the label, and a :class:`Diverged` error
-    also the run ids and seeds of the runs that blew up.
+    once. The panel is freed after the split; the result stacks the
+    forecast grid once. Raises ValueError, before any fit, when that grid
+    would hold more than ``MAX_PANEL_CELLS`` cells. Raises on the first
+    failure without emitting partial results; a fit or ensemble error names
+    the label, and a :class:`Diverged` error also the run ids and seeds of
+    the runs that blew up.
     """
     train, actuals = split(load_panel(cfg.dataset), cfg.split)
     horizon = cfg.split.horizon
+    cells = len(cfg.models) * cfg.run_count * train.n_series * horizon
+    if cells > MAX_PANEL_CELLS:
+        raise ValueError(
+            f"run_count {cfg.run_count} x {len(cfg.models)} models x {train.n_series} series "
+            f"x {horizon} steps is {cells} forecast cells, more than {MAX_PANEL_CELLS}"
+        )
     fits: dict[tuple, FittedForecaster] = {}
 
     def fit_on_train(kind: ForecasterKind, seeds: tuple[int, ...]) -> tuple:
@@ -245,7 +252,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             fits.update(zip(keys, fit(kind, train, seeds)))
         return tuple(fits[key] for key in keys)
 
-    forecasts = {}
+    forecasts = []
     for entry in cfg.models:
         seeds = _run_seeds(cfg, entry.label)
         try:
@@ -284,7 +291,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             raise Diverged(f"model {entry.label!r}, {runs}: {exc}", exc.runs) from exc
         except (ForecasterError, EnsembleError) as exc:
             raise type(exc)(f"model {entry.label!r}: {exc}") from exc
-        forecasts[entry.label] = [delivered[key] for key in keys]
+        forecasts.append([delivered[key] for key in keys])
     return ExperimentResult(
         forecasts=forecasts,
         actuals=actuals,
@@ -301,8 +308,10 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
     with round-trip precision (actual demand may be fractional). The
     manifest echoes the config and the seed of every run, derived from it,
     and the provenance of the run: the package, numpy and Python versions,
-    the system and machine, and the sha256 of the config's canonical JSON
-    text. ``created_at`` is its only field that a rerun does not reproduce.
+    numpy's BLAS (name, version, configuration) and the SIMD extensions it
+    found, both null where numpy cannot report them, the system and
+    machine, and the sha256 of the config's canonical JSON text.
+    ``created_at`` is its only field that a rerun does not reproduce.
     """
     # Here, not at the top: parsing a config need not pay for platform or
     # the CSV module.
@@ -319,15 +328,31 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
         except ImportError:
             continue
 
+    # numpy 1.24, which pyproject allows, has no mode="dicts".
+    try:
+        build = np.show_config(mode="dicts")
+        blas = build["Build Dependencies"]["blas"]
+        blas = {
+            "name": blas["name"],
+            "version": blas["version"],
+            "configuration": blas["openblas configuration"],
+        }
+        simd = build["SIMD Extensions"]["found"]
+    except (TypeError, KeyError):
+        blas = simd = None
+
     cfg = result.config
+    labels = [entry.label for entry in cfg.models]
     steps = range(1, result.actuals.shape[1] + 1)
     config = config_to_json(cfg)
     manifest = {
         "config": config,
-        "seeds": {label: list(_run_seeds(cfg, label)) for label in result.forecasts},
+        "seeds": {label: list(_run_seeds(cfg, label)) for label in labels},
         "provenance": {
             "package": __version__,
             "numpy": np.__version__,
+            "blas": blas,
+            "simd": simd,
             "python": platform.python_version(),
             "system": platform.system(),
             "machine": platform.machine(),
@@ -341,8 +366,8 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
     tabular.write_csv(
         out_dir / RUNS_FILE,
         tabular.RUNS,
-        (list(result.forecasts), range(cfg.run_count), result.series_ids, steps),
-        (np.stack(list(result.forecasts.values())),),
+        (labels, range(cfg.run_count), result.series_ids, steps),
+        (result.forecasts,),
     )
     tabular.write_csv(
         out_dir / ACTUALS_FILE,

@@ -58,7 +58,8 @@ def criterion(number: int, description: str):
 
 def _grids_by_label(result):
     return {
-        label: fs.cv_grid(runs) for label, runs in result.forecasts.items()
+        entry.label: fs.cv_grid(runs)
+        for entry, runs in zip(result.config.models, result.forecasts)
     }
 
 

@@ -120,8 +120,7 @@ def experiment_results(draw):
         models=tuple(ModelEntry(label, model=GlobalMean()) for label in labels),
         run_count=runs,
     )
-    grids = dict(zip(labels, forecasts))
-    return ExperimentResult(grids, actuals, tuple(ids), config), forecasts
+    return ExperimentResult(forecasts, actuals, tuple(ids), config), forecasts
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,7 +323,7 @@ def test_writers_reject_grids_they_could_not_read_back(tmp_path):
         models=(ModelEntry(label="m", model=GlobalMean()),),
         run_count=2,
     )
-    one_run = {"m": np.zeros((1, 1, 1), np.int64)}
+    one_run = np.zeros((1, 1, 1, 1), np.int64)
     with pytest.raises(RaggedRuns):
         persist_runs(ExperimentResult(one_run, np.zeros((1, 1)), ("x",), config), tmp_path)
     grids = {"a": (THIRD_GRID, ("x",)), "b": (THIRD_GRID, ("y",))}

@@ -6,6 +6,7 @@ import json
 import math
 import platform
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_run_seed_is_label_hash_xor_run():
 def test_deterministic_model_runs_are_identical():
     cfg = small_config([ModelEntry(label="sn", model=SeasonalNaive(period=7))])
     result = run_experiment(cfg)
-    runs = result.forecasts["sn"]
+    runs = result.forecasts[0]
     assert len(runs) == 3
     assert np.array_equal(runs[0], runs[1])
     assert np.array_equal(runs[0], runs[2])
@@ -104,10 +105,8 @@ def test_experiment_is_pure_function_of_config():
     )
     first = run_experiment(cfg)
     second = run_experiment(cfg)
-    assert list(first.forecasts) == list(second.forecasts) == ["sn", "lar"]
-    for label, grid in first.forecasts.items():
-        assert grid.shape == (3, 3, 7)
-        assert np.array_equal(grid, second.forecasts[label])
+    assert first.forecasts.shape == (2, 3, 3, 7)
+    assert np.array_equal(first.forecasts, second.forecasts)
     assert np.array_equal(first.actuals, second.actuals)
 
 
@@ -135,7 +134,7 @@ def test_stochastic_model_shows_variance_across_runs():
         master_seed=1,
     )
     result = run_experiment(cfg)
-    grid = cv_grid(result.forecasts["lar"])
+    grid = cv_grid(result.forecasts[0])
     assert np.any(grid.cv > 0)
 
 
@@ -261,12 +260,11 @@ def test_run_experiment_predicts_once_per_distinct_state(monkeypatch):
     # every run's forecast is that of its own fitted model
     panel = synth_generate(SYNTH)
     train = harness.split(panel, cfg.split)[0]
-    got = result.forecasts
-    for label, kind in (("sn", SeasonalNaive(period=7)), ("lar", lar)):
+    for m, (label, kind) in enumerate((("sn", SeasonalNaive(period=7)), ("lar", lar))):
         seeds = tuple(run_seed(5, label, r) for r in range(3))
         for run, model in enumerate(harness.fit(kind, train, seeds)):
             expected = real_postprocess(real_predict(model, 7))
-            assert np.array_equal(got[label][run], expected)
+            assert np.array_equal(result.forecasts[m, run], expected)
 
 
 def test_seed_collisions_are_rejected(monkeypatch, tmp_path, capsys):
@@ -337,9 +335,7 @@ def test_seed_isolation_under_model_reordering():
     )
     forward = run_experiment(small_config([entry_a, entry_b])).forecasts
     reverse = run_experiment(small_config([entry_b, entry_a])).forecasts
-    assert list(forward) == ["sn", "lar"] and list(reverse) == ["lar", "sn"]
-    for label in ("sn", "lar"):
-        assert np.array_equal(forward[label], reverse[label])
+    assert np.array_equal(forward, reverse[::-1])
 
 
 def test_ensemble_entry_runs_end_to_end():
@@ -360,8 +356,8 @@ def test_ensemble_entry_runs_end_to_end():
         run_count=2,
     )
     result = run_experiment(cfg)
-    assert result.forecasts["ens"].shape == (2, 3, 7)
-    assert np.all(result.forecasts["ens"] >= 0)
+    assert result.forecasts.shape == (1, 2, 3, 7)
+    assert np.all(result.forecasts >= 0)
 
 
 def test_csv_dataset_source(tmp_path):
@@ -376,7 +372,38 @@ def test_csv_dataset_source(tmp_path):
         master_seed=0,
     )
     result = run_experiment(cfg)
-    assert result.forecasts["gm"].shape == (2, 3, 7)
+    assert result.forecasts.shape == (1, 2, 3, 7)
+
+
+def test_forecast_grid_is_bounded_before_any_fit(monkeypatch, tmp_path, capsys):
+    # 5 models x 10 000 runs x 100 series x 2500 steps of int64 is 100 GB of
+    # forecasts from a 2 MB panel; a fit would mean the bound came too late.
+    monkeypatch.setattr(harness, "fit", lambda *args: pytest.fail("a fit ran"))
+    panel = SynthConfig(n_series=100, length=2600, seed=3)
+    cfg = ExperimentConfig(
+        dataset=panel,
+        split=SplitSpec(train_length=100, horizon=2500),
+        models=tuple(ModelEntry(f"m{i}", GlobalMean()) for i in range(5)),
+        run_count=10_000,
+    )
+    cells = 5 * 10_000 * 100 * 2500
+    assert cells * 8 == 10**11
+    message = (
+        f"run_count 10000 x 5 models x 100 series x 2500 steps is {cells} forecast cells, "
+        f"more than {MAX_PANEL_CELLS}"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * panel.n_series * panel.length * 8
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(config_to_json(cfg)))
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    assert message in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- persistence
@@ -396,10 +423,11 @@ def test_persist_and_load_round_trip(tmp_path):
     sets, actuals = load_runs(tmp_path)
     assert set(sets) == {"sn", "lar"}
     assert np.array_equal(actuals, result.actuals)
-    for label, fs in sets.items():
-        assert len(fs.values) == 3
+    for fs in sets.values():
         assert fs.series_ids == result.series_ids  # synth ids are already sorted
-        assert np.array_equal(fs.values, result.forecasts[label].astype(float))
+    # The sets, stacked in roster order, are the result's one grid.
+    stacked = np.stack([sets[entry.label].values for entry in cfg.models])
+    assert np.array_equal(stacked, result.forecasts.astype(float))
 
 
 def test_runs_csv_row_count(tmp_path):
@@ -441,7 +469,7 @@ def test_persist_empty_experiment_rejected(tmp_path):
     cfg = small_config([ModelEntry(label="sn", model=SeasonalNaive(period=7))])
     result = run_experiment(cfg)
     with pytest.raises(RaggedRuns):
-        ExperimentResult({}, result.actuals, result.series_ids, cfg)
+        ExperimentResult([], result.actuals, result.series_ids, cfg)
     # nor does a runs.csv with no rows read back
     persist_runs(result, tmp_path)
     (tmp_path / "runs.csv").write_text("model,run_id,item_id,h,value\n")
@@ -450,32 +478,35 @@ def test_persist_empty_experiment_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change, message",
     [
-        lambda grids: {"b": grids["b"], "a": grids["a"]},
-        lambda grids: {"a": grids["a"]},
-        lambda grids: {**grids, "c": grids["a"]},
-        lambda grids: {**grids, "a": grids["a"][:2]},
-        lambda grids: {**grids, "a": grids["a"][:, :1]},
-        lambda grids: {**grids, "a": grids["a"].astype(float)},
-        lambda grids: {**grids, "a": grids["a"] - 1},
+        (lambda grid: grid[:1], r"not \(1, 3, 2, 7\) int64"),
+        (lambda grid: np.concatenate([grid, grid[:1]]), r"not \(3, 3, 2, 7\) int64"),
+        (lambda grid: grid[:, :2], r"not \(2, 2, 2, 7\) int64"),
+        (lambda grid: grid[:, :, :1], r"not \(2, 3, 1, 7\) int64"),
+        (lambda grid: grid.astype(float), "float64$"),
+        (lambda grid: np.stack([grid[0], grid[1] - 1]), "^model 'b': negative forecasts$"),
+        # Lists of runs, as run_experiment passes them: model b has a run
+        # fewer, or run 1 of model a a step fewer.
+        (lambda grid: [list(grid[0]), list(grid[1, :2])], "do not stack into one grid"),
+        (lambda grid: [[grid[0, 0], grid[0, 1, :, :6], grid[0, 2]], list(grid[1])], "do not stack"),
     ],
-    ids=["label-order", "missing-label", "extra-label", "run-count", "series", "float",
-         "negative"],
+    ids=["missing-model", "extra-model", "run-count", "series", "float", "negative",
+         "ragged-runs", "ragged-steps"],
 )
-def test_result_grids_must_match_the_config(change):
+def test_result_grids_must_match_the_config(change, message):
     cfg = small_config([ModelEntry(label, model=GlobalMean()) for label in "ab"])
-    grids = {label: np.zeros((3, 2, 7), np.int64) for label in "ab"}
+    grid = np.zeros((2, 3, 2, 7), np.int64)
     actuals = np.zeros((2, 7))
-    result = ExperimentResult(grids, actuals, ("x", "y"), cfg)
-    assert not result.forecasts["a"].flags.writeable
-    grids["a"][0, 0, 0] = 1  # the result holds a copy
-    assert result.forecasts["a"][0, 0, 0] == 0
+    result = ExperimentResult(grid, actuals, ("x", "y"), cfg)
+    assert not result.forecasts.flags.writeable
+    grid[0, 0, 0, 0] = 1  # the result holds a copy
+    assert result.forecasts[0, 0, 0, 0] == 0
     assert not result.actuals.flags.writeable
     actuals[0, 0] = 1
     assert result.actuals[0, 0] == 0
-    with pytest.raises(RaggedRuns):
-        ExperimentResult(change(grids), actuals, ("x", "y"), cfg)
+    with pytest.raises(RaggedRuns, match=message):
+        ExperimentResult(change(grid), actuals, ("x", "y"), cfg)
 
 
 @pytest.mark.parametrize(
@@ -485,9 +516,9 @@ def test_result_grids_must_match_the_config(change):
 )
 def test_result_actuals_must_be_a_finite_series_by_horizon_grid(tmp_path, actuals):
     cfg = small_config([ModelEntry("a", GlobalMean())])
-    grids = {"a": np.zeros((3, 2, 7), np.int64)}
+    grid = np.zeros((1, 3, 2, 7), np.int64)
     with pytest.raises(RaggedRuns, match="actuals"):
-        persist_runs(ExperimentResult(grids, actuals, ("x", "y"), cfg), tmp_path)
+        persist_runs(ExperimentResult(grid, actuals, ("x", "y"), cfg), tmp_path)
     assert not any(tmp_path.iterdir())
 
 
@@ -525,14 +556,33 @@ def test_manifest_contents(tmp_path):
     assert manifest["config"]["run_count"] == 3
     assert config_from_json(manifest["config"]) == cfg
     canonical = json.dumps(config_to_json(cfg), sort_keys=True).encode("utf-8")
+    build = np.show_config(mode="dicts")
+    blas = build["Build Dependencies"]["blas"]
     assert manifest["provenance"] == {
         "package": forecast_stability.__version__,
         "numpy": np.__version__,
+        "blas": {
+            "name": blas["name"],
+            "version": blas["version"],
+            "configuration": blas["openblas configuration"],
+        },
+        "simd": build["SIMD Extensions"]["found"],
         "python": platform.python_version(),
         "system": platform.system(),
         "machine": platform.machine(),
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
     }
+
+
+def test_manifest_blas_is_null_where_numpy_cannot_report_it(monkeypatch, tmp_path):
+    def show_config():  # numpy 1.24 takes no mode
+        pass
+
+    result = run_experiment(small_config([ModelEntry(label="gm", model=GlobalMean())]))
+    monkeypatch.setattr(np, "show_config", show_config)
+    persist_runs(result, tmp_path)
+    provenance = json.loads((tmp_path / "manifest.json").read_text())["provenance"]
+    assert provenance["blas"] is None and provenance["simd"] is None
 
 
 # ------------------------------------------------------------------ config

@@ -1,4 +1,4 @@
-"""Peak memory of the CSV codec, panel generator, SGD fit and experiment run, traced by tracemalloc.
+"""Peak memory of the CSV codec, panel generator, SGD fit, run and persist, traced by tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
 every grid, index and temporary that a call holds at once. Each bound sits
@@ -23,6 +23,7 @@ from forecast_stability import (
     SynthConfig,
     TinyMLP,
     fit,
+    persist_runs,
     run_experiment,
     synth_generate,
     tabular,
@@ -169,3 +170,22 @@ def test_run_experiment_holds_the_panel_and_each_grid_once():
     )
     panel_bytes = cfg.dataset.n_series * cfg.dataset.length * 8
     assert traced_peak(run_experiment, cfg) < 4.5 * panel_bytes
+
+
+def test_persist_runs_holds_less_than_a_forecast_grid(tmp_path, monkeypatch):
+    # The result's grid is what runs.csv writes, a block at a time; stacking
+    # per-model grids into it again held a whole second copy.
+    monkeypatch.setattr(tabular, "BLOCK_ROWS", 256)
+    cfg = ExperimentConfig(
+        dataset=SynthConfig(n_series=100, length=40),
+        split=SplitSpec(train_length=12, horizon=28),
+        models=(
+            ModelEntry("seasonal_naive", SeasonalNaive(period=7)),
+            ModelEntry("global_mean", GlobalMean()),
+        ),
+        run_count=10,
+    )
+    result = run_experiment(cfg)
+    persist_runs(result, tmp_path / "first")  # imports what persist_runs loads on first use
+    grid_bytes = len(cfg.models) * cfg.run_count * cfg.dataset.n_series * cfg.split.horizon * 8
+    assert traced_peak(persist_runs, result, tmp_path / "second") < grid_bytes
