@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
 stderr. ``metrics`` and ``report`` read and write only the directory named
 by ``--runs``. ``run`` refuses, before any fit, an ``--out`` that cannot be
-a directory or already holds a file a stage writes, and ``report`` checks
-the metrics files' models and run count against the run's manifest, so a
-directory never mixes two experiments. ``report`` composes every output it
+a directory or already holds a file a stage writes, and creates nothing
+before its fits succeed. ``report`` checks the metrics files' models and
+run count against the run's manifest, so a directory never mixes two
+experiments. ``report`` composes every output it
 was asked for before it writes any, in one loop, so a failing ``report``
 writes no file.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -157,10 +159,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     held += sorted(out.glob("cv_hist_*.svg"))
     if held:
         raise FileExistsError(f"{held[0]}: --out already holds the output of a run")
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"{out}: --out cannot be a directory: {exc.strerror}") from None
+    # persist_runs makes --out once the run succeeds; until then, check
+    # without creating anything that it can.
+    existing = next((path for path in (out, *out.parents) if path.exists()), out)
+    if not existing.is_dir():
+        raise OSError(f"{out}: --out cannot be a directory: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise OSError(f"{out}: --out cannot be a directory: {existing} is not writable")
     result = run_experiment(cfg)
     persist_runs(result, args.out)
     print(

@@ -37,7 +37,6 @@ DEFAULT_WINDOWS = 2
 DEFAULT_ITERATIONS = 100
 
 _WEIGHT_TOL = 1e-12
-_DOMINANCE_TOL = 1e-9
 
 
 class EnsembleError(ForecastStabilityError):
@@ -67,8 +66,6 @@ def make_validation_windows(
     inner train is everything before its block. Requires history for all
     blocks plus a non-empty inner train.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     if n < 1:
         raise ValueError("window count must be >= 1")
     needed = (n + 1) * horizon
@@ -98,9 +95,10 @@ def fit_ensemble(
     the one of fitting that seed alone. Selection scores a
     candidate multiset by post-processing the average of its raw forecasts
     and taking RMSE against the held-out blocks, pooled over all windows.
-    Greedy rounds stop as soon as no addition strictly improves the score,
-    so at most ``iterations`` rounds run and the result never scores worse
-    than the best single component.
+    The first round picks the best single component; at most
+    ``iterations`` more rounds follow, and they stop as soon as no addition
+    strictly improves the score, so the result never scores worse than the
+    best single component.
     """
     components = tuple(components)
     seeds = tuple(seeds)
@@ -113,22 +111,22 @@ def fit_ensemble(
     windows = make_validation_windows(train, horizon, n_windows)
     actual = np.stack([held_out for _, held_out in windows])
 
-    # forecasts[r][j]: component j's raw forecasts of run r, stacked over
+    # per_component[j][r]: component j's raw forecasts of run r, stacked over
     # windows. Runs that share fitted models (deterministic kinds) share one.
-    forecasts: list[list[np.ndarray]] = [[] for _ in seeds]
+    per_component = []
     for index, kind in enumerate(components):
         component_seeds = tuple(component_seed(seed, index) for seed in seeds)
-        fitted = [fit(kind, inner, component_seeds) for inner, _ in windows]
-        stacked: dict[tuple[FittedForecaster, ...], np.ndarray] = {}
-        for run, models in enumerate(zip(*fitted)):
-            if models not in stacked:
-                stacked[models] = np.stack([predict(model, horizon) for model in models])
-            forecasts[run].append(stacked[models])
+        runs = list(zip(*(fit(kind, inner, component_seeds) for inner, _ in windows)))
+        stacked = {
+            models: np.stack([predict(model, horizon) for model in models])
+            for models in dict.fromkeys(runs)
+        }
+        per_component.append([stacked[models] for models in runs])
 
     counts = np.empty((len(seeds), len(components)), dtype=np.int64)
-    for run, run_forecasts in enumerate(forecasts):
+    for run, forecasts in enumerate(zip(*per_component)):
         try:
-            counts[run] = _select(run_forecasts, actual, iterations)
+            counts[run] = _select(forecasts, actual, iterations)
         except MetricsError as exc:
             raise Diverged(f"validation forecasts cannot be scored: {exc}", (run,)) from exc
     weights = counts / counts.sum(axis=1, keepdims=True)
@@ -136,36 +134,31 @@ def fit_ensemble(
     return weights
 
 
-def _select(forecasts: list[np.ndarray], actual: np.ndarray, iterations: int) -> list[int]:
-    """Greedy forward selection with replacement; returns selection counts."""
+def _select(forecasts: Sequence[np.ndarray], actual: np.ndarray, iterations: int) -> list[int]:
+    """Greedy forward selection with replacement; returns selection counts.
 
-    def score(forecast_sum: np.ndarray, count: int) -> float:
-        return rmse(postprocess(forecast_sum / count), actual)
-
-    single_scores = [score(fc, 1) for fc in forecasts]
-    best_single = int(np.argmin(single_scores))
+    Each round scores the running sum plus each component, averaged, and
+    adds the best. The first round, from an empty sum, picks the best single
+    component; at most ``iterations`` more rounds follow, stopping at the
+    first that does not strictly lower the score.
+    """
     counts = [0] * len(forecasts)
-    counts[best_single] = 1
-    total = 1
-    running_sum = forecasts[best_single].copy()
-    current = single_scores[best_single]
-
-    for _ in range(iterations):
-        candidate_scores = [
-            score(running_sum + fc, total + 1) for fc in forecasts
-        ]
-        best = int(np.argmin(candidate_scores))
-        if candidate_scores[best] >= current:
+    running_sum = np.zeros_like(forecasts[0])
+    for total in range(1, iterations + 2):
+        scores = [rmse(postprocess((running_sum + fc) / total), actual) for fc in forecasts]
+        best = int(np.argmin(scores))
+        if total == 1:
+            best_single = scores[best]
+        elif not scores[best] < current:
             break
         counts[best] += 1
-        total += 1
         running_sum += forecasts[best]
-        current = candidate_scores[best]
+        current = scores[best]
 
-    if not current <= min(single_scores) + _DOMINANCE_TOL:
+    if not current <= best_single:
         raise DominanceViolation(
             f"greedy selection scored {current!r}, worse than the best single "
-            f"component's {min(single_scores)!r}"
+            f"component's {best_single!r}"
         )
     return counts
 
@@ -197,14 +190,11 @@ def predict_ensemble(
         kinds = tuple(model.kind for model in models)
         if kinds != components:
             raise LengthMismatch(f"run {run}: fitted kinds {kinds!r} do not match {components!r}")
-    predicted: dict[FittedForecaster, np.ndarray] = {}
-    combined = []
-    for row, models in zip(weights, fitted):
-        total = None
-        for weight, model in zip(row, models):
-            if model not in predicted:
-                predicted[model] = predict(model, horizon)
-            term = weight * predicted[model]
-            total = term if total is None else total + term
-        combined.append(total)
-    return tuple(combined)
+    predicted = {
+        model: predict(model, horizon)
+        for model in dict.fromkeys(model for models in fitted for model in models)
+    }
+    return tuple(
+        sum(weight * predicted[model] for weight, model in zip(row, models))
+        for row, models in zip(weights, fitted)
+    )

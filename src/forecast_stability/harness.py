@@ -308,9 +308,9 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
     with round-trip precision (actual demand may be fractional). The
     manifest echoes the config and the seed of every run, derived from it,
     and the provenance of the run: the package, numpy and Python versions,
-    numpy's BLAS (name, version, configuration) and the SIMD extensions it
-    found, both null where numpy cannot report them, the system and
-    machine, and the sha256 of the config's canonical JSON text.
+    numpy's BLAS (name and version) and the SIMD extensions it found, both
+    null where numpy cannot report them, the system and machine, and the
+    sha256 of the config's canonical JSON text.
     ``created_at`` is its only field that a rerun does not reproduce.
     """
     # Here, not at the top: parsing a config need not pay for platform or
@@ -332,11 +332,7 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
     try:
         build = np.show_config(mode="dicts")
         blas = build["Build Dependencies"]["blas"]
-        blas = {
-            "name": blas["name"],
-            "version": blas["version"],
-            "configuration": blas["openblas configuration"],
-        }
+        blas = {"name": blas["name"], "version": blas["version"]}
         simd = build["SIMD Extensions"]["found"]
     except (TypeError, KeyError):
         blas = simd = None

@@ -165,13 +165,21 @@ def cv_grid(values: np.ndarray) -> CvGrid:
 
 
 def rmse(forecast: np.ndarray, actual: np.ndarray) -> float:
-    """Root mean squared error over all cells, in demand units."""
+    """Root mean squared error over all cells, in demand units.
+
+    Raises :class:`OutOfRange` when the result is not finite, as it is for
+    finite inputs that differ by more than about 1.3e154.
+    """
     f = np.asarray(forecast, dtype=np.float64)
     a = np.asarray(actual, dtype=np.float64)
     if f.shape != a.shape:
         raise ShapeMismatch(f"forecast shape {f.shape} != actual shape {a.shape}")
-    diff = f - a
-    return float(np.sqrt(np.mean(diff * diff)))
+    with np.errstate(over="ignore"):
+        diff = f - a
+        value = float(np.sqrt(np.mean(diff * diff)))
+    if not math.isfinite(value):
+        raise OutOfRange(f"rmse is {value!r}, beyond the float64 range")
+    return value
 
 
 def accuracy_report(values: np.ndarray, actual: np.ndarray) -> AccuracyReport:

@@ -11,6 +11,7 @@ import pytest
 from forecast_stability import build_report_bundle, emit_plots, emit_quantile_table
 from forecast_stability import cli
 from forecast_stability.cli import cli_main
+from forecast_stability.dataset import write_long_csv
 from forecast_stability.metrics import (
     AccuracyReport,
     CvGrid,
@@ -18,6 +19,7 @@ from forecast_stability.metrics import (
     histogram,
 )
 from forecast_stability.report import ReportError, load_metrics_files
+from conftest import make_panel
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -308,6 +310,29 @@ def test_bundle_conservation_enforced():
     assert sum(b["count"] for b in cv_histogram["bins"]) + cv_histogram["excluded"] == 3
 
 
+def test_zero_count_histogram_draws_flat_bars():
+    # Every CV lies above the clip, so every bin is empty.
+    root = ET.fromstring(emit_plots(make_bundle(np.full((1, 3), 2.0)))["cv_hist_m.svg"])
+    bars = [el for el in root.iter(f"{SVG_NS}rect") if el.get("class") == "bar"]
+    assert [(el.get("data-count"), float(el.get("height"))) for el in bars] == [("0", 0.0)] * 4
+    assert not [el for el in root.iter(f"{SVG_NS}line") if el.get("class") == "grid"]
+
+
+def test_rmse_plot_of_a_model_with_no_runs():
+    bundle = make_bundle(np.zeros((1, 2)), rmse_values=())
+    root = ET.fromstring(emit_plots(bundle)["rmse_distribution.svg"])
+    assert not [el for el in root.iter(f"{SVG_NS}circle") if el.get("class") == "pt"]
+    ticks = [el.text for el in root.iter(f"{SVG_NS}text") if el.get("text-anchor") == "end"]
+    assert ticks == ["0.00", "0.50", "1.00"]
+
+
+def test_bundle_rejects_cv_and_rmse_of_other_models():
+    with pytest.raises(ReportError, match=r"^cv models \['a'\] != rmse models \['b'\]$"):
+        build_report_bundle(
+            {"a": grid_from_cv(np.zeros((1, 2)))}, {"b": AccuracyReport(rmse_per_run=(1.0,))}
+        )
+
+
 def test_empty_bundle_rejected():
     with pytest.raises(EmptyInput):
         build_report_bundle({}, {})
@@ -498,6 +523,70 @@ KINDS = {
     "naive": {"kind": "seasonal_naive", "params": {"period": 7}},
     "mean": {"kind": "global_mean", "params": {}},
 }
+
+
+def grid_bound_config(tmp_path):
+    # 5 models x 10 000 runs x 100 series x 2500 steps: refused before any fit.
+    models = [{"label": f"m{i}", "kind": KINDS["mean"]} for i in range(5)]
+    path = write_experiment_config(tmp_path, run_count=10_000, models=models)
+    cfg = json.loads(path.read_text())
+    cfg["dataset"]["synth"].update(n_series=100, length=2600)
+    cfg["split"] = {"train_length": 100, "horizon": 2500}
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def too_long_a_period_config(tmp_path):
+    naive = {"kind": "seasonal_naive", "params": {"period": 1000}}
+    return write_experiment_config(tmp_path, models=[{"label": "sn", "kind": naive}])
+
+
+@pytest.mark.parametrize("make_config", [too_long_a_period_config, grid_bound_config])
+def test_a_failed_run_leaves_no_out_directory(tmp_path, capsys, make_config):
+    config, out = make_config(tmp_path), tmp_path / "out" / "runs"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def huge_demand_config(tmp_path, day, models=None):
+    """A config on one series of 40 days of demand 10, but 1e200 on ``day``;
+    the split is 33/7."""
+    values = np.full(40, 10.0)
+    values[day] = 1e200
+    data = tmp_path / "data.csv"
+    write_long_csv(make_panel(values, ids=("a",)), data)
+    path = write_experiment_config(tmp_path, models=models)
+    cfg = json.loads(path.read_text())
+    cfg["dataset"] = {"csv": str(data)}
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_run_refuses_validation_scores_past_the_float_range(tmp_path, capsys):
+    # Day 26 opens the last validation block: every component's validation
+    # RMSE overflows, while the periods 1 and 2 forecast from days 31 and 32.
+    naive = [{"kind": "seasonal_naive", "params": {"period": p}} for p in (1, 2)]
+    config = huge_demand_config(tmp_path, 26, [{"label": "ens", "ensemble": {"components": naive}}])
+    out = tmp_path / "runs"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model 'ens', run 0 (seed ")
+    assert "validation forecasts cannot be scored: rmse is inf" in err
+    assert not out.exists()
+
+
+def test_metrics_refuses_an_rmse_past_the_float_range(tmp_path, capsys):
+    # Day 35 lies in the test block, which only the metrics stage scores.
+    config = huge_demand_config(tmp_path, 35)
+    out = tmp_path / "runs"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli_main(["metrics", "--runs", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {out / 'runs.csv'}: model 'sn': rmse is inf, beyond the float64 range"
+    )
+    assert not (out / "rmse.csv").exists()
 
 
 def test_report_json_renders_the_table_and_figures_written_beside_it(tmp_path):

@@ -41,6 +41,7 @@ from forecast_stability import (
 from forecast_stability import tabular
 from forecast_stability.dataset import DatasetError
 from forecast_stability.harness import ExperimentResult, RaggedRuns, SchemaMismatch
+from forecast_stability.metrics import EmptyInput
 from forecast_stability.report import (
     ReportError,
     load_metrics_files,
@@ -308,6 +309,12 @@ def _load_metrics(tmp, cv, rmse=RMSE):
             "actuals.csv:2: not UTF-8: byte 0x93 at column 6",
             id="not-utf8-actuals",
         ),
+        pytest.param(
+            lambda tmp: _load_runs(tmp, RUNS, ACTUALS.replace("A,", "B,")),
+            RaggedRuns,
+            "runs.csv: the (item, h) grid does not match that of",
+            id="actuals-of-another-grid",
+        ),
     ],
 )
 def test_readers_reject_faulty_files(tmp_path, load, error, where):
@@ -365,6 +372,13 @@ def test_metrics_writer_rejects_other_models_before_any_write(tmp_path):
     grids = {"a": (THIRD_GRID, ("x",))}
     with pytest.raises(ReportError, match=r"cv models \['a'\] != rmse models \['b'\]"):
         write_metrics_files(grids, {"b": AccuracyReport((1.0, 2.0))}, out)
+    assert not out.exists()
+
+
+def test_metrics_writer_rejects_no_models_before_any_write(tmp_path):
+    out = tmp_path / "metrics"
+    with pytest.raises(EmptyInput, match="^no models to write$"):
+        write_metrics_files({}, {}, out)
     assert not out.exists()
 
 
@@ -830,6 +844,30 @@ def test_block_reader_values_and_faults(tmp_path):
     path.write_text(HEAD + "a,01,1,1\na,1,2,2\n", encoding="utf-8")
     with pytest.raises(DuplicateFault, match=r"pairs.csv:3: duplicate cell a,1$"):
         tabular.read_csv(path, PAIRS, ERRORS)
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ("a,-1,1,2\n", ValueFault, r"pairs.csv:2: run_id '-1' is below 0$"),
+        (
+            f"a,0,1,2\na,{2**63 - 1},3,4\n",
+            MissingFault,
+            rf"pairs.csv: {2**63} cells are too many for one grid$",
+        ),
+        # Three fields and five: eight, two lines' worth, with a comma where
+        # the first line's newline should be.
+        ("a,0,1\nb,0,3,4,5\n", SchemaFault, r"pairs.csv:2: expected 4 fields, got 3$"),
+    ],
+    ids=["run-below-origin", "grid-past-int64", "field-counts-that-sum-right"],
+)
+def test_reader_names_the_faults_of_a_parsed_file(tmp_path, rows, error, message):
+    path = tmp_path / "pairs.csv"
+    path.write_text(HEAD + rows, encoding="utf-8")
+    with pytest.raises(error, match=message):
+        tabular.read_csv(path, PAIRS, ERRORS)
+    if error is SchemaFault:
+        assert tabular._read_blocks(path, PAIRS) is None
 
 
 # Sign, exponent and fraction bits of finite floats whose repr has no

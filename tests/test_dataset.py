@@ -8,6 +8,7 @@ import pytest
 from forecast_stability import (
     SplitSpec,
     SynthConfig,
+    TimeSeriesDataset,
     load_long_csv,
     split,
     synth_generate,
@@ -226,6 +227,20 @@ def test_synth_config_validation():
 def test_synth_panel_at_the_float_bound_stays_finite(fields):
     ds = synth_generate(SynthConfig(n_series=3, length=40, **fields))
     assert np.all(np.isfinite(ds.values))
+
+
+@pytest.mark.parametrize(
+    "ids, values, message",
+    [
+        (("x",), [1.0, 2.0], "^values must be a 2-D"),
+        (("x", "y"), [[1.0, 2.0]], "^2 series ids but 1 value rows$"),
+        (("x",), np.zeros((1, 0)), "^panel must span at least one timestamp$"),
+    ],
+    ids=["1-d", "ids-and-rows", "no-columns"],
+)
+def test_dataset_shape_is_checked(ids, values, message):
+    with pytest.raises(ValueError, match=message):
+        TimeSeriesDataset(ids, dt.date(2021, 1, 1), values)
 
 
 def test_dataset_invariants():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,44 @@ def test_insufficient_history_for_windows():
         make_validation_windows(panel, horizon=10, n=2)
 
 
+@pytest.mark.parametrize(
+    "horizon, n, message",
+    [(10, 0, "^window count must be >= 1$"), (0, 2, "^horizon must be >= 1$"),
+     (-1, 2, "^horizon must be >= 1$")],
+    ids=["no-windows", "horizon-0", "horizon-negative"],
+)
+def test_validation_window_arguments(horizon, n, message):
+    panel = make_panel(np.arange(100, dtype=float))
+    with pytest.raises(ValueError, match=message):
+        make_validation_windows(panel, horizon=horizon, n=n)
+
+
 # ------------------------------------------------------------------ fitting
+
+@pytest.mark.parametrize(
+    "components, seeds, iterations, message",
+    [
+        ((), (0,), 1, "^ensemble needs at least one component$"),
+        ((GlobalMean(),), (), 1, "^fit_ensemble needs at least one seed$"),
+        ((GlobalMean(),), (0,), 0, "^iterations must be >= 1$"),
+    ],
+    ids=["no-components", "no-seeds", "no-iterations"],
+)
+def test_fit_ensemble_arguments(components, seeds, iterations, message):
+    panel = make_panel(np.arange(1, 31, dtype=float))
+    with pytest.raises(ValueError, match=message):
+        fit_ensemble(components, panel, horizon=5, seeds=seeds, iterations=iterations)
+
+
+def test_selection_runs_round_one_and_at_most_iterations_more(monkeypatch):
+    # A scorer whose every score beats the one before: no round stops early.
+    scores = itertools.count(0, -1)
+    monkeypatch.setattr(ensemble, "rmse", lambda forecast, actual: float(next(scores)))
+    panel = make_panel(np.arange(1, 31, dtype=float))
+    weights = fit_ensemble([GlobalMean(), SeasonalNaive(period=7)], panel, horizon=5, iterations=3)
+    assert weights.tolist() == [[0.0, 1.0]]
+    assert next(scores) == -8  # two components scored in each of 1 + 3 rounds
+
 
 def test_single_component_gets_weight_one():
     panel = make_panel(np.arange(1, 31, dtype=float))

@@ -561,11 +561,7 @@ def test_manifest_contents(tmp_path):
     assert manifest["provenance"] == {
         "package": forecast_stability.__version__,
         "numpy": np.__version__,
-        "blas": {
-            "name": blas["name"],
-            "version": blas["version"],
-            "configuration": blas["openblas configuration"],
-        },
+        "blas": {"name": blas["name"], "version": blas["version"]},
         "simd": build["SIMD Extensions"]["found"],
         "python": platform.python_version(),
         "system": platform.system(),
@@ -668,6 +664,10 @@ def test_config_validation():
         )
     with pytest.raises(ValueError, match="model 'x' must be a forecaster kind or an ensemble"):
         ModelEntry("x", None)
+    with pytest.raises(ValueError, match="^ensemble request needs at least one component$"):
+        EnsembleRequest(components=())
+    with pytest.raises(ValueError, match="^experiment needs at least one model$"):
+        small_config([])
     with pytest.raises(ValueError):
         config_from_json({"dataset": {}, "split": {}, "models": []})
 

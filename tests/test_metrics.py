@@ -239,6 +239,13 @@ def test_rmse_shape_mismatch():
         rmse(np.ones((1, 2)), np.ones((2, 1)))
 
 
+def test_rmse_past_the_float_range_is_out_of_range():
+    # Finite inputs whose difference squares past the largest float64.
+    with pytest.raises(OutOfRange, match=r"^rmse is inf, beyond the float64 range$"):
+        rmse(np.array([[0.0, 1e200]]), np.array([[0.0, 0.0]]))
+    assert rmse(np.array([[1e154]]), np.array([[0.0]])) == 1e154
+
+
 @given(
     st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=4, max_size=4),
     st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=4, max_size=4),
@@ -269,6 +276,11 @@ def test_accuracy_report_from_a_run_grid():
 def test_accuracy_report_requires_a_three_dimensional_grid():
     with pytest.raises(ShapeMismatch):
         accuracy_report(np.ones((2, 3)), np.ones((2, 3)))
+
+
+def test_accuracy_report_requires_actuals_of_the_grid_shape():
+    with pytest.raises(ShapeMismatch, match=r"^actuals shape \(1, 3\) != forecast shape \(1, 2\)$"):
+        accuracy_report(np.ones((2, 1, 2)), np.ones((1, 3)))
 
 
 def test_accuracy_report_requires_a_run():
@@ -368,6 +380,19 @@ def test_histogram_errors():
 def test_accuracy_report_validation():
     with pytest.raises(ValueError):
         AccuracyReport(rmse_per_run=(-1.0,))
+
+
+@pytest.mark.parametrize(
+    "stat, value, message",
+    [("mean", np.ones((1, 3)), "^cv, mean, std must be equal-shape 2-D matrices$"),
+     ("std", np.array([[math.nan, 0.0]]), "^std contains non-finite entries$")],
+    ids=["shapes", "nan"],
+)
+def test_cv_grid_type_rejects_unequal_shapes_and_nan(stat, value, message):
+    stats = {"cv": np.zeros((1, 2)), "mean": np.ones((1, 2)), "std": np.zeros((1, 2))}
+    stats[stat] = value
+    with pytest.raises(ValueError, match=message):
+        CvGrid(**stats)
 
 
 def test_cv_grid_type_rejects_inconsistent_zero_mean():
