@@ -27,6 +27,7 @@ from .forecasters import (
     FittedForecaster,
     ForecasterKind,
     InsufficientHistory,
+    _fit_jobs,
     fit,
     predict,
 )
@@ -91,8 +92,9 @@ def fit_ensemble(
     len(components))``: row ``r`` holds run ``r``'s weights, its selection
     counts over their sum. Run ``r`` fits component ``j`` with seed
     ``component_seed(seeds[r], j)`` on each validation window; each
-    (component, window) pair is fit once for all runs, and each row equals
-    the one of fitting that seed alone. Selection scores a
+    (component, window) pair is fit once for all runs, all pairs in one
+    ``_fit_jobs`` call, and each row equals the one of fitting that seed
+    alone. Selection scores a
     candidate multiset by post-processing the average of its raw forecasts
     and taking RMSE against the held-out blocks, pooled over all windows.
     The first round picks the best single component; at most
@@ -111,12 +113,19 @@ def fit_ensemble(
     windows = make_validation_windows(train, horizon, n_windows)
     actual = np.stack([held_out for _, held_out in windows])
 
+    fitted = _fit_jobs(fit, [
+        (kind, inner, tuple(component_seed(seed, index) for seed in seeds))
+        for index, kind in enumerate(components)
+        for inner, _ in windows
+    ])
+    for models in fitted:
+        if isinstance(models, Exception):
+            raise models
     # per_component[j][r]: component j's raw forecasts of run r, stacked over
     # windows. Runs that share fitted models (deterministic kinds) share one.
     per_component = []
-    for index, kind in enumerate(components):
-        component_seeds = tuple(component_seed(seed, index) for seed in seeds)
-        runs = list(zip(*(fit(kind, inner, component_seeds) for inner, _ in windows)))
+    for index in range(len(components)):
+        runs = list(zip(*fitted[index * len(windows) : (index + 1) * len(windows)]))
         stacked = {
             models: np.stack([predict(model, horizon) for model in models])
             for models in dict.fromkeys(runs)

@@ -35,6 +35,7 @@ recursive: each predicted value feeds the lag window for the next step.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, ClassVar, Mapping
 
@@ -64,6 +65,10 @@ class Diverged(ForecasterError):
     def __init__(self, message: str, runs: tuple[int, ...]):
         super().__init__(message)
         self.runs = tuple(runs)
+
+    def __reduce__(self):
+        # ``args`` holds only the message, which __init__ alone cannot take.
+        return type(self), (self.args[0], self.runs), self.__dict__
 
 
 def _require_positive(obj, *names: str) -> None:
@@ -421,3 +426,99 @@ def predict(fitted: FittedForecaster, horizon: int) -> np.ndarray:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     return fitted.kind._predict(fitted.state, horizon)
+
+
+def _fit_jobs(fit: Callable, jobs: list[tuple]) -> list:
+    """Call ``fit(kind, panel, seeds)`` for each job; returns, in job order,
+    each job's fitted models or the exception it raised.
+
+    When this process has one thread and may run on several CPUs, its
+    seeded jobs are dealt out in turn to ``min(CPUs, seeded jobs)``
+    workers: this process takes the first share and every deterministic
+    job, and each other share goes to a forked child. Each worker is
+    pinned to its own CPU, and this process's CPU set is restored after.
+    A child runs the same code on the same BLAS kernel, so its models
+    have the bits of an in-process fit; it sends their states back over
+    a pipe, and they are made read-only here again. Otherwise every job
+    runs here, in order.
+    """
+    seeded = [i for i, (kind, _, _) in enumerate(jobs) if getattr(kind, "seeded", False)]
+    cpus = _worker_cpus(len(seeded))
+    if not cpus:
+        return [_attempt(fit, *job) for job in jobs]
+    import pickle
+
+    results = [None] * len(jobs)
+    workers = []  # (pid, read end of its pipe, its share)
+    here = set(range(len(jobs))) - set(seeded) | set(seeded[:: len(cpus)])
+    mask = os.sched_getaffinity(0)
+    try:
+        for w, cpu in enumerate(cpus[1:], 1):
+            share = seeded[w :: len(cpus)]
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                here.update(share)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    os.sched_setaffinity(0, {cpu})
+                    sent = [_attempt(fit, *jobs[i]) for i in share]
+                    states = [r if isinstance(r, Exception) else [m.state for m in r] for r in sent]
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(states))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            workers.append((pid, open(read, "rb"), share))
+        os.sched_setaffinity(0, {cpus[0]})
+        for i in sorted(here):
+            results[i] = _attempt(fit, *jobs[i])
+        while workers:
+            pid, pipe, share = workers[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(0)
+            if code or not data:
+                message = f"a fit worker exited with status {code} and sent no result"
+                states = [ForecasterError(message)] * len(share)
+            else:
+                states = pickle.loads(data)
+            for i, r in zip(share, states):
+                if not isinstance(r, Exception):
+                    r = tuple(FittedForecaster(jobs[i][0], state) for state in r)
+                results[i] = r
+    finally:
+        for pid, pipe, _ in workers:
+            pipe.close()
+            os.waitpid(pid, 0)
+        os.sched_setaffinity(0, mask)
+    return results
+
+
+def _attempt(fit: Callable, kind, panel, seeds) -> tuple | Exception:
+    try:
+        return fit(kind, panel, seeds)
+    except Exception as exc:
+        return exc
+
+
+def _worker_cpus(seeded: int) -> list[int]:
+    """The CPUs to fit ``seeded`` jobs on, this process's first; empty when
+    they are to run in this process."""
+    if seeded < 2 or not hasattr(os, "fork"):
+        return []
+    try:
+        # Forking a process with other threads can deadlock the child.
+        if len(os.listdir("/proc/self/task")) != 1:
+            return []
+        cpus = sorted(os.sched_getaffinity(0))
+    except (OSError, AttributeError):
+        return []
+    return cpus[:seeded] if len(cpus) > 1 else []

@@ -49,6 +49,7 @@ from .forecasters import (
     FittedForecaster,
     ForecasterError,
     ForecasterKind,
+    _fit_jobs,
     fit,
     kind_from_json,
     kind_to_json,
@@ -226,7 +227,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     runs of a label; only the seed changes. All R runs of an entry are fit
     in one call per model (per component for an ensemble), with results
     bit-identical to fitting each seed alone. Fits on train are memoized by
-    (kind, seed), with no seed for a deterministic kind. An entry predicts
+    (kind, seed), with no seed for a deterministic kind, and all made up
+    front in one ``_fit_jobs`` call, which may share them among forked
+    workers; a failed fit is raised where the entries reach it, so errors
+    and their order are those of fitting one by one. An entry predicts
     each distinct model once and post-processes each distinct forecast
     once. The panel is freed after the split; the result stacks the
     forecast grid once. Raises ValueError, before any fit, when that grid
@@ -243,13 +247,37 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             f"run_count {cfg.run_count} x {len(cfg.models)} models x {train.n_series} series "
             f"x {horizon} steps is {cells} forecast cells, more than {MAX_PANEL_CELLS}"
         )
+
+    def requests(entry: ModelEntry, seeds: tuple[int, ...]) -> list[tuple]:
+        if isinstance(entry.model, EnsembleRequest):
+            return [
+                (kind, tuple(component_seed(seed, index) for seed in seeds))
+                for index, kind in enumerate(entry.model.components)
+            ]
+        return [(entry.model, seeds)]
+
+    def memo_keys(kind: ForecasterKind, seeds: tuple[int, ...]) -> list[tuple]:
+        return [(kind, seed if kind.seeded else None) for seed in seeds]
+
+    # Every fit the loop below makes, made up front in one call; a failed
+    # fit is raised where the loop reaches it.
+    planned: dict[tuple, None] = {}
+    keyed: set[tuple] = set()
+    for entry in cfg.models:
+        for kind, seeds in requests(entry, _run_seeds(cfg, entry.label)):
+            if not keyed.issuperset(keys := memo_keys(kind, seeds)):
+                keyed.update(keys)
+                planned[kind, seeds] = None
+    done = dict(zip(planned, _fit_jobs(fit, [(kind, train, seeds) for kind, seeds in planned])))
     fits: dict[tuple, FittedForecaster] = {}
 
     def fit_on_train(kind: ForecasterKind, seeds: tuple[int, ...]) -> tuple:
-        keys = [(kind, seed if kind.seeded else None) for seed in seeds]
+        keys = memo_keys(kind, seeds)
         if not all(key in fits for key in keys):
             # All the caller's seeds, so that Diverged.runs indexes its runs.
-            fits.update(zip(keys, fit(kind, train, seeds)))
+            if isinstance(fitted := done[kind, seeds], Exception):
+                raise fitted
+            fits.update(zip(keys, fitted))
         return tuple(fits[key] for key in keys)
 
     forecasts = []
@@ -268,10 +296,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     seeds,
                     cfg.ensemble_iterations,
                 )
-                fitted = list(zip(*(
-                    fit_on_train(kind, tuple(component_seed(seed, index) for seed in seeds))
-                    for index, kind in enumerate(components)
-                )))
+                fitted = list(zip(*(fit_on_train(*request) for request in requests(entry, seeds))))
                 keys = [(tuple(row), models) for row, models in zip(weights, fitted)]
                 raw = dict(zip(keys, predict_ensemble(components, weights, fitted, horizon)))
             else:
@@ -308,9 +333,8 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
     with round-trip precision (actual demand may be fractional). The
     manifest echoes the config and the seed of every run, derived from it,
     and the provenance of the run: the package, numpy and Python versions,
-    numpy's BLAS (name and version) and the SIMD extensions it found, both
-    null where numpy cannot report them, the system and machine, and the
-    sha256 of the config's canonical JSON text.
+    numpy's BLAS (name and version) and the SIMD extensions it found, the
+    system and machine, and the sha256 of the config's canonical JSON text.
     ``created_at`` is its only field that a rerun does not reproduce.
     """
     # Here, not at the top: parsing a config need not pay for platform or
@@ -328,14 +352,9 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
         except ImportError:
             continue
 
-    # numpy 1.24, which pyproject allows, has no mode="dicts".
-    try:
-        build = np.show_config(mode="dicts")
-        blas = build["Build Dependencies"]["blas"]
-        blas = {"name": blas["name"], "version": blas["version"]}
-        simd = build["SIMD Extensions"]["found"]
-    except (TypeError, KeyError):
-        blas = simd = None
+    build = np.show_config(mode="dicts")
+    blas = build["Build Dependencies"]["blas"]
+    simd = build["SIMD Extensions"]["found"]
 
     cfg = result.config
     labels = [entry.label for entry in cfg.models]
@@ -347,7 +366,7 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
         "provenance": {
             "package": __version__,
             "numpy": np.__version__,
-            "blas": blas,
+            "blas": {"name": blas["name"], "version": blas["version"]},
             "simd": simd,
             "python": platform.python_version(),
             "system": platform.system(),

@@ -454,10 +454,7 @@ def test_sgd_outputs_match_golden_digests(tmp_path, capsys):
 
 def _blas_dynamic_arch() -> bool:
     """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
-        return False
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 

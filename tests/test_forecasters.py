@@ -219,6 +219,16 @@ def test_diverging_runs_are_named_by_seed():
     assert info.value.runs == (0,)
 
 
+def test_diverged_survives_a_pickle_round_trip():
+    # A fit worker sends its errors back pickled.
+    import pickle
+
+    error = pickle.loads(pickle.dumps(Diverged("tiny_mlp diverged: seeds 2, 5", [0, 3])))
+    assert type(error) is Diverged
+    assert str(error) == "tiny_mlp diverged: seeds 2, 5"
+    assert error.runs == (0, 3)
+
+
 # ------------------------------------------------------------- baselines
 
 def test_seasonal_naive_repeats_last_season():
