@@ -69,13 +69,18 @@ def make_validation_windows(
     """
     if n < 1:
         raise ValueError("window count must be >= 1")
-    needed = (n + 1) * horizon
+    needed = _history_needed(horizon, n)
     if train.length < needed:
         raise InsufficientHistory(
             f"{n} validation windows of length {horizon} need at least "
             f"{needed} observations, have {train.length}"
         )
     return [split(train, SplitSpec(train.length - (n - k) * horizon, horizon)) for k in range(n)]
+
+
+def _history_needed(horizon: int, n: int) -> int:
+    """Observations that ``n`` validation windows of ``horizon`` steps need."""
+    return (n + 1) * horizon
 
 
 def fit_ensemble(

@@ -430,31 +430,35 @@ def predict(fitted: FittedForecaster, horizon: int) -> np.ndarray:
 
 def _fit_jobs(fit: Callable, jobs: list[tuple]) -> list:
     """Call ``fit(kind, panel, seeds)`` for each job; returns, in job order,
-    each job's fitted models or the exception it raised.
+    each job's fitted models, the exception it raised, or None for a job
+    not run because a job before it failed.
 
     When this process has one thread and may run on several CPUs, its
     seeded jobs are dealt out in turn to ``min(CPUs, seeded jobs)``
     workers: this process takes the first share and every deterministic
-    job, and each other share goes to a forked child. Each worker is
-    pinned to its own CPU, and this process's CPU set is restored after.
-    A child runs the same code on the same BLAS kernel, so its models
-    have the bits of an in-process fit; it sends their states back over
-    a pipe, and they are made read-only here again. Otherwise every job
-    runs here, in order.
+    job, and each other share goes to a forked child. A child may run on
+    every CPU of this process's set except the one this process runs on;
+    this process's own CPU set is never changed. A child runs the same
+    code on the same BLAS kernel, so its models have the bits of an
+    in-process fit; it sends their states back over a pipe, and they are
+    made read-only here again. Otherwise, and for a wrapped ``fit`` (one
+    with ``__wrapped__``), every job runs here, in order. Each worker
+    stops at its first failure, so the first job in order that did not fit
+    holds an exception.
     """
     seeded = [i for i, (kind, _, _) in enumerate(jobs) if getattr(kind, "seeded", False)]
-    cpus = _worker_cpus(len(seeded))
-    if not cpus:
-        return [_attempt(fit, *job) for job in jobs]
+    n, others = _workers(fit, len(seeded))
+    if n == 1:
+        done = _fit_in_order(fit, jobs, range(len(jobs)))
+        return done + [None] * (len(jobs) - len(done))
     import pickle
 
     results = [None] * len(jobs)
     workers = []  # (pid, read end of its pipe, its share)
-    here = set(range(len(jobs))) - set(seeded) | set(seeded[:: len(cpus)])
-    mask = os.sched_getaffinity(0)
+    here = set(range(len(jobs))) - set(seeded) | set(seeded[::n])
     try:
-        for w, cpu in enumerate(cpus[1:], 1):
-            share = seeded[w :: len(cpus)]
+        for w in range(1, n):
+            share = seeded[w::n]
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -466,19 +470,21 @@ def _fit_jobs(fit: Callable, jobs: list[tuple]) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    os.sched_setaffinity(0, {cpu})
-                    sent = [_attempt(fit, *jobs[i]) for i in share]
-                    states = [r if isinstance(r, Exception) else [m.state for m in r] for r in sent]
+                    try:
+                        os.sched_setaffinity(0, others)
+                    except OSError:
+                        pass  # not pinned, the fits are the same
+                    sent = [_sendable(r) for r in _fit_in_order(fit, jobs, share)]
                     with open(write, "wb") as pipe:
-                        pipe.write(pickle.dumps(states))
+                        pipe.write(pickle.dumps(sent))
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write)
             workers.append((pid, open(read, "rb"), share))
-        os.sched_setaffinity(0, {cpus[0]})
-        for i in sorted(here):
-            results[i] = _attempt(fit, *jobs[i])
+        here = sorted(here)
+        for i, r in zip(here, _fit_in_order(fit, jobs, here)):
+            results[i] = r
         while workers:
             pid, pipe, share = workers[0]
             with pipe:
@@ -487,10 +493,10 @@ def _fit_jobs(fit: Callable, jobs: list[tuple]) -> list:
             workers.pop(0)
             if code or not data:
                 message = f"a fit worker exited with status {code} and sent no result"
-                states = [ForecasterError(message)] * len(share)
+                sent = [ForecasterError(message)] * len(share)
             else:
-                states = pickle.loads(data)
-            for i, r in zip(share, states):
+                sent = pickle.loads(data)
+            for i, r in zip(share, sent):
                 if not isinstance(r, Exception):
                     r = tuple(FittedForecaster(jobs[i][0], state) for state in r)
                 results[i] = r
@@ -498,27 +504,52 @@ def _fit_jobs(fit: Callable, jobs: list[tuple]) -> list:
         for pid, pipe, _ in workers:
             pipe.close()
             os.waitpid(pid, 0)
-        os.sched_setaffinity(0, mask)
     return results
 
 
-def _attempt(fit: Callable, kind, panel, seeds) -> tuple | Exception:
+def _fit_in_order(fit: Callable, jobs: list[tuple], indices) -> list:
+    """Each job of ``indices``'s fitted models, in turn, up to and
+    including the exception of the first that fails."""
+    done = []
+    for i in indices:
+        try:
+            done.append(fit(*jobs[i]))
+        except Exception as exc:
+            done.append(exc)
+            break
+    return done
+
+
+def _sendable(result):
+    """A worker's result as it goes over the pipe: fitted models as their
+    states, and an exception that does not survive a pickle round trip as
+    a ForecasterError naming its type and message."""
+    if not isinstance(result, Exception):
+        return [model.state for model in result]
+    import pickle
+
     try:
-        return fit(kind, panel, seeds)
-    except Exception as exc:
-        return exc
+        pickle.loads(pickle.dumps(result))
+    except Exception:
+        return ForecasterError(f"{type(result).__name__}: {result}")
+    return result
 
 
-def _worker_cpus(seeded: int) -> list[int]:
-    """The CPUs to fit ``seeded`` jobs on, this process's first; empty when
-    they are to run in this process."""
-    if seeded < 2 or not hasattr(os, "fork"):
-        return []
+def _workers(fit: Callable, seeded: int) -> tuple[int, set[int]]:
+    """How many workers fit ``seeded`` jobs, and the CPUs a forked one may
+    use; ``(1, set())`` when they are all to run in this process."""
+    # A wrapped fit, such as a tracer's, would not see the calls of a child.
+    if seeded < 2 or not hasattr(os, "fork") or hasattr(fit, "__wrapped__"):
+        return 1, set()
     try:
         # Forking a process with other threads can deadlock the child.
         if len(os.listdir("/proc/self/task")) != 1:
-            return []
-        cpus = sorted(os.sched_getaffinity(0))
-    except (OSError, AttributeError):
-        return []
-    return cpus[:seeded] if len(cpus) > 1 else []
+            return 1, set()
+        cpus = os.sched_getaffinity(0)
+        # The CPU this process last ran on: field 39 of its stat line.
+        with open("/proc/self/stat", "rb") as stat:
+            current = int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, AttributeError, ValueError, IndexError):
+        return 1, set()
+    others = cpus - {current}
+    return (min(len(cpus), seeded), others) if others else (1, set())

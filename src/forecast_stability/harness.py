@@ -39,6 +39,7 @@ from .ensemble import (
     DEFAULT_ITERATIONS,
     DEFAULT_WINDOWS,
     EnsembleError,
+    _history_needed,
     component_seed,
     fit_ensemble,
     predict_ensemble,
@@ -264,6 +265,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     planned: dict[tuple, None] = {}
     keyed: set[tuple] = set()
     for entry in cfg.models:
+        model = entry.model
+        if isinstance(model, EnsembleRequest) and train.length < _history_needed(
+            horizon, model.n_windows
+        ):
+            break  # the loop stops here: fit_ensemble raises InsufficientHistory
         for kind, seeds in requests(entry, _run_seeds(cfg, entry.label)):
             if not keyed.issuperset(keys := memo_keys(kind, seeds)):
                 keyed.update(keys)

@@ -152,3 +152,87 @@ def test_a_worker_that_sends_nothing_is_a_typed_error_and_is_reaped(tmp_path):
     ]
     assert out["left"] is None
     assert out["mask"] is True
+
+
+# Fits three seeded jobs; a child reports its CPU set through its error. A
+# wrapped fit, as a tracer's is, sees every call in this process.
+CPU_SETS = """\
+import functools, json, os
+from forecast_stability import LinearAR, SynthConfig, fit, synth_generate
+from forecast_stability.forecasters import ForecasterError, _fit_jobs
+parent = os.getpid()
+def probing_fit(kind, panel, seeds):
+    if os.getpid() != parent:
+        raise ForecasterError(json.dumps(sorted(os.sched_getaffinity(0))))
+    return fit(kind, panel, seeds)
+calls = []
+@functools.wraps(fit)
+def wrapped_fit(kind, panel, seeds):
+    calls.append(os.getpid())
+    return fit(kind, panel, seeds)
+panel = synth_generate(SynthConfig(n_series=3, length=40, seed=1))
+kind = LinearAR(lags=3, epochs=1)
+jobs = [(kind, panel, (seed,)) for seed in (1, 2, 3)]
+mask = os.sched_getaffinity(0)
+first, second, third = _fit_jobs(probing_fit, jobs)
+wrapped = _fit_jobs(wrapped_fit, jobs)
+print(json.dumps({
+    "mask": sorted(mask),
+    "child": json.loads(str(second)),
+    "fitted": [len(first), len(third)],
+    "unchanged": os.sched_getaffinity(0) == mask,
+    "wrapped": [len(models) for models in wrapped],
+    "wrapped_here": calls == [parent] * 3,
+}))
+"""
+
+
+def test_a_worker_runs_off_this_process_cpu_and_leaves_its_cpu_set(tmp_path):
+    done = _python(["-c", CPU_SETS], tmp_path)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert set(out["child"]) < set(out["mask"])
+    assert len(out["child"]) == len(out["mask"]) - 1
+    assert out["fitted"] == [1, 1]
+    assert out["unchanged"] is True
+    assert out["wrapped"] == [1, 1, 1]
+    assert out["wrapped_here"] is True
+
+
+# A child that cannot set its CPU set still fits; an exception that does
+# not survive a pickle round trip comes back as a ForecasterError, and a
+# child stops at its first failure.
+WORKER_FAULTS = """\
+import json, os
+from forecast_stability import LinearAR, SynthConfig, fit, synth_generate
+from forecast_stability.forecasters import ForecasterError, _fit_jobs
+parent = os.getpid()
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+def refuse(pid, cpus):
+    raise OSError("CPU not in cpuset")
+os.sched_setaffinity = refuse
+class Unpicklable(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+def failing_fit(kind, panel, seeds):
+    if os.getpid() != parent and seeds == (2,):
+        raise Unpicklable("one", "two")
+    return fit(kind, panel, seeds)
+panel = synth_generate(SynthConfig(n_series=3, length=40, seed=1))
+kind = LinearAR(lags=3, epochs=1)
+# On two CPUs, this process fits seeds 1 and 3, the child 2 and 4.
+jobs = [(kind, panel, (seed,)) for seed in (1, 2, 3, 4)]
+out = _fit_jobs(failing_fit, jobs)
+print(json.dumps([
+    r if r is None else [type(r).__name__, str(r)] if isinstance(r, Exception) else len(r)
+    for r in out
+]))
+"""
+
+
+def test_a_worker_fault_outside_the_fit_keeps_the_fit_error(tmp_path):
+    done = _python(["-c", WORKER_FAULTS], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        1, ["ForecasterError", "Unpicklable: one and two"], 1, None
+    ]

@@ -20,7 +20,9 @@ from forecast_stability.forecasters import (
     MAX_LAGS,
     Diverged,
     FittedForecaster,
+    ForecasterError,
     InsufficientHistory,
+    _fit_jobs,
     kind_from_json,
     kind_to_json,
 )
@@ -227,6 +229,24 @@ def test_diverged_survives_a_pickle_round_trip():
     assert type(error) is Diverged
     assert str(error) == "tiny_mlp diverged: seeds 2, 5"
     assert error.runs == (0, 3)
+
+
+def test_fit_jobs_stop_at_the_first_failure():
+    # Deterministic jobs always run in this process, in order.
+    calls = []
+
+    def failing_fit(kind, panel, seeds):
+        calls.append(seeds)
+        if seeds == (2,):
+            raise ForecasterError("no fit")
+        return (seeds,)
+
+    jobs = [(GlobalMean(), None, (seed,)) for seed in (1, 2, 3)]
+    first, second, third = _fit_jobs(failing_fit, jobs)
+    assert first == ((1,),)
+    assert isinstance(second, ForecasterError) and str(second) == "no fit"
+    assert third is None
+    assert calls == [(1,), (2,)]
 
 
 # ------------------------------------------------------------- baselines

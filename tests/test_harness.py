@@ -217,6 +217,36 @@ def test_run_experiment_fits_once_per_entry_and_component(monkeypatch, tmp_path)
     )
 
 
+def test_run_experiment_fits_nothing_past_the_first_failure(monkeypatch, tmp_path):
+    # One line per call, appended to a file, so that fits made in forked
+    # workers are counted too.
+    log = tmp_path / "fits.log"
+    real_fit = harness.fit
+
+    def counting_fit(kind, train, seeds):
+        with log.open("a") as out:
+            out.write(f"{type(kind).__name__}\n")
+        return real_fit(kind, train, seeds)
+
+    monkeypatch.setattr(harness, "fit", counting_fit)
+    lar = ModelEntry(label="lar", model=LinearAR(lags=4, epochs=1, batch_size=8))
+    mlp = ModelEntry(label="mlp", model=TinyMLP(lags=4, hidden_dim=3, epochs=1, batch_size=8))
+    # The ensemble's 10 windows of 7 days need 77 of train's 33 days:
+    # fit_ensemble fails before any fit of it or of the entries after it.
+    short = EnsembleRequest(components=(GlobalMean(), lar.model), n_windows=10)
+    cfg = small_config([lar, ModelEntry(label="ens", model=short), mlp])
+    with pytest.raises(InsufficientHistory, match=r"^model 'ens': 10 validation windows"):
+        run_experiment(cfg)
+    assert log.read_text().split() == ["LinearAR"]
+    # A failed fit stops this process's fits; only a forked worker may
+    # have fit the other seeded entry meanwhile.
+    log.unlink()
+    cfg = small_config([ModelEntry(label="sn", model=SeasonalNaive(period=1000)), lar, mlp])
+    with pytest.raises(InsufficientHistory, match=r"^model 'sn': need at least 1000"):
+        run_experiment(cfg)
+    assert log.read_text().split() in (["SeasonalNaive"], ["SeasonalNaive", "TinyMLP"])
+
+
 def test_run_experiment_predicts_once_per_distinct_state(monkeypatch):
     calls = {"predict": [], "postprocess": 0, "predict_ensemble": 0, "component": []}
     real_predict, real_postprocess = harness.predict, harness.postprocess
