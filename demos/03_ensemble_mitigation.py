@@ -2,8 +2,10 @@
 
 Components are fit on trailing validation windows; greedy forward selection
 (with replacement) picks convex weights that never score worse than the
-best single component. Because the pool contains deterministic models, the
-selected mixture damps seed-to-seed variance.
+best single component. The demo measures whether the selected mixture damps
+seed-to-seed variance; it does not show that it does. On this panel selection
+puts all the weight on SeasonalNaive, a deterministic model, for every seed,
+so the ensemble's median CV of 0 comes from selection, not from averaging.
 
 Run: python3 demos/03_ensemble_mitigation.py
 """

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, ClassVar, Mapping
 
@@ -433,26 +434,21 @@ def _fit_jobs(fit: Callable, jobs: list[tuple]) -> list:
     each job's fitted models, the exception it raised, or None for a job
     not run because a job before it failed.
 
-    When this process has one thread and may run on several CPUs, its
-    seeded jobs are dealt out in turn to ``min(CPUs, seeded jobs)``
-    workers: this process takes the first share and every deterministic
-    job, and each other share goes to a forked child. A child may run on
-    every CPU of this process's set except the one this process runs on;
-    this process's own CPU set is never changed. A child runs the same
+    The seeded jobs are dealt out in turn to ``n`` workers: this process
+    is the first, and takes the first share and every deterministic job;
+    each other share goes to a forked child. ``n`` is ``min(CPUs, seeded
+    jobs)`` when this process has one thread and may run on several CPUs,
+    and 1 otherwise or for a wrapped ``fit`` (one with ``__wrapped__``), so
+    that every job runs here, in order, and nothing forks. A child may run
+    on every CPU of this process's set except the one this process runs
+    on; this process's own CPU set is never changed. A child runs the same
     code on the same BLAS kernel, so its models have the bits of an
     in-process fit; it sends their states back over a pipe, and they are
-    made read-only here again. Otherwise, and for a wrapped ``fit`` (one
-    with ``__wrapped__``), every job runs here, in order. Each worker
-    stops at its first failure, so the first job in order that did not fit
-    holds an exception.
+    made read-only here again. Each worker stops at its first failure, so
+    the first job in order that did not fit holds an exception.
     """
     seeded = [i for i, (kind, _, _) in enumerate(jobs) if getattr(kind, "seeded", False)]
     n, others = _workers(fit, len(seeded))
-    if n == 1:
-        done = _fit_in_order(fit, jobs, range(len(jobs)))
-        return done + [None] * (len(jobs) - len(done))
-    import pickle
-
     results = [None] * len(jobs)
     workers = []  # (pid, read end of its pipe, its share)
     here = set(range(len(jobs))) - set(seeded) | set(seeded[::n])
@@ -526,8 +522,6 @@ def _sendable(result):
     a ForecasterError naming its type and message."""
     if not isinstance(result, Exception):
         return [model.state for model in result]
-    import pickle
-
     try:
         pickle.loads(pickle.dumps(result))
     except Exception:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import platform
 from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
@@ -47,7 +48,6 @@ from .ensemble import (
 from .errors import ForecastStabilityError
 from .forecasters import (
     Diverged,
-    FittedForecaster,
     ForecasterError,
     ForecasterKind,
     _fit_jobs,
@@ -227,18 +227,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Training data, split, and hyperparameters are identical across the R
     runs of a label; only the seed changes. All R runs of an entry are fit
     in one call per model (per component for an ensemble), with results
-    bit-identical to fitting each seed alone. Fits on train are memoized by
-    (kind, seed), with no seed for a deterministic kind, and all made up
-    front in one ``_fit_jobs`` call, which may share them among forked
-    workers; a failed fit is raised where the entries reach it, so errors
-    and their order are those of fitting one by one. An entry predicts
-    each distinct model once and post-processes each distinct forecast
-    once. The panel is freed after the split; the result stacks the
-    forecast grid once. Raises ValueError, before any fit, when that grid
-    would hold more than ``MAX_PANEL_CELLS`` cells. Raises on the first
-    failure without emitting partial results; a fit or ensemble error names
-    the label, and a :class:`Diverged` error also the run ids and seeds of
-    the runs that blew up.
+    bit-identical to fitting each seed alone. Fits on train are keyed by
+    request, (kind, seeds), with no seeds for a deterministic kind, whose
+    requests share one fit; run and component seeds are distinct, so no
+    two seeded requests share a seed. All are made up front in one
+    ``_fit_jobs`` call, which may share them among forked workers; a
+    failed fit is raised where the entries reach it, so errors and their
+    order are those of fitting one by one. An entry predicts each distinct
+    model once and post-processes each distinct forecast once. The panel
+    is freed after the split; the result stacks the forecast grid once.
+    Raises ValueError, before any fit, when that grid would hold more than
+    ``MAX_PANEL_CELLS`` cells. Raises on the first failure without
+    emitting partial results; a fit or ensemble error names the label, and
+    a :class:`Diverged` error also the run ids and seeds of the runs that
+    blew up.
     """
     train, actuals = split(load_panel(cfg.dataset), cfg.split)
     horizon = cfg.split.horizon
@@ -257,13 +259,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             ]
         return [(entry.model, seeds)]
 
-    def memo_keys(kind: ForecasterKind, seeds: tuple[int, ...]) -> list[tuple]:
-        return [(kind, seed if kind.seeded else None) for seed in seeds]
-
-    # Every fit the loop below makes, made up front in one call; a failed
-    # fit is raised where the loop reaches it.
-    planned: dict[tuple, None] = {}
-    keyed: set[tuple] = set()
+    # Every fit the loop below makes, one job per request, made up front in
+    # one call; a failed fit is raised where the loop reaches it. A
+    # deterministic kind has one key, so its requests share one fit.
+    jobs: dict[tuple, tuple] = {}
     for entry in cfg.models:
         model = entry.model
         if isinstance(model, EnsembleRequest) and train.length < _history_needed(
@@ -271,20 +270,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ):
             break  # the loop stops here: fit_ensemble raises InsufficientHistory
         for kind, seeds in requests(entry, _run_seeds(cfg, entry.label)):
-            if not keyed.issuperset(keys := memo_keys(kind, seeds)):
-                keyed.update(keys)
-                planned[kind, seeds] = None
-    done = dict(zip(planned, _fit_jobs(fit, [(kind, train, seeds) for kind, seeds in planned])))
-    fits: dict[tuple, FittedForecaster] = {}
+            jobs.setdefault((kind, seeds if kind.seeded else None), (kind, train, seeds))
+    done = dict(zip(jobs, _fit_jobs(fit, list(jobs.values()))))
 
     def fit_on_train(kind: ForecasterKind, seeds: tuple[int, ...]) -> tuple:
-        keys = memo_keys(kind, seeds)
-        if not all(key in fits for key in keys):
-            # All the caller's seeds, so that Diverged.runs indexes its runs.
-            if isinstance(fitted := done[kind, seeds], Exception):
-                raise fitted
-            fits.update(zip(keys, fitted))
-        return tuple(fits[key] for key in keys)
+        if isinstance(fitted := done[kind, seeds if kind.seeded else None], Exception):
+            raise fitted
+        return fitted
 
     forecasts = []
     for entry in cfg.models:
@@ -343,10 +335,7 @@ def persist_runs(result: ExperimentResult, out_dir: str | Path) -> None:
     system and machine, and the sha256 of the config's canonical JSON text.
     ``created_at`` is its only field that a rerun does not reproduce.
     """
-    # Here, not at the top: parsing a config need not pay for platform or
-    # the CSV module.
-    import platform
-
+    # Here, not at the top: parsing a config need not pay for the CSV module.
     from . import __version__, tabular
 
     # The interpreter's own sha256 (named _sha2 from Python 3.12): hashlib

@@ -194,6 +194,13 @@ def test_run_experiment_fits_once_per_entry_and_component(monkeypatch, tmp_path)
                     components=(SeasonalNaive(period=7), GlobalMean(), lar), n_windows=2
                 ),
             ),
+            ModelEntry(
+                label="ens2",
+                model=EnsembleRequest(
+                    components=(GlobalMean(), SeasonalNaive(period=7), GlobalMean()),
+                    n_windows=2,
+                ),
+            ),
         ]
     )
     run_experiment(cfg)
@@ -204,8 +211,10 @@ def test_run_experiment_fits_once_per_entry_and_component(monkeypatch, tmp_path)
     run_fits = [c for c in calls if c[0] == harness.__name__]
     window_fits = [c for c in calls if c[0] == ensemble.__name__]
     # train is 33 days; the two validation windows leave 19 and 26. The
-    # ensemble's SeasonalNaive is the plain entry's fit; its LinearAR has
-    # other seeds, so it is fit again.
+    # ensembles' SeasonalNaive is the plain entry's fit, and the second
+    # ensemble's GlobalMean the first's; the first's LinearAR has other
+    # seeds, so it is fit again. fit_ensemble fits each listed component,
+    # so ens2's GlobalMean twice per window.
     assert sorted(run_fits) == sorted(
         (harness.__name__, name, 33, 3)
         for name in ("SeasonalNaive", "LinearAR", "GlobalMean", "LinearAR")
@@ -213,6 +222,7 @@ def test_run_experiment_fits_once_per_entry_and_component(monkeypatch, tmp_path)
     assert sorted(window_fits) == sorted(
         (ensemble.__name__, name, length, 3)
         for name in ("SeasonalNaive", "GlobalMean", "LinearAR")
+        + ("GlobalMean", "SeasonalNaive", "GlobalMean")
         for length in (19, 26)
     )
 
