@@ -40,6 +40,7 @@ _EXPORTS = {
     "report": ("build_report_bundle", "emit_plots", "emit_quantile_table"),
     "seeding": ("derive_seed", "fnv1a64", "splitmix64"),
     "tabular": (),
+    "workers": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
 

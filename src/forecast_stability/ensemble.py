@@ -97,9 +97,9 @@ def fit_ensemble(
     len(components))``: row ``r`` holds run ``r``'s weights, its selection
     counts over their sum. Run ``r`` fits component ``j`` with seed
     ``component_seed(seeds[r], j)`` on each validation window; each
-    (component, window) pair is fit once for all runs, all pairs in one
-    ``_fit_jobs`` call, and each row equals the one of fitting that seed
-    alone. Selection scores a
+    (component, window) pair is fit once for all runs, a deterministic
+    component listed twice once, all pairs in one ``_fit_jobs`` call, and
+    each row equals the one of fitting that seed alone. Selection scores a
     candidate multiset by post-processing the average of its raw forecasts
     and taking RMSE against the held-out blocks, pooled over all windows.
     The first round picks the best single component; at most
@@ -118,19 +118,26 @@ def fit_ensemble(
     windows = make_validation_windows(train, horizon, n_windows)
     actual = np.stack([held_out for _, held_out in windows])
 
-    fitted = _fit_jobs(fit, [
-        (kind, inner, tuple(component_seed(seed, index) for seed in seeds))
-        for index, kind in enumerate(components)
-        for inner, _ in windows
-    ])
-    for models in fitted:
+    # One job per (kind, window, seeds), keyed as run_experiment keys its
+    # fits: a deterministic kind has no seeds in its key, so a component
+    # listed twice is fit once per window. Jobs keep the order of listing.
+    keys: list[list[tuple]] = []
+    jobs: dict[tuple, tuple] = {}
+    for index, kind in enumerate(components):
+        component_seeds = tuple(component_seed(seed, index) for seed in seeds)
+        key_seeds = component_seeds if kind.seeded else None
+        keys.append([(kind, window, key_seeds) for window in range(len(windows))])
+        for key, (inner, _) in zip(keys[-1], windows):
+            jobs.setdefault(key, (kind, inner, component_seeds))
+    fitted = dict(zip(jobs, _fit_jobs(fit, list(jobs.values()))))
+    for models in fitted.values():
         if isinstance(models, Exception):
             raise models
     # per_component[j][r]: component j's raw forecasts of run r, stacked over
     # windows. Runs that share fitted models (deterministic kinds) share one.
     per_component = []
-    for index in range(len(components)):
-        runs = list(zip(*fitted[index * len(windows) : (index + 1) * len(windows)]))
+    for component_keys in keys:
+        runs = list(zip(*(fitted[key] for key in component_keys)))
         stacked = {
             models: np.stack([predict(model, horizon) for model in models])
             for models in dict.fromkeys(runs)

@@ -35,14 +35,13 @@ recursive: each predicted value feeds the lag window for the next step.
 from __future__ import annotations
 
 import math
-import os
 import pickle
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
-from . import codec
+from . import codec, workers
 from .dataset import TimeSeriesDataset
 from .errors import ForecastStabilityError
 from .seeding import Rng
@@ -436,70 +435,47 @@ def _fit_jobs(fit: Callable, jobs: list[tuple]) -> list:
 
     The seeded jobs are dealt out in turn to ``n`` workers: this process
     is the first, and takes the first share and every deterministic job;
-    each other share goes to a forked child. ``n`` is ``min(CPUs, seeded
-    jobs)`` when this process has one thread and may run on several CPUs,
+    each other share goes to a child forked by :func:`workers.fork`. ``n``
+    is ``min(CPUs, seeded jobs)`` when :func:`workers.cpus` allows a fork,
     and 1 otherwise or for a wrapped ``fit`` (one with ``__wrapped__``), so
-    that every job runs here, in order, and nothing forks. A child may run
-    on every CPU of this process's set except the one this process runs
-    on; this process's own CPU set is never changed. A child runs the same
-    code on the same BLAS kernel, so its models have the bits of an
-    in-process fit; it sends their states back over a pipe, and they are
-    made read-only here again. Each worker stops at its first failure, so
-    the first job in order that did not fit holds an exception.
+    that every job runs here, in order, and nothing forks. A child runs the
+    same code on the same BLAS kernel, so its models have the bits of an
+    in-process fit; it sends their states back, and they are made read-only
+    here again. Each worker stops at its first failure, so the first job in
+    order that did not fit holds an exception.
     """
     seeded = [i for i, (kind, _, _) in enumerate(jobs) if getattr(kind, "seeded", False)]
-    n, others = _workers(fit, len(seeded))
+    # A wrapped fit, such as a tracer's, would not see the calls of a child.
+    others = set() if len(seeded) < 2 or hasattr(fit, "__wrapped__") else workers.cpus()
+    n = min(len(others) + 1, len(seeded)) if others else 1
     results = [None] * len(jobs)
-    workers = []  # (pid, read end of its pipe, its share)
+    children = []  # (child, its share)
     here = set(range(len(jobs))) - set(seeded) | set(seeded[::n])
     try:
         for w in range(1, n):
             share = seeded[w::n]
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
+            child = workers.fork(
+                lambda share=share: [_sendable(r) for r in _fit_in_order(fit, jobs, share)], others
+            )
+            if child is None:
                 here.update(share)
-                continue
-            if pid == 0:
-                status = 1
-                try:
-                    try:
-                        os.sched_setaffinity(0, others)
-                    except OSError:
-                        pass  # not pinned, the fits are the same
-                    sent = [_sendable(r) for r in _fit_in_order(fit, jobs, share)]
-                    with open(write, "wb") as pipe:
-                        pipe.write(pickle.dumps(sent))
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write)
-            workers.append((pid, open(read, "rb"), share))
+            else:
+                children.append((child, share))
         here = sorted(here)
         for i, r in zip(here, _fit_in_order(fit, jobs, here)):
             results[i] = r
-        while workers:
-            pid, pipe, share = workers[0]
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            workers.pop(0)
-            if code or not data:
-                message = f"a fit worker exited with status {code} and sent no result"
-                sent = [ForecasterError(message)] * len(share)
-            else:
-                sent = pickle.loads(data)
+        for child, share in children:
+            try:
+                sent = child.join()
+            except workers.NoResult as exc:
+                sent = [ForecasterError(f"a fit worker {exc}")] * len(share)
             for i, r in zip(share, sent):
                 if not isinstance(r, Exception):
                     r = tuple(FittedForecaster(jobs[i][0], state) for state in r)
                 results[i] = r
     finally:
-        for pid, pipe, _ in workers:
-            pipe.close()
-            os.waitpid(pid, 0)
+        for child, _ in children:
+            child.close()
     return results
 
 
@@ -527,23 +503,3 @@ def _sendable(result):
     except Exception:
         return ForecasterError(f"{type(result).__name__}: {result}")
     return result
-
-
-def _workers(fit: Callable, seeded: int) -> tuple[int, set[int]]:
-    """How many workers fit ``seeded`` jobs, and the CPUs a forked one may
-    use; ``(1, set())`` when they are all to run in this process."""
-    # A wrapped fit, such as a tracer's, would not see the calls of a child.
-    if seeded < 2 or not hasattr(os, "fork") or hasattr(fit, "__wrapped__"):
-        return 1, set()
-    try:
-        # Forking a process with other threads can deadlock the child.
-        if len(os.listdir("/proc/self/task")) != 1:
-            return 1, set()
-        cpus = os.sched_getaffinity(0)
-        # The CPU this process last ran on: field 39 of its stat line.
-        with open("/proc/self/stat", "rb") as stat:
-            current = int(stat.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, AttributeError, ValueError, IndexError):
-        return 1, set()
-    others = cpus - {current}
-    return (min(len(cpus), seeded), others) if others else (1, set())

@@ -33,8 +33,15 @@ longer text) goes through numpy's bytes-to-float64 cast. A file that holds a
 ``"``, a ``\\r`` or a NUL byte, or a block that fails any check (field
 count, UTF-8, a number), is read again row by row with ``csv.reader``,
 which is the reference for the block reader and the only one that raises
-for a malformed row. Both then scatter codes and numbers into the dense
-grid. A wrong header or field count, a bad or non-finite number, bytes
+for a malformed row. A file holding at least ``SPLIT_BYTES`` (8 MiB) after
+its header is parsed in two halves at once where :func:`workers.cpus`
+allows a fork: a forked child parses the lines from the first line start
+past the midpoint, with its own table of texts, and sends back only its
+row count and its texts; coding those through this process's table gives
+the codes, texts and numbers of a one-process parse. A half that fails a
+check fails the file, and a child that sends nothing leaves its half to
+this process. Either reader then scatters codes and numbers into the
+dense grid. A wrong header or field count, a bad or non-finite number, bytes
 that are not UTF-8, a duplicate cell and a missing cell each raise the
 error class the caller names for it, with the file and, where one row is
 at fault, its line.
@@ -47,27 +54,42 @@ it copies no grid, and long key texts shorten a block to about
 number and the row's cell index (8 bytes each), per cell one flag and the
 float64 grids, and per distinct key text its words and fold. Parsing a
 block, ``BLOCK_BYTES`` plus the rest of its last line, holds a few times
-its bytes.
+its bytes. A file read in two halves holds each column in one shared
+anonymous ``mmap``, sized for the most rows its bytes could hold, of which
+only the pages written take memory. The child writes its rows past any
+row of the first half; moving them to follow the first half's holds one
+column's second half twice at most, and the pages past the rows are given
+back column by column. No column is copied whole and the file is read
+once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import io
 import itertools
 import math
+import mmap
+import os
 from array import array
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import workers
+
 # The block reader parses this many bytes plus the rest of a line at once,
 # and a block the writer builds holds about as many key bytes;
 # the writer builds, and the reader indexes, at most this many rows at once.
 BLOCK_BYTES = 256 * 1024
 BLOCK_ROWS = 8192
+# The block reader parses a file holding at least this many bytes after its
+# header in two processes at once, where it may fork: below it, the fork
+# costs more than the second half takes to parse.
+SPLIT_BYTES = 32 * BLOCK_BYTES
 
 
 class Key(NamedTuple):
@@ -560,25 +582,22 @@ def _read_blocks(path: Path, schema: Schema):
     other than the schema's, a ``"``, ``\\r`` or NUL byte, a wrong field
     count, a field longer than ``csv.field_size_limit()``, a key that is
     not UTF-8 or a number that ``float()`` may not read as the cast does.
+    A file of at least ``SPLIT_BYTES`` after its header is parsed in two
+    halves at once when :func:`workers.cpus` allows a fork; see
+    :func:`_read_halves`.
     """
     header = ",".join(schema.header).encode()
     keys = [_KeyTexts() for _ in schema.keys]
-    # Growing arrays, as in _read_rows, hold the parsed blocks compactly.
-    columns = [array("i") for _ in schema.keys] + [array("d") for _ in schema.values]
     with path.open("rb") as fh:
         if fh.readline().removesuffix(b"\n") != header:
             return None
-        for block in _blocks(fh):
-            split = _split_block(block, len(columns))
-            if split is None:
-                return None
-            text, data, lefts, widths = split
-            fields = list(zip(lefts.T, widths.T))
-            parts = [
-                key.codes_of(text, data, left, width) for key, (left, width) in zip(keys, fields)
-            ]
-            parts += [_numbers(data, left, width) for left, width in fields[len(keys) :]]
-            if any(part is None for part in parts):
+        start, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        if size - start >= SPLIT_BYTES and (cpus := workers.cpus()):
+            return _read_halves(path, fh, keys, len(schema.values), size, cpus)
+        # Growing arrays, as in _read_rows, hold the parsed blocks compactly.
+        columns = [array("i") for _ in schema.keys] + [array("d") for _ in schema.values]
+        for parts in _parsed(fh, keys, len(schema.values)):
+            if parts is None:
                 return None
             for column, part in zip(columns, parts):
                 column.frombytes(part.view(np.uint8))
@@ -587,13 +606,130 @@ def _read_blocks(path: Path, schema: Schema):
     return [list(key.lookup) for key in keys], codes, values
 
 
-def _blocks(fh: BinaryIO) -> Iterator[bytes]:
-    """The rest of ``fh`` in blocks of whole lines, each ending with a newline.
+def _read_halves(
+    path: Path, fh: BinaryIO, keys: list[_KeyTexts], n_values: int, size: int, cpus: set[int]
+):
+    """:func:`_read_blocks`' result for the ``size``-byte file ``fh``, its
+    header read, parsed in two halves at once.
+
+    This process parses the lines before the first line start past the
+    midpoint of the rest, and a child forked onto ``cpus`` the lines from
+    it on, with its own key texts. Both write into one shared anonymous
+    ``mmap`` per column, the child from a row past any of the first half.
+    The child sends back its row count and each key's texts in order of
+    first appearance; coding them through this process's key texts keeps
+    that order, and its codes are rewritten a block at a time as its rows
+    move up to follow the first half's. If the child exits without a
+    result, this process parses the second half itself.
+    """
+    start = fh.tell()
+    fh.seek(start + (size - start) // 2)
+    fh.readline()
+    middle = fh.tell()
+    fh.seek(start)
+    # A row holds a comma per field but one, then a newline or, last, the
+    # file's end: these bound each half's rows.
+    n_fields = len(keys) + n_values
+    second = (middle - start) // n_fields
+    rows = second + (size - middle) // n_fields + 1
+    kinds = [np.dtype(np.intc)] * len(keys) + [np.dtype(np.float64)] * n_values
+    buffers = [mmap.mmap(-1, rows * kind.itemsize) for kind in kinds]
+    columns = [np.frombuffer(buffer, kind) for buffer, kind in zip(buffers, kinds)]
+
+    def second_half():
+        own_keys = [_KeyTexts() for _ in keys]
+        with path.open("rb") as own:
+            own.seek(middle)
+            end = _fill(own, own_keys, columns, second, size - middle)
+        if end is None:
+            return None, []
+        return end - second, [list(key.lookup) for key in own_keys]
+
+    child = workers.fork(second_half, cpus)
+    try:
+        end = _fill(fh, keys, columns, 0, middle - start)
+        if end is None:
+            return None
+        sent = None
+        if child is not None:
+            with contextlib.suppress(workers.NoResult):
+                sent = child.join()
+    finally:
+        if child is not None:
+            child.close()
+    if sent is None:
+        # No result came back: this process parses the second half too.
+        end = _fill(fh, keys, columns, end, size - middle)
+        if end is None:
+            return None
+        sent = 0, [[]] * len(keys)
+    n_rows, texts = sent
+    if n_rows is None:
+        return None
+    for index, (buffer, column) in enumerate(zip(buffers, columns)):
+        width = column.itemsize
+        if index < len(keys):
+            lookup = keys[index].lookup
+            codes = [lookup.setdefault(text, len(lookup)) for text in texts[index]]
+            codes = np.array(codes, dtype=np.intc)
+            for first in range(0, n_rows, BLOCK_ROWS):
+                count = min(BLOCK_ROWS, n_rows - first)
+                source = column[second + first : second + first + count]
+                column[end + first : end + first + count] = codes[source]
+        else:
+            buffer.move(end * width, second * width, n_rows * width)
+        # Give back the pages past the rows, which the child's rows may have held.
+        used = -(-(end + n_rows) * width // mmap.PAGESIZE) * mmap.PAGESIZE
+        if used < len(buffer) and hasattr(mmap, "MADV_REMOVE"):
+            buffer.madvise(mmap.MADV_REMOVE, used, len(buffer) - used)
+    end += n_rows
+    columns = [column[:end] for column in columns]
+    return [list(key.lookup) for key in keys], columns[: len(keys)], columns[len(keys) :]
+
+
+def _fill(fh: BinaryIO, keys: list[_KeyTexts], columns: list[np.ndarray], row: int, size: int):
+    """Parse the next ``size`` bytes of ``fh`` into ``columns`` from ``row``
+    on; returns the row past the last, or None as :func:`_parsed`."""
+    for parts in _parsed(fh, keys, len(columns) - len(keys), size):
+        if parts is None:
+            return None
+        count = len(parts[0])
+        for column, part in zip(columns, parts):
+            column[row : row + count] = part
+        row += count
+    return row
+
+
+def _parsed(fh: BinaryIO, keys: list[_KeyTexts], n_values: int, size: int | None = None):
+    """Each block's columns, per key its codes then per value column its
+    numbers, from the next ``size`` bytes of ``fh`` or the rest of it;
+    None, and no more, for a block that only ``csv.reader`` may read."""
+    for block in _blocks(fh, size):
+        split = _split_block(block, len(keys) + n_values)
+        if split is None:
+            yield None
+            return
+        text, data, lefts, widths = split
+        fields = list(zip(lefts.T, widths.T))
+        parts = [key.codes_of(text, data, left, width) for key, (left, width) in zip(keys, fields)]
+        parts += [_numbers(data, left, width) for left, width in fields[len(keys) :]]
+        if any(part is None for part in parts):
+            yield None
+            return
+        yield parts
+
+
+def _blocks(fh: BinaryIO, size: int | None = None) -> Iterator[bytes]:
+    """The next ``size`` bytes of ``fh``, or the rest of it, in blocks of
+    whole lines, each ending with a newline; ``size`` ends at a line start.
 
     A block is ``BLOCK_BYTES`` plus the rest of its last line.
     """
-    while block := fh.read(BLOCK_BYTES):
-        block += fh.readline()
+    left = math.inf if size is None else size
+    while left > 0 and (block := fh.read(min(BLOCK_BYTES, left))):
+        if len(block) < left:
+            block += fh.readline()
+        left -= len(block)
         # Only the last line of the file may lack its newline.
         yield block if block.endswith(b"\n") else block + b"\n"
 

@@ -14,6 +14,9 @@ import csv
 import datetime as dt
 import io
 import itertools
+import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -950,6 +953,199 @@ def test_block_reader_leaves_long_fields_to_the_csv_reader(tmp_path):
             tabular.read_csv(path, PAIRS, ERRORS)
     finally:
         csv.field_size_limit(limit)
+
+
+# The block reader split over two processes against one process. The
+# reader forks only from a process with one thread, so each check runs in
+# a child interpreter with one BLAS thread.
+
+TESTS = Path(__file__).resolve().parent
+
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the split reader needs at least 2 CPUs",
+)
+
+# Imports this module, lowers the split to sys.argv[2] bytes, and reads
+# each file named after the schema name sys.argv[3] in the mode sys.argv[1]:
+# "split", "child-exits" (a forked child ends at once with status 1) or
+# "thread" (with a second thread alive). Prints per file how many children
+# _read_blocks forked, whether it parsed the file, and read_csv's error;
+# both must give what one process gives, and reap every child.
+# "hypothesis" checks arbitrary files and prints the forks.
+SPLIT_READ = """\
+import json, os, sys, tempfile, threading
+from pathlib import Path
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+import test_csv_files as cases
+from forecast_stability import tabular
+mode, split_bytes, schema, paths = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
+forks = 0
+real_fork = os.fork
+def fork():
+    global forks
+    pid = real_fork()
+    if pid == 0 and mode == "child-exits":
+        os._exit(1)
+    forks += pid > 0
+    return pid
+os.fork = fork
+
+def one_process(call, *args):
+    split, tabular.SPLIT_BYTES = tabular.SPLIT_BYTES, 2**62
+    try:
+        return call(*args)
+    finally:
+        tabular.SPLIT_BYTES = split
+
+def same_parse(got, want):
+    if got is None or want is None:
+        return got is want
+    return got[0] == want[0] and all(
+        a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+        for a, b in zip(got[1] + got[2], want[1] + want[2], strict=True)
+    )
+
+def compare(path, schema):
+    before = forks
+    parsed = tabular._read_blocks(path, schema)
+    forked = forks - before
+    assert same_parse(parsed, one_process(tabular._read_blocks, path, schema))
+    got = cases.read_result(path, schema)
+    cases.assert_same_result(got, one_process(cases.read_result, path, schema))
+    error = [got[0].__name__, got[1]] if isinstance(got[0], type) else None
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # every child forked so far is reaped
+        return {"forks": forked, "parsed": parsed is not None, "error": error}
+    raise AssertionError("a child is left unreaped")
+
+if mode == "hypothesis":
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(cases.files(), st.sampled_from([1, 3, 8, 64]), st.sampled_from([0, 16, 64]))
+    @example((cases.PAIRS, b"model,run_id,a,b"), 1, 0)
+    @example((cases.PAIRS, b"model,run_id,a,b\\n\\na,0,1,2"), 8, 0)
+    def check(drawn, block_bytes, split_bytes):
+        schema, data = drawn
+        tabular.BLOCK_BYTES, tabular.SPLIT_BYTES = block_bytes, split_bytes
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "grid.csv"
+            path.write_bytes(data)
+            forked = compare(path, schema)["forks"]
+        head, _, rest = data.partition(b"\\n")
+        assert forked == (head == ",".join(schema.header).encode() and len(rest) >= split_bytes)
+    check()
+    print(json.dumps(forks))
+else:
+    tabular.SPLIT_BYTES = split_bytes
+    waiting = threading.Event()
+    thread = threading.Thread(target=waiting.wait)
+    if mode == "thread":
+        thread.start()
+    print(json.dumps([compare(Path(path), getattr(cases, schema)) for path in paths]))
+    waiting.set()
+    if mode == "thread":
+        thread.join()
+"""
+
+
+def split_read(cwd: Path, mode: str, *paths: Path, split_bytes: int = 256):
+    """What SPLIT_READ prints, run in ``cwd`` with one BLAS thread."""
+    where = [str(TESTS.parent / "src"), str(TESTS), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(where), "OPENBLAS_NUM_THREADS": "1"}
+    args = [sys.executable, "-c", SPLIT_READ, mode, str(split_bytes), "PAIRS", *map(str, paths)]
+    done = subprocess.run(args, cwd=cwd, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def second_half_start(data: bytes) -> int:
+    """How many lines after the header the split reader's first half holds."""
+    start = data.index(b"\n") + 1
+    middle = data.index(b"\n", start + (len(data) - start) // 2) + 1
+    return data[start:middle].count(b"\n")
+
+
+# Every PAIRS cell of labels a to d and runs 0 to 9, in order: 40 rows.
+GRID_ROWS = [f"{label},{run},{run}.5,-{run}" for label in "abcd" for run in range(10)]
+
+
+@two_cpus
+def test_split_reader_matches_one_process_on_arbitrary_files(tmp_path):
+    assert split_read(tmp_path, "hypothesis") > 0
+
+
+@two_cpus
+def test_split_reader_reads_a_blank_line_at_either_side_of_the_split(tmp_path):
+    paths = {}
+    for at in range(1, len(GRID_ROWS)):
+        rows = GRID_ROWS[:at] + [""] + GRID_ROWS[at:]
+        data = (HEAD + "\n".join(rows) + "\n").encode()
+        # The blank line opens the second half, or ends the first.
+        side = {at: "opens", at + 1: "ends"}.get(second_half_start(data))
+        if side:
+            paths[side] = tmp_path / f"{side}.csv"
+            paths[side].write_bytes(data)
+    assert sorted(paths) == ["ends", "opens"]
+    out = split_read(tmp_path, "split", *paths.values())
+    assert out == [{"forks": 1, "parsed": True, "error": None}] * 2
+
+
+@two_cpus
+def test_split_reader_codes_texts_first_seen_in_the_second_half(tmp_path):
+    # The first half holds labels b and a and runs 4 to 0; the second half
+    # adds label c, then é, and runs 5 to 9, then lists a and b's rows for
+    # those runs out of order.
+    first = [f"{label},{run},{run}.{'0' * 16}25,1" for label in "ba" for run in range(4, -1, -1)]
+    second = [f"{label},{run},1,2" for label in ("c", "é") for run in range(10)]
+    second += [f"{label},{run},3,4" for label in "ab" for run in (7, 9, 5, 6, 8)]
+    data = (HEAD + "\n".join(first + second) + "\n").encode()
+    assert second_half_start(data) == len(first)
+    path = tmp_path / "pairs.csv"
+    path.write_bytes(data)
+    assert split_read(tmp_path, "split", path) == [{"forks": 1, "parsed": True, "error": None}]
+
+
+@two_cpus
+@pytest.mark.parametrize(
+    "at, row, error",
+    [
+        (-1, '"d",9,9.5,-9', None),
+        (-1, "d,9,9.5\r,-9", ["SchemaFault", "pairs.csv:41: expected 4 fields, got 3"]),
+        (-1, "d,9,9.5", ["SchemaFault", "pairs.csv:41: expected 4 fields, got 3"]),
+        (-2, "d,8,9.5,-9,0", ["SchemaFault", "pairs.csv:40: expected 4 fields, got 5"]),
+        (0, '"a",0,0.5,-0', None),
+    ],
+    ids=["quote", "carriage-return", "three-fields", "five-fields", "quote-in-first-half"],
+)
+def test_split_reader_leaves_a_half_it_cannot_parse_to_the_csv_reader(tmp_path, at, row, error):
+    rows = list(GRID_ROWS)
+    rows[at] = row
+    path = tmp_path / "pairs.csv"
+    path.write_text(HEAD + "\n".join(rows) + "\n", encoding="utf-8", newline="")
+    (out,) = split_read(tmp_path, "split", path)
+    assert out["forks"] == 1 and not out["parsed"]
+    if error is None:
+        assert out["error"] is None
+    else:
+        assert out["error"][0] == error[0] and out["error"][1].endswith(error[1])
+
+
+@two_cpus
+def test_split_reader_parses_the_half_of_a_child_that_exits_without_a_result(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text(HEAD + "\n".join(GRID_ROWS) + "\n", encoding="utf-8")
+    assert split_read(tmp_path, "child-exits", path) == [
+        {"forks": 1, "parsed": True, "error": None}
+    ]
+
+
+@two_cpus
+def test_split_reader_does_not_fork_beside_a_second_thread(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text(HEAD + "\n".join(GRID_ROWS) + "\n", encoding="utf-8")
+    assert split_read(tmp_path, "thread", path) == [{"forks": 0, "parsed": True, "error": None}]
 
 
 # The writer's number kernel against the formatters it stands in for.
