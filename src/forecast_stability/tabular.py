@@ -19,7 +19,14 @@ distinct values include any other value (an exponent form, ``inf``,
 ``nan``, a subnormal) or one the kernel leaves unproved (an exact tie or a
 carry to a new power of ten) is written whole by the schema's formatter,
 as is every block of a schema with any other formatter, so the bytes are
-those the formatter would write.
+those the formatter would write. A grid whose rows' key texts, padded to
+each key's longest, come to at least ``SPLIT_BYTES`` is written in two
+halves at once where :func:`workers.cpus` allows a fork and the output's
+directory takes an unnamed temporary file (``O_TMPFILE``): a forked child
+writes the blocks from the middle one on into that file, and this process
+writes the header and the blocks before it, then appends the child's
+bytes with in-kernel copies. A child that sends nothing leaves its half to
+this process, so a formatter's error is raised here as before.
 
 The reader parses a file block by block with numpy. One pass finds a
 block's commas and newlines. Each key column codes its texts
@@ -37,7 +44,7 @@ for a malformed row. A file holding at least ``SPLIT_BYTES`` (8 MiB) after
 its header is parsed in two halves at once where :func:`workers.cpus`
 allows a fork: a forked child parses the lines from the first line start
 past the midpoint, with its own table of texts, and sends back only its
-row count and its texts; coding those through this process's table gives
+first row, its row count and its texts; coding those through this process's table gives
 the codes, texts and numbers of a one-process parse. A half that fails a
 check fails the file, and a child that sends nothing leaves its half to
 this process. Either reader then scatters codes and numbers into the
@@ -50,17 +57,20 @@ Memory: the writer holds the grid, each key's padded texts and, per block,
 its cells, a few words per distinct value to format them, and a record of
 its rows, padded to their fields' longest texts;
 it copies no grid, and long key texts shorten a block to about
-``BLOCK_BYTES``. The reader holds per row each key's code (4 bytes), each
-number and the row's cell index (8 bytes each), per cell one flag and the
-float64 grids, and per distinct key text its words and fold. Parsing a
-block, ``BLOCK_BYTES`` plus the rest of its last line, holds a few times
-its bytes. A file read in two halves holds each column in one shared
-anonymous ``mmap``, sized for the most rows its bytes could hold, of which
-only the pages written take memory. The child writes its rows past any
-row of the first half; moving them to follow the first half's holds one
-column's second half twice at most, and the pages past the rows are given
-back column by column. No column is copied whole and the file is read
-once.
+``BLOCK_BYTES``. A writer's child holds one block at a time as well: its
+half goes to the temporary file, so to page cache, not to either
+process's memory, and nothing of it is pickled. The reader holds per row
+each key's code (4 bytes), each number and the row's cell index (8 bytes
+each), per cell one flag and the float64 grids, and per distinct key text
+its words and fold. Parsing a block, ``BLOCK_BYTES`` plus the rest of its
+last line, holds a few times its bytes. A file read in two halves holds
+each column in one shared anonymous ``mmap``, sized for the most rows its
+bytes could hold, of which only the pages written take memory. The child
+writes its rows from the first half's newline count, which no first-half
+row passes; the child reads the first half a block at a time to count
+them. Moving its rows to follow the first half's holds one column's second
+half twice at most, and the pages past the rows are given back column by
+column. No column is copied whole.
 """
 
 from __future__ import annotations
@@ -87,8 +97,10 @@ from . import workers
 BLOCK_BYTES = 256 * 1024
 BLOCK_ROWS = 8192
 # The block reader parses a file holding at least this many bytes after its
-# header in two processes at once, where it may fork: below it, the fork
-# costs more than the second half takes to parse.
+# header, and the writer writes a grid whose rows' padded key texts come to
+# at least this many bytes, in two processes at once, where they may fork:
+# below it, the fork costs more than the second half takes to parse or to
+# format.
 SPLIT_BYTES = 32 * BLOCK_BYTES
 
 
@@ -164,11 +176,16 @@ RMSE = Schema((MODEL, RUN), ("rmse",))
 def write_csv(path: str | Path, schema: Schema, axes, columns) -> None:
     """Write a dense grid to ``path``; see :func:`csv_text`.
 
-    A grid that fails its checks raises before the file is opened.
+    A grid that fails its checks raises before the file is opened. A grid
+    whose rows' padded key texts come to at least ``SPLIT_BYTES`` is written
+    in two halves at once where it may be; see :func:`_write_halves`.
     """
-    chunks = _chunks(schema, axes, columns)
-    with Path(path).open("wb") as fh:
-        fh.writelines(chunks)
+    header, starts, block, size = _text_blocks(schema, axes, columns)
+    path = Path(path)
+    with path.open("wb") as fh:
+        fh.write(header)
+        if size < SPLIT_BYTES or not _write_halves(fh, path.parent, starts, block):
+            fh.writelines(map(block, starts))
 
 
 def csv_text(schema: Schema, axes, columns) -> str:
@@ -178,11 +195,17 @@ def csv_text(schema: Schema, axes, columns) -> str:
     integers counting up by one from the key's origin. Each array in
     ``columns`` is shaped by the axis lengths, none of them 0.
     """
-    return b"".join(_chunks(schema, axes, columns)).decode("utf-8")
+    header, starts, block, _ = _text_blocks(schema, axes, columns)
+    return b"".join([header, *map(block, starts)]).decode("utf-8")
 
 
-def _chunks(schema: Schema, axes, columns) -> Iterator[bytes]:
-    """Check a grid, then return its file's bytes: the header, then a block of rows at a time."""
+def _text_blocks(
+    schema: Schema, axes, columns
+) -> tuple[bytes, range, Callable[[int], bytes], int]:
+    """Check a grid, then return its file's header, the first row of each
+    block, a function that builds the bytes of the block from a given first
+    row, and the rows' key bytes padded to each key's longest text, an
+    estimate of the file's size."""
     if not schema.values:
         raise ValueError("a schema needs at least one value column")
     shape = tuple(len(axis) for axis in axes)
@@ -217,24 +240,74 @@ def _chunks(schema: Schema, axes, columns) -> Iterator[bytes]:
     ends = [b","] * (len(columns) - 1) + [terminator.encode()]
     ends = [np.frombuffer(end, np.uint8) for end in ends]
     n_rows = math.prod(shape)
-    step = min(BLOCK_ROWS, max(BLOCK_BYTES // (sum(t.shape[1] for t in tables) or 1), 1))
+    width = sum(table.shape[1] for table in tables)
+    step = min(BLOCK_ROWS, max(BLOCK_BYTES // (width or 1), 1))
 
-    def blocks() -> Iterator[bytes]:
-        yield header.getvalue().encode("utf-8")
-        for first in range(0, n_rows, step):
-            index = np.unravel_index(np.arange(first, min(first + step, n_rows)), shape)
-            cell = tuple(map(np.take, orders, index))
-            parts = [np.take(table, i, axis=0) for table, i in zip(tables, index)]
-            for column, end in zip(columns, ends):
-                values = column[cell]
-                bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-                table = _formatted(bits.view(values.dtype), schema.fmt)
-                parts.append(np.take(table, inverse, axis=0))
-                parts.append(np.broadcast_to(end, (len(values), len(end))))
-            record = np.concatenate(parts, axis=1)
-            yield record[record != 0xFF].tobytes()
+    def block(first: int) -> bytes:
+        index = np.unravel_index(np.arange(first, min(first + step, n_rows)), shape)
+        cell = tuple(map(np.take, orders, index))
+        parts = [np.take(table, i, axis=0) for table, i in zip(tables, index)]
+        for column, end in zip(columns, ends):
+            values = column[cell]
+            bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+            table = _formatted(bits.view(values.dtype), schema.fmt)
+            parts.append(np.take(table, inverse, axis=0))
+            parts.append(np.broadcast_to(end, (len(values), len(end))))
+        record = np.concatenate(parts, axis=1)
+        return record[record != 0xFF].tobytes()
 
-    return blocks()
+    return header.getvalue().encode("utf-8"), range(0, n_rows, step), block, width * n_rows
+
+
+def _write_halves(
+    fh: BinaryIO, directory: Path, starts: range, block: Callable[[int], bytes]
+) -> bool:
+    """Write ``map(block, starts)`` to ``fh`` in two halves at once; False,
+    with nothing written, where :func:`workers.cpus` allows no fork or
+    ``directory`` takes no unnamed temporary file.
+
+    A child forked onto those CPUs writes the blocks from the middle one
+    on into an unnamed temporary file in ``directory``, as it builds them,
+    and sends back only its byte count. This process writes the blocks
+    before it, then appends the child's bytes with in-kernel copies. If
+    the child exits without a result, this process writes its blocks too.
+    The temporary file vanishes when it is closed.
+    """
+    if not (cpus := workers.cpus()):
+        return False
+    try:
+        spill = os.open(directory, os.O_TMPFILE | os.O_RDWR, 0o600)
+    except (AttributeError, OSError):  # no O_TMPFILE here, or not on this file system
+        return False
+    try:
+        half = len(starts) // 2
+
+        def second_half() -> int:
+            with open(spill, "wb", closefd=False) as out:
+                out.writelines(map(block, starts[half:]))
+                return out.tell()
+
+        child = workers.fork(second_half, cpus)
+        size = None
+        try:
+            fh.writelines(map(block, starts[:half]))
+            if child is not None:
+                with contextlib.suppress(workers.NoResult):
+                    size = child.join()
+        finally:
+            if child is not None:
+                child.close()
+        if size is None:
+            # No result came back: this process writes the second half too.
+            fh.writelines(map(block, starts[half:]))
+        else:
+            fh.flush()
+            offset = 0
+            while offset < size:
+                offset += os.sendfile(fh.fileno(), spill, offset, size - offset)
+    finally:
+        os.close(spill)
+    return True
 
 
 _ONE, _TEN = np.uint64(1), np.uint64(10)
@@ -615,12 +688,13 @@ def _read_halves(
     This process parses the lines before the first line start past the
     midpoint of the rest, and a child forked onto ``cpus`` the lines from
     it on, with its own key texts. Both write into one shared anonymous
-    ``mmap`` per column, the child from a row past any of the first half.
-    The child sends back its row count and each key's texts in order of
-    first appearance; coding them through this process's key texts keeps
-    that order, and its codes are rewritten a block at a time as its rows
-    move up to follow the first half's. If the child exits without a
-    result, this process parses the second half itself.
+    ``mmap`` per column, the child from the first half's newline count, a
+    row past any of the first half. The child sends back that row, its row
+    count and each key's texts in order of first appearance; coding them
+    through this process's key texts keeps that order, and its codes are
+    rewritten a block at a time as its rows move up to follow the first
+    half's, unless the coding leaves them as they are. If the child exits
+    without a result, this process parses the second half itself.
     """
     start = fh.tell()
     fh.seek(start + (size - start) // 2)
@@ -630,8 +704,7 @@ def _read_halves(
     # A row holds a comma per field but one, then a newline or, last, the
     # file's end: these bound each half's rows.
     n_fields = len(keys) + n_values
-    second = (middle - start) // n_fields
-    rows = second + (size - middle) // n_fields + 1
+    rows = (middle - start) // n_fields + (size - middle) // n_fields + 1
     kinds = [np.dtype(np.intc)] * len(keys) + [np.dtype(np.float64)] * n_values
     buffers = [mmap.mmap(-1, rows * kind.itemsize) for kind in kinds]
     columns = [np.frombuffer(buffer, kind) for buffer, kind in zip(buffers, kinds)]
@@ -639,11 +712,18 @@ def _read_halves(
     def second_half():
         own_keys = [_KeyTexts() for _ in keys]
         with path.open("rb") as own:
-            own.seek(middle)
+            # Each first-half row ends with a newline; counting them lets the
+            # child's rows start where the first half's are likely to end.
+            own.seek(start)
+            newlines = sum(
+                np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+                for block in _blocks(own, middle - start)
+            )
+            second = min(newlines, (middle - start) // n_fields)
             end = _fill(own, own_keys, columns, second, size - middle)
         if end is None:
-            return None, []
-        return end - second, [list(key.lookup) for key in own_keys]
+            return None, None, []
+        return second, end - second, [list(key.lookup) for key in own_keys]
 
     child = workers.fork(second_half, cpus)
     try:
@@ -662,21 +742,24 @@ def _read_halves(
         end = _fill(fh, keys, columns, end, size - middle)
         if end is None:
             return None
-        sent = 0, [[]] * len(keys)
-    n_rows, texts = sent
+        sent = end, 0, [[]] * len(keys)
+    second, n_rows, texts = sent
     if n_rows is None:
         return None
-    for index, (buffer, column) in enumerate(zip(buffers, columns)):
+    # Per column, this process's code for each of the child's, where they differ.
+    recodes = [None] * len(columns)
+    for index, (key, own) in enumerate(zip(keys, texts)):
+        codes = np.array([key.lookup.setdefault(text, len(key.lookup)) for text in own], np.intc)
+        if (codes != np.arange(len(codes))).any():
+            recodes[index] = codes
+    for buffer, column, codes in zip(buffers, columns, recodes):
         width = column.itemsize
-        if index < len(keys):
-            lookup = keys[index].lookup
-            codes = [lookup.setdefault(text, len(lookup)) for text in texts[index]]
-            codes = np.array(codes, dtype=np.intc)
+        if codes is not None:
             for first in range(0, n_rows, BLOCK_ROWS):
                 count = min(BLOCK_ROWS, n_rows - first)
                 source = column[second + first : second + first + count]
                 column[end + first : end + first + count] = codes[source]
-        else:
+        elif second != end:
             buffer.move(end * width, second * width, n_rows * width)
         # Give back the pages past the rows, which the child's rows may have held.
         used = -(-(end + n_rows) * width // mmap.PAGESIZE) * mmap.PAGESIZE

@@ -955,32 +955,30 @@ def test_block_reader_leaves_long_fields_to_the_csv_reader(tmp_path):
         csv.field_size_limit(limit)
 
 
-# The block reader split over two processes against one process. The
-# reader forks only from a process with one thread, so each check runs in
-# a child interpreter with one BLAS thread.
+# The block reader and the writer split over two processes against one
+# process. They fork only from a process with one thread, so each check
+# runs in a child interpreter with one BLAS thread.
 
 TESTS = Path(__file__).resolve().parent
 
 two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="the split reader needs at least 2 CPUs",
+    reason="the split reader and writer need at least 2 CPUs",
 )
 
-# Imports this module, lowers the split to sys.argv[2] bytes, and reads
-# each file named after the schema name sys.argv[3] in the mode sys.argv[1]:
-# "split", "child-exits" (a forked child ends at once with status 1) or
-# "thread" (with a second thread alive). Prints per file how many children
-# _read_blocks forked, whether it parsed the file, and read_csv's error;
-# both must give what one process gives, and reap every child.
-# "hypothesis" checks arbitrary files and prints the forks.
-SPLIT_READ = """\
+# The start of each script below: imports this module, takes the mode from
+# sys.argv[1] and counts the children forked. In mode "child-exits" each
+# forked child ends at once with status 1, and in mode "thread" a second
+# thread is alive. one_process runs a call with the split off; unreaped
+# raises if any child forked so far is left unreaped.
+FORKS = """\
 import json, os, sys, tempfile, threading
 from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 import test_csv_files as cases
 from forecast_stability import tabular
-mode, split_bytes, schema, paths = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
+mode = sys.argv[1]
 forks = 0
 real_fork = os.fork
 def fork():
@@ -991,6 +989,9 @@ def fork():
     forks += pid > 0
     return pid
 os.fork = fork
+waiting = threading.Event()
+if mode == "thread":
+    threading.Thread(target=waiting.wait, daemon=True).start()
 
 def one_process(call, *args):
     split, tabular.SPLIT_BYTES = tabular.SPLIT_BYTES, 2**62
@@ -998,6 +999,23 @@ def one_process(call, *args):
         return call(*args)
     finally:
         tabular.SPLIT_BYTES = split
+
+def unreaped():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # every child forked so far is reaped
+        return
+    raise AssertionError("a child is left unreaped")
+"""
+
+# Lowers the split to sys.argv[2] bytes, and reads each file named after
+# the schema name sys.argv[3] in the mode: "split", "child-exits" or
+# "thread". Prints per file how many children _read_blocks forked, whether
+# it parsed the file, and read_csv's error; both must give what one process
+# gives, and reap every child. "hypothesis" checks arbitrary files and
+# prints the forks.
+SPLIT_READ = FORKS + """\
+split_bytes, schema, paths = int(sys.argv[2]), sys.argv[3], sys.argv[4:]
 
 def same_parse(got, want):
     if got is None or want is None:
@@ -1015,11 +1033,8 @@ def compare(path, schema):
     got = cases.read_result(path, schema)
     cases.assert_same_result(got, one_process(cases.read_result, path, schema))
     error = [got[0].__name__, got[1]] if isinstance(got[0], type) else None
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:  # every child forked so far is reaped
-        return {"forks": forked, "parsed": parsed is not None, "error": error}
-    raise AssertionError("a child is left unreaped")
+    unreaped()
+    return {"forks": forked, "parsed": parsed is not None, "error": error}
 
 if mode == "hypothesis":
     @settings(max_examples=200, deadline=None, database=None)
@@ -1039,25 +1054,84 @@ if mode == "hypothesis":
     print(json.dumps(forks))
 else:
     tabular.SPLIT_BYTES = split_bytes
-    waiting = threading.Event()
-    thread = threading.Thread(target=waiting.wait)
-    if mode == "thread":
-        thread.start()
     print(json.dumps([compare(Path(path), getattr(cases, schema)) for path in paths]))
-    waiting.set()
-    if mode == "thread":
-        thread.join()
+"""
+
+# Writes, with the split lowered to 0 bytes and blocks of 4 rows, each grid
+# that the functions of this module named in sys.argv[2:] return, in the
+# mode: "split", "child-exits", "thread" or "no-tmpfile" (os.open refuses
+# O_TMPFILE, and must be asked once per grid it opens a file for). Prints
+# per grid how many children write_csv forked, its error and whether it
+# opened the file. One process must raise the same error or write the same
+# bytes, csv_text's, and every child must be reaped and every file
+# descriptor closed. "hypothesis" checks arbitrary grids and prints the
+# forks.
+SPLIT_WRITE = FORKS + """\
+refused = 0
+real_open = os.open
+def refusing_open(path, flags, *args, **kwargs):
+    global refused
+    if mode == "no-tmpfile" and flags & os.O_TMPFILE == os.O_TMPFILE:
+        refused += 1
+        raise IsADirectoryError(path)
+    return real_open(path, flags, *args, **kwargs)
+os.open = refusing_open
+
+def compare(path, schema, axes, columns):
+    fds, before, asked = len(os.listdir("/proc/self/fd")), forks, refused
+    try:
+        tabular.write_csv(path, schema, axes, columns)
+        error = None
+    except ValueError as exc:
+        error = str(exc)
+    forked = forks - before
+    written = path.read_bytes() if path.exists() else None
+    try:
+        one_process(tabular.write_csv, path, schema, axes, columns)
+    except ValueError as exc:
+        assert str(exc) == error
+    else:
+        assert error is None and written == path.read_bytes()
+        assert written == tabular.csv_text(schema, axes, columns).encode("utf-8")
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert refused - asked == (mode == "no-tmpfile" and written is not None)
+    unreaped()
+    return {"forks": forked, "error": error, "opened": written is not None}
+
+if mode == "hypothesis":
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(cases.grids(), st.sampled_from([1, 2, 5]), st.sampled_from([0, 16, 64]))
+    def check(drawn, block_rows, split_bytes):
+        tabular.BLOCK_ROWS, tabular.SPLIT_BYTES = block_rows, split_bytes
+        with tempfile.TemporaryDirectory() as tmp:
+            forked = compare(Path(tmp) / "grid.csv", *drawn)["forks"]
+        assert forked == (tabular._text_blocks(*drawn)[3] >= split_bytes)
+    check()
+    print(json.dumps(forks))
+else:
+    tabular.BLOCK_ROWS, tabular.SPLIT_BYTES = 4, 0
+    print(json.dumps([compare(Path(f"{name}.csv"), *getattr(cases, name)()) for name in sys.argv[2:]]))
 """
 
 
-def split_read(cwd: Path, mode: str, *paths: Path, split_bytes: int = 256):
-    """What SPLIT_READ prints, run in ``cwd`` with one BLAS thread."""
+def in_child(cwd: Path, script: str, *args: object):
+    """What ``script`` prints last, run with ``args`` in ``cwd`` with one BLAS thread."""
     where = [str(TESTS.parent / "src"), str(TESTS), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(where), "OPENBLAS_NUM_THREADS": "1"}
-    args = [sys.executable, "-c", SPLIT_READ, mode, str(split_bytes), "PAIRS", *map(str, paths)]
-    done = subprocess.run(args, cwd=cwd, env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def split_read(cwd: Path, mode: str, *paths: Path, split_bytes: int = 256):
+    """What SPLIT_READ prints for ``paths`` of the PAIRS schema."""
+    return in_child(cwd, SPLIT_READ, mode, split_bytes, "PAIRS", *paths)
 
 
 def second_half_start(data: bytes) -> int:
@@ -1146,6 +1220,79 @@ def test_split_reader_does_not_fork_beside_a_second_thread(tmp_path):
     path = tmp_path / "pairs.csv"
     path.write_text(HEAD + "\n".join(GRID_ROWS) + "\n", encoding="utf-8")
     assert split_read(tmp_path, "thread", path) == [{"forks": 0, "parsed": True, "error": None}]
+
+
+# Grids for SPLIT_WRITE: in blocks of 4 rows, the child writes the second
+# half of each one's blocks.
+
+
+def demand_the_formatter_writes_in_the_second_half():
+    """Whole demand, but for 1e-5 and inf in the last block, which
+    format_demand then writes whole."""
+    demand = np.arange(40, dtype=np.float64).reshape(4, 10)
+    demand[-1, -2:] = 1e-5, np.inf
+    return tabular.DATASET, (["d", "c", "b", "a"], range(738000, 738010)), (demand,)
+
+
+def labels_with_a_carriage_return():
+    """A model label holding a carriage return, so every line ends with CR LF."""
+    forecasts = np.arange(40, dtype=np.int64).reshape(2, 2, 2, 5)
+    return tabular.RUNS, (["m\rx", "m"], range(2), ["b", "a"], range(1, 6)), (forecasts,)
+
+
+def duplicate_labels():
+    return tabular.RMSE, (["a", "a"], range(20)), (np.zeros((2, 20)),)
+
+
+def refuse_negative(value: float) -> str:
+    if value < 0:
+        raise ValueError(f"negative {value}")
+    return repr(value)
+
+
+REFUSING = tabular.Schema((tabular.MODEL, tabular.RUN), ("value",), refuse_negative)
+
+
+def refused_in_the_first_half():
+    values = np.arange(40.0).reshape(2, 20)
+    values[0, 1] = -1
+    return REFUSING, (["a", "b"], range(20)), (values,)
+
+
+def refused_in_the_second_half():
+    schema, axes, (values,) = refused_in_the_first_half()
+    return schema, axes, (values[::-1],)
+
+
+@two_cpus
+def test_split_writer_matches_one_process_on_arbitrary_grids(tmp_path):
+    assert in_child(tmp_path, SPLIT_WRITE, "hypothesis") > 0
+
+
+@two_cpus
+@pytest.mark.parametrize(
+    "mode, forks", [("split", 1), ("child-exits", 1), ("no-tmpfile", 0), ("thread", 0)]
+)
+def test_split_writer_writes_the_bytes_of_one_process(tmp_path, mode, forks):
+    grids = ["demand_the_formatter_writes_in_the_second_half", "labels_with_a_carriage_return"]
+    out = in_child(tmp_path, SPLIT_WRITE, mode, *grids)
+    assert out == [{"forks": forks, "error": None, "opened": True}] * 2
+    assert b"\r\n" in (tmp_path / "labels_with_a_carriage_return.csv").read_bytes()
+
+
+@two_cpus
+def test_split_writer_checks_the_grid_before_it_opens_the_file(tmp_path):
+    out = in_child(tmp_path, SPLIT_WRITE, "split", "duplicate_labels")
+    assert out == [{"forks": 0, "error": "duplicate model labels", "opened": False}]
+
+
+@two_cpus
+@pytest.mark.parametrize("half", ["first", "second"])
+def test_split_writer_raises_what_the_formatter_raises_in_either_half(tmp_path, half):
+    # From the first half, the child is killed and reaped; from the second,
+    # the child exits without a result and this process writes its half.
+    out = in_child(tmp_path, SPLIT_WRITE, "split", f"refused_in_the_{half}_half")
+    assert out == [{"forks": 1, "error": "negative -1.0", "opened": True}]
 
 
 # The writer's number kernel against the formatters it stands in for.
